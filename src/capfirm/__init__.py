@@ -1,12 +1,11 @@
 """Day-ahead capacity firming of a PV + battery plant.
 
-Subpackages cover the full pipeline: PV power modeling (:mod:`capfirm.pvusa`),
-scenario generation (:mod:`capfirm.scenarios`), the structured QP/MIQP engine
-(:mod:`capfirm.optim`), day-ahead planning (:mod:`capfirm.planner`), intraday
-control (:mod:`capfirm.controller`), the day-by-day simulation harness
-(:mod:`capfirm.sim`), plant sizing economics (:mod:`capfirm.sizing`) and data
-handling plus the command line surface (:mod:`capfirm.data`,
-:mod:`capfirm.config`, :mod:`capfirm.cli`).
+Modules: PV power modeling (:mod:`capfirm.pvusa`), scenario generation
+(:mod:`capfirm.scenarios`), tariff, plant and remuneration rules
+(:mod:`capfirm.domain`), the structured QP/MIQP engine
+(:mod:`capfirm.optim`), day-ahead planning (:mod:`capfirm.planner`),
+intraday control (:mod:`capfirm.controller`) and run configuration
+(:mod:`capfirm.config`).
 """
 
 __version__ = "0.1.0"

@@ -5,15 +5,16 @@ The config file is plain text with one ``section.key = value`` pair per line;
 and system numbers (quarter-hour grid, 19-21 h peak window, CRE-style bound
 fractions, battery able to fully charge in one hour inside a 10-90 % SoC
 window, 300/700 EUR capex split, 20 years at 5 %, 3000-cycle battery life,
-the 7x8 sizing grid). Unknown keys are rejected listing the valid ones.
+the 7x8 sizing grid). The peak window and the tender fractions are the
+:mod:`capfirm.domain` constants. The ``econ.*`` keys are parsed so that
+config files carrying them load, but no builder reads them yet. Unknown keys
+are rejected listing the valid ones.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
+from . import domain
 from .domain import SystemConfig, TariffPolicy, TimeGrid, build_cre_policy
-from .sizing import EconParams
 
 
 class ConfigError(ValueError):
@@ -22,21 +23,21 @@ class ConfigError(ValueError):
 
 DEFAULTS: dict[str, float | int | str] = {
     "grid.delta_t_hours": 0.25,
-    "grid.peak_start_hour": 19.0,
-    "grid.peak_end_hour": 21.0,
+    "grid.peak_start_hour": domain.PEAK_START_HOUR,
+    "grid.peak_end_hour": domain.PEAK_END_HOUR,
     "plant.pv_capacity_kw": 466.4,
     "plant.latitude_deg": 50.6,
     "tariff.price_offpeak_eur_mwh": 100.0,
     "tariff.peak_price_factor": 2.0,
-    "tariff.ramp_frac_offpeak": 0.075,
-    "tariff.ramp_frac_peak": 0.15,
-    "tariff.eng_min_frac_offpeak": -0.05,
-    "tariff.eng_min_frac_peak": 0.20,
-    "tariff.prod_min_frac_offpeak": -0.05,
-    "tariff.prod_min_frac_peak": 0.15,
-    "tariff.eng_max_frac": 1.0,
-    "tariff.prod_max_frac": 1.0,
-    "tariff.deadband_frac": 0.05,
+    "tariff.ramp_frac_offpeak": domain.RAMP_FRAC_OFFPEAK,
+    "tariff.ramp_frac_peak": domain.RAMP_FRAC_PEAK,
+    "tariff.eng_min_frac_offpeak": domain.ENG_MIN_FRAC_OFFPEAK,
+    "tariff.eng_min_frac_peak": domain.ENG_MIN_FRAC_PEAK,
+    "tariff.prod_min_frac_offpeak": domain.PROD_MIN_FRAC_OFFPEAK,
+    "tariff.prod_min_frac_peak": domain.PROD_MIN_FRAC_PEAK,
+    "tariff.eng_max_frac": domain.ENG_MAX_FRAC,
+    "tariff.prod_max_frac": domain.PROD_MAX_FRAC,
+    "tariff.deadband_frac": domain.DEADBAND_FRAC,
     "bess.ratio": 0.5,
     "bess.hours_to_full": 1.0,
     "bess.eta_charge": 0.95,
@@ -173,17 +174,6 @@ def build_system(config: dict, ratio: float | None = None) -> SystemConfig:
         soc_init_kwh=float(config["bess.soc_init_frac"]) * cap,
         soc_end_kwh=float(config["bess.soc_init_frac"]) * cap,
         soc_max_kwh=float(config["bess.soc_max_frac"]) * cap,
-    )
-
-
-def build_econ(config: dict) -> EconParams:
-    return EconParams(
-        capex_bess_eur_kwh=float(config["econ.capex_bess_eur_kwh"]),
-        capex_pv_eur_kw=float(config["econ.capex_pv_eur_kw"]),
-        opex_frac=float(config["econ.opex_frac"]),
-        lifetime_years=int(config["econ.lifetime_years"]),
-        discount_rate=float(config["econ.discount_rate"]),
-        cycle_life=float(config["econ.cycle_life"]),
     )
 
 

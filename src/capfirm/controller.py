@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain import (
     DispatchTrace,
@@ -31,10 +30,16 @@ from .domain import (
 from .optim import (
     QpProblem,
     QpSolution,
-    ScenarioChain,
     SocChainHints,
     SolveStatus,
     solve_miqp,
+)
+from .planner import (
+    DispatchIndex,
+    dispatch_block,
+    dispatch_trace,
+    sparse_rows,
+    unreachable_floor_period,
 )
 
 
@@ -96,11 +101,11 @@ def build_control_qp(
     policy: TariffPolicy,
     system: SystemConfig,
     grid: TimeGrid,
-) -> tuple[QpProblem, SocChainHints]:
+) -> tuple[QpProblem, SocChainHints, DispatchIndex]:
     """Whole-day dispatch problem with the engagement entering as data.
 
-    Variable layout per period: production, underdev, pv_used, charge,
-    discharge, soc (6*T variables). The production cap folds the engagement
+    The variables are one dispatch block starting at column 0 (6*T variables,
+    see :mod:`capfirm.planner`). The production cap folds the engagement
     deadband top into the variable bound; engagement ramp rows disappear
     entirely since the engagement is no longer a variable.
     """
@@ -110,81 +115,17 @@ def build_control_qp(
     if eng.shape[0] != t_n or pv.shape[0] != t_n:
         raise ShapeError("engagement/realized PV length must match the grid")
 
-    n = 6 * t_n
-    offs = np.arange(t_n)
-    i_p, i_dev, i_pv = offs, t_n + offs, 2 * t_n + offs
-    i_cha, i_dis, i_soc = 3 * t_n + offs, 4 * t_n + offs, 5 * t_n + offs
-    dt = grid.delta_t_hours
-    price_kwh = policy.price_eur_mwh / 1000.0
+    block = dispatch_block(pv[None, :], np.ones(1), 0, grid, policy, system)
+    idx = block.index
     band = policy.deadband_kw
-
-    q = np.zeros(n)
-    c = np.zeros(n)
-    c[i_p] = -dt * price_kwh
-    dev_coef = dt * price_kwh / policy.pv_capacity_kw
-    q[i_dev] = dev_coef
-    c[i_dev] = 4.0 * band * dev_coef
-
-    lb = np.full(n, -np.inf)
-    ub = np.full(n, np.inf)
-    lb[i_p] = policy.prod_min_kw
-    ub[i_p] = np.minimum(policy.prod_max_kw, eng + band)
-    lb[i_dev] = 0.0
-    lb[i_pv] = 0.0
-    ub[i_pv] = np.clip(pv, 0.0, None)
-    lb[i_cha] = 0.0
-    ub[i_cha] = system.charge_power_kw
-    lb[i_dis] = 0.0
-    ub[i_dis] = system.discharge_power_kw
-    lb[i_soc] = system.bess_min_kwh
-    ub[i_soc] = system.soc_max_kwh
-    lb[i_soc[-1]] = system.soc_end_kwh
-    ub[i_soc[-1]] = system.soc_end_kwh
-
-    rows, cols, data, rhs = [], [], [], []
-    for t in range(t_n):
-        rows.extend([t, t])
-        cols.extend([i_p[t], i_dev[t]])
-        data.extend([-1.0, -1.0])
-        rhs.append(band - eng[t])
-    a_ub = sp.csr_matrix((data, (rows, cols)), shape=(t_n, n))
-    b_ub = np.array(rhs)
-
-    rows, cols, data, rhs = [], [], [], []
-    row = 0
-    eta_c, eta_d = system.eta_charge, system.eta_discharge
-    for t in range(t_n):
-        rows.extend([row] * 4)
-        cols.extend([i_p[t], i_pv[t], i_dis[t], i_cha[t]])
-        data.extend([1.0, -1.0, -1.0, 1.0])
-        rhs.append(0.0)
-        row += 1
-        cc = [i_soc[t], i_cha[t], i_dis[t]]
-        dd = [1.0, -dt * eta_c, dt / eta_d]
-        if t:
-            cc.append(i_soc[t - 1])
-            dd.append(-1.0)
-            rhs.append(0.0)
-        else:
-            rhs.append(system.soc_init_kwh)
-        rows.extend([row] * len(cc))
-        cols.extend(cc)
-        data.extend(dd)
-        row += 1
-    a_eq = sp.csr_matrix((data, (rows, cols)), shape=(row, n))
-    b_eq = np.array(rhs)
-
-    pairs = tuple((int(i_cha[t]), int(i_dis[t])) for t in range(t_n))
-    problem = QpProblem(q=q, c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                        lb=lb, ub=ub, comp_pairs=pairs)
-    hints = SocChainHints(
-        chains=(ScenarioChain(charge_idx=i_cha, discharge_idx=i_dis,
-                              pv_idx=i_pv, soc_idx=i_soc,
-                              pair_idx=np.arange(t_n)),),
-        eta_charge=eta_c, eta_discharge=eta_d, delta_t_hours=dt,
-        soc_min_kwh=system.bess_min_kwh, soc_max_kwh=system.soc_max_kwh,
-        soc_end_kwh=system.soc_end_kwh)
-    return problem, hints
+    block.ub[idx.production[0]] = np.minimum(policy.prod_max_kw, eng + band)
+    rows = np.arange(t_n)
+    a_ub = sparse_rows([(rows, idx.production[0], -1.0), (rows, idx.underdev[0], -1.0)],
+                       t_n, block.c.shape[0])
+    problem = QpProblem(q=block.q, c=block.c, a_ub=a_ub, b_ub=band - eng,
+                        a_eq=block.a_eq, b_eq=block.b_eq, lb=block.lb, ub=block.ub,
+                        comp_pairs=block.pairs)
+    return problem, block.hints, idx
 
 
 def oracle_control(
@@ -202,28 +143,17 @@ def oracle_control(
     cause is a per-period production floor.
     """
     pv = np.asarray(realized_pv_kw, dtype=float)
-    problem, hints = build_control_qp(engagement, pv, policy, system, grid)
+    problem, hints, idx = build_control_qp(engagement, pv, policy, system, grid)
     sol = solve_miqp(problem, node_limit=node_limit, soc_hints=hints)
     if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NODE_LIMIT_NO_INCUMBENT):
-        for t in range(grid.n_periods):
-            if policy.prod_min_kw[t] > pv[t] + system.discharge_power_kw + 1e-9:
-                raise ControlInfeasibleError(
-                    f"production floor unreachable at period {t}", period=t)
+        period = unreachable_floor_period(pv, policy, system)
+        if period is not None:
+            raise ControlInfeasibleError(
+                f"production floor unreachable at period {period}", period=period)
         raise ControlInfeasibleError(
             "dispatch infeasible (energy-coupled: battery cannot honor the floors)")
 
-    t_n = grid.n_periods
-    offs = np.arange(t_n)
-    production = sol.x[offs]
-    trace = DispatchTrace(
-        production_kw=production,
-        pv_used_kw=np.maximum(sol.x[2 * t_n + offs], 0.0),
-        charge_kw=np.maximum(sol.x[3 * t_n + offs], 0.0),
-        discharge_kw=np.maximum(sol.x[4 * t_n + offs], 0.0),
-        soc_kwh=sol.x[5 * t_n + offs],
-        underdev_kw=np.maximum((engagement.values_kw - policy.deadband_kw)
-                               - production, 0.0),
-    )
+    trace = dispatch_trace(sol.x, idx, 0, engagement.values_kw, policy.deadband_kw)
     trace.validate(grid, system, tol=1e-6)
     econ = day_economics(trace, engagement, policy, grid)
     return ControlResult(trace=trace, economics=econ, objective=sol.objective,

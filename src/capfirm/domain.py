@@ -16,14 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 # Tender rules (fractions of the installed PV capacity) used by the reference
-# CRE-style contract: ramping limits, engagement/production floors and the
-# tolerance deadband, with tighter floors during the evening peak window.
+# CRE-style contract: ramping limits, engagement/production floors and caps,
+# and the tolerance deadband, with tighter floors during the evening peak window.
 RAMP_FRAC_OFFPEAK = 0.075
 RAMP_FRAC_PEAK = 0.15
 ENG_MIN_FRAC_OFFPEAK = -0.05
 ENG_MIN_FRAC_PEAK = 0.20
 PROD_MIN_FRAC_OFFPEAK = -0.05
 PROD_MIN_FRAC_PEAK = 0.15
+ENG_MAX_FRAC = 1.0
+PROD_MAX_FRAC = 1.0
 DEADBAND_FRAC = 0.05
 PEAK_START_HOUR = 19.0
 PEAK_END_HOUR = 21.0
@@ -242,8 +244,8 @@ def build_cre_policy(
     eng_min_frac_peak: float = ENG_MIN_FRAC_PEAK,
     prod_min_frac_offpeak: float = PROD_MIN_FRAC_OFFPEAK,
     prod_min_frac_peak: float = PROD_MIN_FRAC_PEAK,
-    eng_max_frac: float = 1.0,
-    prod_max_frac: float = 1.0,
+    eng_max_frac: float = ENG_MAX_FRAC,
+    prod_max_frac: float = PROD_MAX_FRAC,
     deadband_frac: float = DEADBAND_FRAC,
 ) -> TariffPolicy:
     """Assemble the CRE-style tender policy for a plant of given capacity.
@@ -302,6 +304,27 @@ def check_engagement(plan: EngagementPlan, policy: TariffPolicy) -> EngagementCh
     return EngagementCheck(True, None)
 
 
+def _penalty(engagement_kw, production_kw, price_eur_mwh, policy: TariffPolicy,
+             grid: TimeGrid, overproduction: bool = False) -> np.ndarray:
+    """Threshold-quadratic deviation penalty, elementwise over its inputs."""
+    band = policy.deadband_kw
+    coef = grid.delta_t_hours * (np.asarray(price_eur_mwh) / 1000.0) / policy.pv_capacity_kw
+    e = np.asarray(engagement_kw)
+    p = np.asarray(production_kw)
+    under = np.maximum((e - band) - p, 0.0)
+    value = coef * under * (under + 4.0 * band)
+    if overproduction:
+        over = np.maximum(p - (e + band), 0.0)
+        value = value + coef * over * (over + 4.0 * band)
+    return value
+
+
+def _net_remuneration(engagement_kw, production_kw, price_eur_mwh,
+                      policy: TariffPolicy, grid: TimeGrid) -> np.ndarray:
+    gross = grid.delta_t_hours * (np.asarray(price_eur_mwh) / 1000.0) * np.asarray(production_kw)
+    return gross - _penalty(engagement_kw, production_kw, price_eur_mwh, policy, grid)
+
+
 def penalty(
     engagement_kw: float,
     production_kw: float,
@@ -322,15 +345,8 @@ def penalty(
     ``engagement + deadband``; planner-produced dispatches never overproduce,
     so this only matters when grading externally supplied traces.
     """
-    band = policy.deadband_kw
-    price_kwh = price_eur_mwh / 1000.0
-    coef = grid.delta_t_hours * price_kwh / policy.pv_capacity_kw
-    under = max((engagement_kw - band) - production_kw, 0.0)
-    value = coef * under * (under + 4.0 * band)
-    if overproduction:
-        over = max(production_kw - (engagement_kw + band), 0.0)
-        value += coef * over * (over + 4.0 * band)
-    return value
+    return float(_penalty(engagement_kw, production_kw, price_eur_mwh, policy, grid,
+                          overproduction))
 
 
 def net_remuneration(
@@ -345,8 +361,8 @@ def net_remuneration(
     The gross term is signed: withdrawing from the grid (negative production)
     costs money at the same contracted price.
     """
-    gross = grid.delta_t_hours * (price_eur_mwh / 1000.0) * production_kw
-    return gross - penalty(engagement_kw, production_kw, price_eur_mwh, policy, grid)
+    return float(_net_remuneration(engagement_kw, production_kw, price_eur_mwh,
+                                   policy, grid))
 
 
 def penalty_series(
@@ -356,10 +372,7 @@ def penalty_series(
     grid: TimeGrid,
 ) -> np.ndarray:
     """Vectorized per-period penalty of a whole day against a whole plan."""
-    band = policy.deadband_kw
-    coef = grid.delta_t_hours * (policy.price_eur_mwh / 1000.0) / policy.pv_capacity_kw
-    under = np.maximum((np.asarray(engagement_kw) - band) - np.asarray(production_kw), 0.0)
-    return coef * under * (under + 4.0 * band)
+    return _penalty(engagement_kw, production_kw, policy.price_eur_mwh, policy, grid)
 
 
 def net_remuneration_series(
@@ -369,5 +382,5 @@ def net_remuneration_series(
     grid: TimeGrid,
 ) -> np.ndarray:
     """Vectorized per-period net remuneration (gross minus penalty)."""
-    gross = grid.delta_t_hours * (policy.price_eur_mwh / 1000.0) * np.asarray(production_kw)
-    return gross - penalty_series(engagement_kw, production_kw, policy, grid)
+    return _net_remuneration(engagement_kw, production_kw, policy.price_eur_mwh,
+                             policy, grid)

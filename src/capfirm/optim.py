@@ -14,9 +14,6 @@ touching the coupling-point production.
 
 Everything is deterministic: a fixed input yields a bit-identical solution
 path.
-
-A problem can be dumped to a plain text format for offline debugging, see
-:func:`dump_problem` for the exact layout.
 """
 
 from __future__ import annotations
@@ -390,7 +387,6 @@ def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
     ntot = n + n_el
     q = np.concatenate([np.full(n, 1e-12), np.zeros(n_el)])
     c = np.concatenate([np.zeros(n), np.ones(n_el)])
-    blocks_ub = [prob.a_ub, -sp.eye(m, format="csr")] if m else None
     a_ub = sp.hstack([prob.a_ub,
                       -sp.eye(m, format="csr"),
                       sp.csr_matrix((m, 2 * peq))], format="csr") if m else None
@@ -726,90 +722,3 @@ def solve_miqp(
         iterations=root.iterations,
         comp_violation=float(np.max(comp_violations(problem, incumbent_x))),
         bnb=BnbStats(nodes=nodes, gap=gap, repaired=incumbent_from_repair))
-
-
-# ---------------------------------------------------------------------------
-# text dump (offline debugging)
-# ---------------------------------------------------------------------------
-
-def dump_problem(problem: QpProblem, path) -> None:
-    """Write the problem as plain text, one section per block.
-
-    Layout: a header line ``capfirm-qp 1``, then a ``size`` line with
-    ``n m_ub m_eq n_pairs``, then the sections ``quadratic``, ``linear``,
-    ``a_ub`` (dense, one row per line), ``b_ub``, ``a_eq``, ``b_eq``, ``lb``,
-    ``ub`` and ``pairs`` (one ``i j`` pair per line). Vectors are single
-    lines of '%.17g' floats; infinities are written as ``inf``/``-inf``.
-    """
-    def fmt(vec):
-        return " ".join(f"{v:.17g}" for v in np.asarray(vec, dtype=float))
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("capfirm-qp 1\n")
-        fh.write(f"size {problem.n_var} {problem.b_ub.size} "
-                 f"{problem.b_eq.size} {len(problem.comp_pairs)}\n")
-        fh.write("quadratic\n" + fmt(problem.q) + "\n")
-        fh.write("linear\n" + fmt(problem.c) + "\n")
-        fh.write("a_ub\n")
-        dense = problem.a_ub.toarray()
-        for row in dense:
-            fh.write(fmt(row) + "\n")
-        fh.write("b_ub\n" + fmt(problem.b_ub) + "\n")
-        fh.write("a_eq\n")
-        for row in problem.a_eq.toarray():
-            fh.write(fmt(row) + "\n")
-        fh.write("b_eq\n" + fmt(problem.b_eq) + "\n")
-        fh.write("lb\n" + fmt(problem.lb) + "\n")
-        fh.write("ub\n" + fmt(problem.ub) + "\n")
-        fh.write("pairs\n")
-        for i, j in problem.comp_pairs:
-            fh.write(f"{i} {j}\n")
-
-
-def load_problem(path) -> QpProblem:
-    """Read back a problem written by :func:`dump_problem`."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("capfirm-qp"):
-        raise ValueError("not a capfirm QP dump")
-    _, n, m_ub, m_eq, n_pairs = lines[1].split()
-    n, m_ub, m_eq, n_pairs = int(n), int(m_ub), int(m_eq), int(n_pairs)
-    pos = 2
-
-    def take_vec(label):
-        nonlocal pos
-        assert lines[pos] == label, f"expected section {label}"
-        pos += 1
-        vec = np.array([float(v) for v in lines[pos].split()]) if lines[pos] else np.zeros(0)
-        pos += 1
-        return vec
-
-    def take_mat(label, rows):
-        nonlocal pos
-        assert lines[pos] == label, f"expected section {label}"
-        pos += 1
-        out = np.zeros((rows, n))
-        for r in range(rows):
-            out[r] = [float(v) for v in lines[pos].split()]
-            pos += 1
-        return sp.csr_matrix(out)
-
-    q = take_vec("quadratic")
-    c = take_vec("linear")
-    a_ub = take_mat("a_ub", m_ub)
-    b_ub = take_vec("b_ub")
-    a_eq = take_mat("a_eq", m_eq)
-    b_eq = take_vec("b_eq")
-    lb = take_vec("lb")
-    ub = take_vec("ub")
-    assert lines[pos] == "pairs"
-    pos += 1
-    pairs = []
-    for _ in range(n_pairs):
-        i, j = lines[pos].split()
-        pairs.append((int(i), int(j)))
-        pos += 1
-    return QpProblem(q=q, c=c,
-                     a_ub=a_ub if m_ub else None, b_ub=b_ub if m_ub else None,
-                     a_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None,
-                     lb=lb, ub=ub, comp_pairs=tuple(pairs))

@@ -5,16 +5,21 @@ mode ("S") couples a shared engagement profile with one dispatch recourse per
 PV scenario; the deterministic modes ("D" on a point forecast, "Dstar" on the
 realized PV) are the single-scenario special case of the same build.
 
-Variable layout (documented because the problem dump refers to flat indices):
-the T engagement variables come first, then per scenario a block of six
-period series in the order production, underdeviation, pv_used, charge,
-discharge, soc. With T periods and S scenarios the problem has
-``T + 6*T*S`` variables, ``2*(T-1) + 2*T*S`` inequality rows (engagement
-ramps plus the deadband rows linking production to the engagement) and
-``2*T*S`` equality rows (power balance and the SoC recursion); every variable
-additionally carries finite bounds, which the solver folds into slack rows
-(about ``2*(T + 6*T*S)`` more). The terminal SoC is pinned to its boundary
-value through its bounds.
+Variable layout, shared with the intraday controller: a *dispatch block*
+holds per scenario six period series in the order production, underdev,
+pv_used, charge, discharge, soc, scenario after scenario, starting at a
+first column. :func:`dispatch_index` is the one definition of these flat
+indices. Planning puts the T engagement variables in the first columns and
+the block after them; control has no engagement variables and one scenario,
+so its block starts at column 0.
+
+With T periods and S scenarios the planning problem has ``T + 6*T*S``
+variables, ``2*(T-1) + 2*T*S`` inequality rows (engagement ramps plus the
+deadband rows linking production to the engagement) and ``2*T*S`` equality
+rows (power balance and the SoC recursion); every variable additionally
+carries finite bounds, which the solver folds into slack rows (about
+``2*(T + 6*T*S)`` more). The terminal SoC is pinned to its boundary value
+through its bounds.
 """
 
 from __future__ import annotations
@@ -74,18 +79,40 @@ class PlanningInstance:
 
 
 @dataclass(frozen=True)
-class PlannerIndex:
-    """Flat variable indices of the planning problem (see module docstring)."""
+class DispatchIndex:
+    """Flat variable indices of a dispatch problem (see module docstring).
 
-    n_periods: int
-    n_scenarios: int
-    eng: np.ndarray          # (T,)
-    production: np.ndarray   # (S, T)
+    ``eng`` lists the engagement columns ahead of the block (none in
+    control); every dispatch series is an (S, T) array.
+    """
+
+    eng: np.ndarray
+    production: np.ndarray
     underdev: np.ndarray
     pv_used: np.ndarray
     charge: np.ndarray
     discharge: np.ndarray
     soc: np.ndarray
+
+
+@dataclass(frozen=True)
+class DispatchBlock:
+    """Cost, bounds, equality rows, pairs and hints of the dispatch variables.
+
+    The vectors span every problem variable and belong to the caller, who
+    sets the engagement columns (zero cost, infinite bounds here) and may
+    tighten bounds before building the problem.
+    """
+
+    index: DispatchIndex
+    q: np.ndarray
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    a_eq: sp.csr_matrix
+    b_eq: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
+    hints: SocChainHints
 
 
 @dataclass(frozen=True)
@@ -97,143 +124,177 @@ class PlanResult:
     solution: QpSolution
 
 
-def _build_index(n_periods: int, n_scenarios: int) -> PlannerIndex:
-    t_n, s_n = n_periods, n_scenarios
-    eng = np.arange(t_n)
-    base = t_n + 6 * t_n * np.arange(s_n)[:, None]
-    offs = np.arange(t_n)[None, :]
-    return PlannerIndex(
-        n_periods=t_n, n_scenarios=s_n, eng=eng,
-        production=base + offs,
-        underdev=base + t_n + offs,
-        pv_used=base + 2 * t_n + offs,
-        charge=base + 3 * t_n + offs,
-        discharge=base + 4 * t_n + offs,
-        soc=base + 5 * t_n + offs,
+def dispatch_index(n_periods: int, n_scenarios: int, first: int) -> DispatchIndex:
+    """Indices of a dispatch block starting at column ``first``."""
+    t_n = n_periods
+    base = first + 6 * t_n * np.arange(n_scenarios)[:, None] + np.arange(t_n)[None, :]
+    return DispatchIndex(np.arange(first), *(base + k * t_n for k in range(6)))
+
+
+def sparse_rows(entries, n_rows: int, n_cols: int) -> sp.csr_matrix:
+    """CSR matrix from (row indices, column indices, values) triples.
+
+    The values broadcast against the index arrays, so one triple sets a whole
+    family of coefficients at once.
+    """
+    shapes = [np.shape(rows) for rows, _, _ in entries]
+    rows = np.concatenate([np.ravel(r) for r, _, _ in entries])
+    cols = np.concatenate([np.ravel(cc) for _, cc, _ in entries])
+    data = np.concatenate([np.broadcast_to(v, s).ravel()
+                           for (_, _, v), s in zip(entries, shapes)])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
+
+
+def dispatch_block(
+    pv_kw: np.ndarray,
+    weights: np.ndarray,
+    first: int,
+    grid: TimeGrid,
+    policy: TariffPolicy,
+    system: SystemConfig,
+) -> DispatchBlock:
+    """Build the dispatch part of a planning or control problem.
+
+    ``pv_kw`` is the (S, T) PV available per scenario and ``weights`` the
+    scenario probabilities; the block starts at column ``first``. Negative PV
+    (scenario values may carry round-off below zero) is clipped to zero, so
+    the pv_used bounds stay consistent. Equality rows come scenario-major,
+    per period the power balance then the SoC recursion; complementarity
+    pairs come period-major, so branching ties resolve toward the earliest
+    period.
+    """
+    s_n, t_n = pv_kw.shape
+    n = first + 6 * t_n * s_n
+    idx = dispatch_index(t_n, s_n, first)
+    dt = grid.delta_t_hours
+    price_kwh = policy.price_eur_mwh / 1000.0
+    weight = np.asarray(weights, dtype=float)[:, None]
+    eta_c, eta_d = system.eta_charge, system.eta_discharge
+
+    q = np.zeros(n)
+    c = np.zeros(n)
+    c[idx.production] = -weight * dt * price_kwh
+    dev_coef = weight * dt * price_kwh / policy.pv_capacity_kw
+    q[idx.underdev] = dev_coef
+    c[idx.underdev] = 4.0 * policy.deadband_kw * dev_coef
+
+    lb = np.full(n, -np.inf)
+    ub = np.full(n, np.inf)
+    lb[idx.production] = policy.prod_min_kw
+    ub[idx.production] = policy.prod_max_kw
+    lb[idx.underdev] = 0.0
+    lb[idx.pv_used] = 0.0
+    ub[idx.pv_used] = np.clip(pv_kw, 0.0, None)
+    lb[idx.charge] = 0.0
+    ub[idx.charge] = system.charge_power_kw
+    lb[idx.discharge] = 0.0
+    ub[idx.discharge] = system.discharge_power_kw
+    lb[idx.soc] = system.bess_min_kwh
+    ub[idx.soc] = system.soc_max_kwh
+    lb[idx.soc[:, -1]] = system.soc_end_kwh
+    ub[idx.soc[:, -1]] = system.soc_end_kwh
+
+    balance = 2 * np.arange(s_n * t_n).reshape(s_n, t_n)
+    soc_row = balance + 1
+    a_eq = sparse_rows([
+        (balance, idx.production, 1.0),
+        (balance, idx.pv_used, -1.0),
+        (balance, idx.discharge, -1.0),
+        (balance, idx.charge, 1.0),
+        (soc_row, idx.soc, 1.0),
+        (soc_row, idx.charge, -dt * eta_c),
+        (soc_row, idx.discharge, dt / eta_d),
+        (soc_row[:, 1:], idx.soc[:, :-1], -1.0),
+    ], 2 * t_n * s_n, n)
+    b_eq = np.zeros(2 * t_n * s_n)
+    b_eq[soc_row[:, 0]] = system.soc_init_kwh
+
+    pairs = tuple(zip(idx.charge.T.ravel().tolist(), idx.discharge.T.ravel().tolist()))
+    hints = SocChainHints(
+        chains=tuple(
+            ScenarioChain(
+                charge_idx=idx.charge[w], discharge_idx=idx.discharge[w],
+                pv_idx=idx.pv_used[w], soc_idx=idx.soc[w],
+                pair_idx=np.arange(t_n) * s_n + w)
+            for w in range(s_n)),
+        eta_charge=eta_c, eta_discharge=eta_d,
+        delta_t_hours=dt, soc_min_kwh=system.bess_min_kwh,
+        soc_max_kwh=system.soc_max_kwh, soc_end_kwh=system.soc_end_kwh)
+    return DispatchBlock(index=idx, q=q, c=c, lb=lb, ub=ub, a_eq=a_eq, b_eq=b_eq,
+                         pairs=pairs, hints=hints)
+
+
+def dispatch_trace(x: np.ndarray, idx: DispatchIndex, scenario: int,
+                   engagement_kw: np.ndarray, deadband_kw: float) -> DispatchTrace:
+    """Read one scenario's dispatch out of a solution vector."""
+    production = x[idx.production[scenario]]
+    return DispatchTrace(
+        production_kw=production,
+        pv_used_kw=np.maximum(x[idx.pv_used[scenario]], 0.0),
+        charge_kw=np.maximum(x[idx.charge[scenario]], 0.0),
+        discharge_kw=np.maximum(x[idx.discharge[scenario]], 0.0),
+        soc_kwh=x[idx.soc[scenario]],
+        underdev_kw=np.maximum((engagement_kw - deadband_kw) - production, 0.0),
     )
+
+
+def unreachable_floor_period(pv_kw: np.ndarray, policy: TariffPolicy,
+                             system: SystemConfig) -> int | None:
+    """First period whose production floor is out of reach, else None.
+
+    A floor is out of reach when it exceeds the least PV of the period plus
+    the full discharge power.
+    """
+    pv_min = np.min(np.atleast_2d(pv_kw), axis=0)
+    short = policy.prod_min_kw > pv_min + system.discharge_power_kw + 1e-9
+    return int(np.argmax(short)) if short.any() else None
 
 
 def build_planning_qp(
     instance: PlanningInstance,
-) -> tuple[QpProblem, SocChainHints, PlannerIndex]:
+) -> tuple[QpProblem, SocChainHints, DispatchIndex]:
     """Assemble the day-ahead problem; see the module docstring for sizes."""
-    grid, policy, system = instance.grid, instance.policy, instance.system
-    scen = instance.scenarios
+    grid, policy = instance.grid, instance.policy
     t_n = grid.n_periods
-    s_n = scen.n_scenarios
-    idx = _build_index(t_n, s_n)
-    n = t_n + 6 * t_n * s_n
-    dt = grid.delta_t_hours
-    price_kwh = policy.price_eur_mwh / 1000.0
+    block = dispatch_block(instance.scenarios.values_kw, instance.scenarios.weights,
+                           t_n, grid, policy, instance.system)
+    idx = block.index
+    s_n = instance.scenarios.n_scenarios
+    n = block.c.shape[0]
     band = policy.deadband_kw
+    block.lb[idx.eng] = policy.eng_min_kw
+    block.ub[idx.eng] = policy.eng_max_kw
 
-    q = np.zeros(n)
-    c = np.zeros(n)
-    lb = np.full(n, -np.inf)
-    ub = np.full(n, np.inf)
+    # engagement ramps (both signs), deactivated at the first period; then
+    # per scenario and period the deadband rows: underdev >= (eng - band) -
+    # production and production <= eng + band (overproduction is never
+    # optimal: curtailment is free, so the cap eliminates it outright)
+    up = 2 * np.arange(t_n - 1)
+    eng_now, eng_prev = idx.eng[1:], idx.eng[:-1]
+    dead = 2 * (t_n - 1) + 2 * np.arange(s_n * t_n).reshape(s_n, t_n)
+    eng = np.broadcast_to(idx.eng, (s_n, t_n))
+    a_ub = sparse_rows([
+        (up, eng_now, 1.0), (up, eng_prev, -1.0),
+        (up + 1, eng_prev, 1.0), (up + 1, eng_now, -1.0),
+        (dead, eng, 1.0), (dead, idx.production, -1.0), (dead, idx.underdev, -1.0),
+        (dead + 1, idx.production, 1.0), (dead + 1, eng, -1.0),
+    ], 2 * (t_n - 1) + 2 * t_n * s_n, n)
+    b_ub = np.concatenate([np.repeat(policy.ramp_limit_kw[1:], 2),
+                           np.full(2 * t_n * s_n, band)])
 
-    lb[idx.eng] = policy.eng_min_kw
-    ub[idx.eng] = policy.eng_max_kw
-    for w in range(s_n):
-        weight = scen.weights[w]
-        c[idx.production[w]] = -weight * dt * price_kwh
-        dev_coef = weight * dt * price_kwh / policy.pv_capacity_kw
-        q[idx.underdev[w]] = dev_coef
-        c[idx.underdev[w]] = 4.0 * band * dev_coef
-        lb[idx.production[w]] = policy.prod_min_kw
-        ub[idx.production[w]] = policy.prod_max_kw
-        lb[idx.underdev[w]] = 0.0
-        lb[idx.pv_used[w]] = 0.0
-        ub[idx.pv_used[w]] = scen.values_kw[w]
-        lb[idx.charge[w]] = 0.0
-        ub[idx.charge[w]] = system.charge_power_kw
-        lb[idx.discharge[w]] = 0.0
-        ub[idx.discharge[w]] = system.discharge_power_kw
-        lb[idx.soc[w]] = system.bess_min_kwh
-        ub[idx.soc[w]] = system.soc_max_kwh
-        lb[idx.soc[w][-1]] = system.soc_end_kwh
-        ub[idx.soc[w][-1]] = system.soc_end_kwh
-
-    rows, cols, data, rhs = [], [], [], []
-    row = 0
-
-    def add_entries(r, cc, dd):
-        rows.extend([r] * len(cc))
-        cols.extend(cc)
-        data.extend(dd)
-
-    # engagement ramps (both signs), deactivated at the first period
-    for t in range(1, t_n):
-        add_entries(row, [idx.eng[t], idx.eng[t - 1]], [1.0, -1.0])
-        rhs.append(policy.ramp_limit_kw[t])
-        row += 1
-        add_entries(row, [idx.eng[t - 1], idx.eng[t]], [1.0, -1.0])
-        rhs.append(policy.ramp_limit_kw[t])
-        row += 1
-    # deadband rows per scenario: underdev >= (eng - band) - production and
-    # production <= eng + band (overproduction is never optimal: curtailment
-    # is free, so the cap eliminates it outright)
-    for w in range(s_n):
-        for t in range(t_n):
-            add_entries(row, [idx.eng[t], idx.production[w][t], idx.underdev[w][t]],
-                        [1.0, -1.0, -1.0])
-            rhs.append(band)
-            row += 1
-            add_entries(row, [idx.production[w][t], idx.eng[t]], [1.0, -1.0])
-            rhs.append(band)
-            row += 1
-    a_ub = sp.csr_matrix((data, (rows, cols)), shape=(row, n))
-    b_ub = np.array(rhs)
-
-    rows, cols, data, rhs = [], [], [], []
-    row = 0
-    eta_c, eta_d = system.eta_charge, system.eta_discharge
-    for w in range(s_n):
-        for t in range(t_n):
-            add_entries(row, [idx.production[w][t], idx.pv_used[w][t],
-                              idx.discharge[w][t], idx.charge[w][t]],
-                        [1.0, -1.0, -1.0, 1.0])
-            rhs.append(0.0)
-            row += 1
-            cc = [idx.soc[w][t], idx.charge[w][t], idx.discharge[w][t]]
-            dd = [1.0, -dt * eta_c, dt / eta_d]
-            if t:
-                cc.append(idx.soc[w][t - 1])
-                dd.append(-1.0)
-                rhs.append(0.0)
-            else:
-                rhs.append(system.soc_init_kwh)
-            add_entries(row, cc, dd)
-            row += 1
-    a_eq = sp.csr_matrix((data, (rows, cols)), shape=(row, n))
-    b_eq = np.array(rhs)
-
-    # pair order: period-major, then scenario; branching ties then resolve
-    # toward the earliest period
-    pairs = tuple((int(idx.charge[w][t]), int(idx.discharge[w][t]))
-                  for t in range(t_n) for w in range(s_n))
-    problem = QpProblem(q=q, c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                        lb=lb, ub=ub, comp_pairs=pairs)
-    chains = tuple(
-        ScenarioChain(
-            charge_idx=idx.charge[w], discharge_idx=idx.discharge[w],
-            pv_idx=idx.pv_used[w], soc_idx=idx.soc[w],
-            pair_idx=np.arange(t_n) * s_n + w)
-        for w in range(s_n))
-    hints = SocChainHints(
-        chains=chains, eta_charge=eta_c, eta_discharge=eta_d,
-        delta_t_hours=dt, soc_min_kwh=system.bess_min_kwh,
-        soc_max_kwh=system.soc_max_kwh, soc_end_kwh=system.soc_end_kwh)
-    return problem, hints, idx
+    problem = QpProblem(q=block.q, c=block.c, a_ub=a_ub, b_ub=b_ub,
+                        a_eq=block.a_eq, b_eq=block.b_eq, lb=block.lb, ub=block.ub,
+                        comp_pairs=block.pairs)
+    return problem, block.hints, idx
 
 
 def _diagnose_infeasibility(instance: PlanningInstance) -> tuple[str, int | None]:
     """Point at the first structurally impossible period, if identifiable."""
-    grid, policy, system = instance.grid, instance.policy, instance.system
-    scen_min = instance.scenarios.values_kw.min(axis=0)
-    for t in range(grid.n_periods):
-        if policy.prod_min_kw[t] > scen_min[t] + system.discharge_power_kw + 1e-9:
-            return ("production floor above PV plus discharge power", t)
+    grid, policy = instance.grid, instance.policy
+    period = unreachable_floor_period(instance.scenarios.values_kw, policy,
+                                      instance.system)
+    if period is not None:
+        return ("production floor above PV plus discharge power", period)
     lo = policy.eng_min_kw.copy()
     hi = policy.eng_max_kw.copy()
     for t in range(1, grid.n_periods):
@@ -270,18 +331,10 @@ def plan(instance: PlanningInstance, node_limit: int = 1000,
             f"at period {verdict.violation.period}",
             kind=verdict.violation.kind, period=verdict.violation.period)
 
-    band = instance.policy.deadband_kw
     traces = []
-    for w in range(idx.n_scenarios):
-        production = sol.x[idx.production[w]]
-        trace = DispatchTrace(
-            production_kw=production,
-            pv_used_kw=np.maximum(sol.x[idx.pv_used[w]], 0.0),
-            charge_kw=np.maximum(sol.x[idx.charge[w]], 0.0),
-            discharge_kw=np.maximum(sol.x[idx.discharge[w]], 0.0),
-            soc_kwh=sol.x[idx.soc[w]],
-            underdev_kw=np.maximum((engagement.values_kw - band) - production, 0.0),
-        )
+    for w in range(instance.scenarios.n_scenarios):
+        trace = dispatch_trace(sol.x, idx, w, engagement.values_kw,
+                               instance.policy.deadband_kw)
         trace.validate(instance.grid, instance.system, tol=1e-6)
         traces.append(trace)
     scale = max(instance.system.charge_power_kw, instance.system.discharge_power_kw)

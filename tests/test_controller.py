@@ -5,11 +5,13 @@ import pytest
 
 from capfirm.controller import (
     ControlInfeasibleError,
+    build_control_qp,
     day_economics,
     oracle_control,
 )
 from capfirm.domain import EngagementPlan, net_remuneration_series, penalty
-from capfirm.planner import plan_deterministic
+from capfirm.planner import PlanningInstance, build_planning_qp, plan_deterministic
+from capfirm.scenarios import ScenarioSet
 
 from toys import no_bess_system, toy_grid, toy_policy, toy_system
 
@@ -25,6 +27,31 @@ class TestOracleControl:
         planned = plan_deterministic(pv, grid, policy, system, mode="Dstar")
         controlled = oracle_control(planned.engagement, pv, policy, system, grid)
         assert controlled.objective == pytest.approx(planned.objective, abs=1e-6)
+
+    def test_shares_the_planning_layout(self):
+        # a one-scenario plan is the control problem behind T engagement
+        # columns: same cost, equality rows, dispatch bounds and pairs
+        t_n = 8
+        grid = toy_grid(t_n, peak=(6, 7))
+        policy = toy_policy(grid)
+        system = toy_system(capacity_kwh=20.0)
+        pv = np.array([0.0, 10.0, 35.0, 70.0, 80.0, 45.0, 15.0, 0.0])
+        eng = EngagementPlan(np.array([0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 30.0]))
+        p_prob, _, p_idx = build_planning_qp(PlanningInstance(
+            grid, policy, system, ScenarioSet.single(pv), "Dstar"))
+        c_prob, _, c_idx = build_control_qp(eng, pv, policy, system, grid)
+        assert np.array_equal(p_prob.q[t_n:], c_prob.q)
+        assert np.array_equal(p_prob.c[t_n:], c_prob.c)
+        assert np.array_equal(p_prob.a_eq[:, t_n:].toarray(), c_prob.a_eq.toarray())
+        assert p_prob.a_eq[:, :t_n].nnz == 0
+        assert np.array_equal(p_prob.b_eq, c_prob.b_eq)
+        assert [(i - t_n, j - t_n) for i, j in p_prob.comp_pairs] == list(c_prob.comp_pairs)
+        for name in ("underdev", "pv_used", "charge", "discharge", "soc"):
+            p_cols = getattr(p_idx, name)[0]
+            c_cols = getattr(c_idx, name)[0]
+            assert np.array_equal(p_cols - t_n, c_cols)
+            assert np.array_equal(p_prob.lb[p_cols], c_prob.lb[c_cols])
+            assert np.array_equal(p_prob.ub[p_cols], c_prob.ub[c_cols])
 
     def test_zero_engagement_zero_pv_is_idle(self):
         grid = toy_grid(6)

@@ -9,8 +9,6 @@ from capfirm.optim import (
     SocChainHints,
     SolveStatus,
     comp_violations,
-    dump_problem,
-    load_problem,
     repair_simultaneous_flow,
     solve_miqp,
     solve_qp,
@@ -268,21 +266,3 @@ class TestRepairSimultaneousFlow:
         assert out.x[2] == pytest.approx(5.0 - d_expected, abs=1e-9)
         assert out.x[3] == pytest.approx(2.0 - d_expected, abs=1e-9)
         assert out.x[0] == -3.0                    # production untouched
-
-
-class TestDumpRoundTrip:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        prob = random_storage_miqp(rng, 3)
-        path = tmp_path / "problem.txt"
-        dump_problem(prob, path)
-        back = load_problem(path)
-        assert np.allclose(back.q, prob.q)
-        assert np.allclose(back.c, prob.c)
-        assert np.allclose(back.a_eq.toarray(), prob.a_eq.toarray())
-        assert np.allclose(back.lb, prob.lb)
-        assert np.allclose(back.ub, prob.ub)
-        assert back.comp_pairs == prob.comp_pairs
-        s1 = solve_miqp(prob)
-        s2 = solve_miqp(back)
-        assert s1.objective == pytest.approx(s2.objective, abs=1e-9)

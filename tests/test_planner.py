@@ -43,6 +43,18 @@ class TestBuild:
             PlanningInstance(grid, policy, system, scen, "D"))
         assert prob.n_var == 96 * 7
 
+    def test_round_off_negative_pv_is_clipped(self):
+        # scenario values may sit a hair below zero; the pv_used bound must
+        # not become inconsistent with its zero floor
+        grid = toy_grid(6)
+        policy = toy_policy(grid)
+        system = toy_system()
+        pv = np.array([0.0, 20.0, 50.0, 70.0, 40.0, -5e-10])
+        res = plan(PlanningInstance(grid, policy, system, ScenarioSet.single(pv), "Dstar"))
+        clean = plan_deterministic(np.clip(pv, 0.0, None), grid, policy, system,
+                                   mode="Dstar")
+        assert res.objective == pytest.approx(clean.objective, abs=1e-9)
+
     def test_mode_validation(self):
         grid = toy_grid(4)
         policy = toy_policy(grid)
