@@ -134,7 +134,6 @@ def oracle_control(
     policy: TariffPolicy,
     system: SystemConfig,
     grid: TimeGrid,
-    node_limit: int = 1000,
 ) -> ControlResult:
     """Dispatch one day optimally against the realized PV.
 
@@ -144,7 +143,7 @@ def oracle_control(
     """
     pv = np.asarray(realized_pv_kw, dtype=float)
     problem, hints, idx = build_control_qp(engagement, pv, policy, system, grid)
-    sol = solve_miqp(problem, node_limit=node_limit, soc_hints=hints)
+    sol = solve_miqp(problem, soc_hints=hints)
     if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NODE_LIMIT_NO_INCUMBENT):
         period = unreachable_floor_period(pv, policy, system)
         if period is not None:

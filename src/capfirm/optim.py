@@ -7,10 +7,12 @@ charge/discharge exclusivity of a battery, expressed without big-M binaries).
 
 ``solve_qp`` handles the continuous relaxation with an infeasible-start
 primal-dual interior-point method (Mehrotra predictor-corrector on the
-slack/bound standard form). ``solve_miqp`` adds best-bound branch-and-bound
-over the pairs, with an optional structure-aware repair step that turns an
-almost-complementary relaxation point into a feasible incumbent without
-touching the coupling-point production.
+slack/bound standard form), one sparse LU factorization of the augmented
+KKT system per iteration. ``solve_miqp`` adds best-bound branch-and-bound
+over the pairs; when the caller passes the battery structure
+(:class:`SocChainHints`), a repair step turns every almost-complementary
+relaxation point into a feasible incumbent without touching the
+coupling-point production.
 
 Everything is deterministic: a fixed input yields a bit-identical solution
 path.
@@ -23,14 +25,14 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-_DENSE_LIMIT = 400            # KKT dimension below which dense LU is used
 _REG = 1e-11                  # static regularization of the augmented system
 _STEP_FRACTION = 0.995        # fraction-to-boundary
 _MAX_ITER = 120
+_TOL = 1e-9                   # scaled KKT stopping tolerance of the IPM
+_PAIR_REL_TOL = 1e-6          # complementarity tolerance relative to the pair bound
 
 
 class SolverError(RuntimeError):
@@ -114,7 +116,7 @@ class QpProblem:
 class KktResiduals:
     primal: float      # max violation of A x <= b, G x = h and bounds (scaled)
     dual: float        # stationarity residual (scaled)
-    comp_gap: float    # average slack*multiplier product (scaled)
+    comp_gap: float    # total duality gap s.z / (1 + |objective|)
 
 
 @dataclass(frozen=True)
@@ -197,133 +199,111 @@ def _primal_violation(prob: QpProblem, x: np.ndarray) -> float:
 # interior point core
 # ---------------------------------------------------------------------------
 
-class _KktSolver:
-    """Factorize [[H + A'WA + dI, G'], [G, -dI]] and solve for (dx, dy)."""
-
-    def __init__(self, a_all, g_all, h_diag, n, p):
-        self.a = a_all
-        self.g = g_all
-        self.h_diag = h_diag
-        self.n = n
-        self.p = p
-        self.dense = (n + p) <= _DENSE_LIMIT
-
-    def factor(self, w: np.ndarray):
-        n, p = self.n, self.p
-        reg = _REG * max(1.0, float(np.max(self.h_diag)) if n else 1.0)
-        top = sp.diags(self.h_diag + reg)
-        if w.size:
-            awa = (self.a.T @ sp.diags(w) @ self.a).tocsr()
-            top = top + awa
-        if p:
-            k = sp.bmat([[top, self.g.T], [self.g, -reg * sp.eye(p)]], format="csc")
-        else:
-            k = sp.csc_matrix(top)
-        self._k = k
-        if self.dense:
-            self._lu = scipy.linalg.lu_factor(k.toarray())
-        else:
-            self._lu = spla.splu(k)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.dense:
-            sol = scipy.linalg.lu_solve(self._lu, rhs)
-        else:
-            sol = self._lu.solve(rhs)
-        # one step of iterative refinement against the regularized matrix
-        res = rhs - self._k @ sol
-        if np.max(np.abs(res)) > 1e-11 * (1.0 + np.max(np.abs(rhs))):
-            if self.dense:
-                sol = sol + scipy.linalg.lu_solve(self._lu, res)
-            else:
-                sol = sol + self._lu.solve(res)
-        return sol
+def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
+    """Fraction-to-boundary step keeping v + step * dv positive."""
+    neg = dv < 0
+    if not np.any(neg):
+        return 1.0
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = float(np.min(-v[neg] / dv[neg]))
+    return min(1.0, _STEP_FRACTION * ratio)
 
 
-def _ipm(prob: QpProblem, tol: float = 1e-9, max_iter: int = _MAX_ITER):
+def _ipm(prob: QpProblem):
     """Mehrotra predictor-corrector on the slack standard form.
 
     Returns (x, status, residuals, iterations). Infeasibility is *suspected*
     (never certified) here; the caller confirms with an elastic problem.
+    Without inequality rows (m = 0) the first Newton step solves the
+    equality-constrained QP and the second iteration accepts it.
     """
     a_all, b_all, g_all, h_all = _standard_form(prob)
     n = prob.n_var
     m = a_all.shape[0]
     p = g_all.shape[0]
     hdiag = 2.0 * prob.q
-
-    if m == 0:
-        return _solve_equality_qp(prob, g_all, h_all, hdiag)
+    reg = _REG * max(1.0, float(np.max(hdiag, initial=0.0)))
 
     # starting point: bound midpoints where available, else zero
     x = np.clip(0.0, prob.lb, prob.ub)
     both = np.isfinite(prob.lb) & np.isfinite(prob.ub)
     x[both] = 0.5 * (prob.lb[both] + prob.ub[both])
-    floor = max(1.0, 1e-2 * float(np.max(np.abs(b_all))) if m else 1.0)
+    floor = max(1.0, 1e-2 * float(np.max(np.abs(b_all), initial=0.0)))
     s = np.maximum(b_all - a_all @ x, floor)
     z = np.full(m, 1.0)
     y = np.zeros(p)
 
-    kkt = _KktSolver(a_all, g_all, hdiag, n, p)
-    b_scale = 1.0 + float(np.max(np.abs(b_all))) if m else 1.0
-    h_scale = 1.0 + (float(np.max(np.abs(h_all))) if p else 0.0)
+    b_scale = 1.0 + float(np.max(np.abs(b_all), initial=0.0))
+    h_scale = 1.0 + float(np.max(np.abs(h_all), initial=0.0))
     c_scale = 1.0 + float(np.max(np.abs(prob.c)))
+    m_mean = max(m, 1)            # mean complementarity is 0 without rows
 
     status = None
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         r_d = hdiag * x + prob.c + a_all.T @ z + (g_all.T @ y if p else 0.0)
         r_p = a_all @ x + s - b_all
         r_e = (g_all @ x - h_all) if p else np.zeros(0)
-        mu = float(s @ z) / m
+        mu = float(s @ z) / m_mean
         obj = prob.objective(x)
 
-        rp_norm = float(np.max(np.abs(r_p))) / b_scale
-        re_norm = float(np.max(np.abs(r_e))) / h_scale if p else 0.0
+        rp_norm = float(np.max(np.abs(r_p), initial=0.0)) / b_scale
+        re_norm = float(np.max(np.abs(r_e), initial=0.0)) / h_scale
         rd_norm = float(np.max(np.abs(r_d))) / (c_scale + float(np.max(np.abs(hdiag * x))))
         gap_rel = mu / (1.0 + abs(obj))
 
-        if rp_norm <= tol and re_norm <= tol and rd_norm <= tol and gap_rel <= tol:
+        if rp_norm <= _TOL and re_norm <= _TOL and rd_norm <= _TOL and gap_rel <= _TOL:
             status = SolveStatus.OPTIMAL
             break
         if (np.max(np.abs(x)) > 1e13 and obj < -1e13
                 and rp_norm <= 1e-6 and re_norm <= 1e-6):
             status = SolveStatus.UNBOUNDED
             break
-        if np.max(z) > 1e13 or np.max(s) > 1e16:
+        if np.max(z, initial=0.0) > 1e13 or np.max(s, initial=0.0) > 1e16:
             break  # suspected infeasible; certified by the caller
 
-        kkt.factor(z / s)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                # factor [[H + A'WA + dI, G'], [G, -dI]] with W = Z/S
+                top = sp.diags(hdiag + reg)
+                if m:
+                    top = top + (a_all.T @ sp.diags(z / s) @ a_all).tocsr()
+                if p:
+                    kkt = sp.bmat([[top, g_all.T], [g_all, -reg * sp.eye(p)]],
+                                  format="csc")
+                else:
+                    kkt = sp.csc_matrix(top)
+                lu = spla.splu(kkt)
 
-        def direction(r_c):
-            rhs_x = -(r_d + a_all.T @ ((r_c + z * r_p) / s))
-            rhs = np.concatenate([rhs_x, -r_e]) if p else rhs_x
-            sol = kkt.solve(rhs)
-            dx = sol[:n]
-            dy = sol[n:] if p else np.zeros(0)
-            ds = -r_p - a_all @ dx
-            dz = (r_c - z * ds) / s
-            return dx, dy, ds, dz
+                def direction(r_c):
+                    rhs_x = -(r_d + a_all.T @ ((r_c + z * r_p) / s))
+                    rhs = np.concatenate([rhs_x, -r_e]) if p else rhs_x
+                    sol = lu.solve(rhs)
+                    # one step of iterative refinement against the regularized matrix
+                    res = rhs - kkt @ sol
+                    if np.max(np.abs(res)) > 1e-11 * (1.0 + np.max(np.abs(rhs))):
+                        sol = sol + lu.solve(res)
+                    dx = sol[:n]
+                    dy = sol[n:] if p else np.zeros(0)
+                    ds = -r_p - a_all @ dx
+                    dz = (r_c - z * ds) / s
+                    return dx, dy, ds, dz
 
-        def step_len(v, dv):
-            neg = dv < 0
-            if not np.any(neg):
-                return 1.0
-            with np.errstate(over="ignore", divide="ignore"):
-                ratio = float(np.min(-v[neg] / dv[neg]))
-            return min(1.0, _STEP_FRACTION * ratio)
+                # predictor
+                dx, dy, ds, dz = direction(-s * z)
+                a_p = _step_len(s, ds)
+                a_d = _step_len(z, dz)
+                mu_aff = float((s + a_p * ds) @ (z + a_d * dz)) / m_mean
+                sigma = (max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0
 
-        # predictor
-        dx, dy, ds, dz = direction(-s * z)
-        a_p = step_len(s, ds)
-        a_d = step_len(z, dz)
-        mu_aff = float((s + a_p * ds) @ (z + a_d * dz)) / m
-        sigma = (max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0
-
-        # corrector
-        dx, dy, ds, dz = direction(sigma * mu - s * z - ds * dz)
-        a_p = step_len(s, ds)
-        a_d = step_len(z, dz)
+                # corrector
+                dx, dy, ds, dz = direction(sigma * mu - s * z - ds * dz)
+                a_p = _step_len(s, ds)
+                a_d = _step_len(z, dz)
+        except (RuntimeError, FloatingPointError):
+            # SuperLU found the KKT matrix exactly singular, or the iterates
+            # overflow or turn NaN: suspected infeasible, as above
+            break
         if max(a_p, a_d) < 1e-12:
             break  # stalled
         x = x + a_p * dx
@@ -335,39 +315,9 @@ def _ipm(prob: QpProblem, tol: float = 1e-9, max_iter: int = _MAX_ITER):
         primal=_primal_violation(prob, x),
         dual=float(np.max(np.abs(hdiag * x + prob.c + a_all.T @ z
                                  + (g_all.T @ y if p else 0.0)))) / c_scale,
-        comp_gap=float(s @ z) / m / (1.0 + abs(prob.objective(x))),
+        comp_gap=float(s @ z) / (1.0 + abs(prob.objective(x))),
     )
     return x, status, residuals, it
-
-
-def _solve_equality_qp(prob: QpProblem, g_all, h_all, hdiag):
-    """Direct KKT solve when no inequalities remain after standard form."""
-    n = prob.n_var
-    p = g_all.shape[0]
-    reg = _REG * max(1.0, float(np.max(hdiag)) if n else 1.0)
-    if p:
-        k = sp.bmat([[sp.diags(hdiag + reg), g_all.T],
-                     [g_all, -reg * sp.eye(p)]], format="csc")
-        rhs = np.concatenate([-prob.c, h_all])
-    else:
-        k = sp.csc_matrix(sp.diags(hdiag + reg))
-        rhs = -prob.c
-    if k.shape[0] <= _DENSE_LIMIT:
-        sol = np.linalg.solve(k.toarray(), rhs)
-    else:
-        sol = spla.splu(k).solve(rhs)
-    x = sol[:n]
-    if np.max(np.abs(x)) > 1e12:
-        return x, SolveStatus.UNBOUNDED, KktResiduals(np.inf, np.inf, 0.0), 1
-    y = sol[n:] if p else np.zeros(0)
-    c_scale = 1.0 + float(np.max(np.abs(prob.c)))
-    res = KktResiduals(
-        primal=_primal_violation(prob, x),
-        dual=float(np.max(np.abs(hdiag * x + prob.c + (g_all.T @ y if p else 0.0)))) / c_scale,
-        comp_gap=0.0,
-    )
-    status = SolveStatus.OPTIMAL if res.primal <= 1e-7 and res.dual <= 1e-7 else None
-    return x, status, res, 1
 
 
 def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
@@ -384,7 +334,6 @@ def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
     if m + peq == 0:
         return False, 0.0
     n_el = m + 2 * peq
-    ntot = n + n_el
     q = np.concatenate([np.full(n, 1e-12), np.zeros(n_el)])
     c = np.concatenate([np.zeros(n), np.ones(n_el)])
     a_ub = sp.hstack([prob.a_ub,
@@ -400,14 +349,14 @@ def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
     ub = np.concatenate([prob.ub, np.full(n_el, np.inf)])
     elastic = QpProblem(q=q, c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
                         lb=lb, ub=ub)
-    x, status, _, _ = _ipm(elastic, tol=1e-9)
+    x, _, _, _ = _ipm(elastic)
     mass = float(np.sum(x[n:]))
     scale = 1.0 + max(float(np.max(np.abs(prob.b_ub))) if m else 0.0,
                       float(np.max(np.abs(prob.b_eq))) if peq else 0.0)
     return mass > 1e-7 * scale, mass
 
 
-def solve_qp(problem: QpProblem, tol: float = 1e-9) -> QpSolution:
+def solve_qp(problem: QpProblem) -> QpSolution:
     """Solve the continuous relaxation (complementarity pairs are ignored).
 
     Raises :class:`SolverError` on numerical breakdown; infeasible and
@@ -417,7 +366,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-9) -> QpSolution:
         return QpSolution(np.zeros(problem.n_var), np.inf, SolveStatus.INFEASIBLE,
                           KktResiduals(np.inf, np.inf, np.inf),
                           message="inconsistent bounds")
-    x, status, res, it = _ipm(problem, tol=tol)
+    x, status, res, it = _ipm(problem)
     if status is SolveStatus.OPTIMAL:
         return QpSolution(x, problem.objective(x), status, res, iterations=it)
     if status is SolveStatus.UNBOUNDED:
@@ -436,25 +385,23 @@ def solve_qp(problem: QpProblem, tol: float = 1e-9) -> QpSolution:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScenarioChain:
-    """Index map of one battery chain inside a planning problem."""
-
-    charge_idx: np.ndarray
-    discharge_idx: np.ndarray
-    pv_idx: np.ndarray
-    soc_idx: np.ndarray
-    pair_idx: np.ndarray        # position of each period's pair in comp_pairs
-
-
-@dataclass(frozen=True)
 class SocChainHints:
-    """Battery structure needed by the simultaneous-flow repair."""
+    """Battery structure needed by the simultaneous-flow repair.
 
-    chains: tuple[ScenarioChain, ...]
+    The index arrays are (S, T): row w holds scenario w's variable indices per
+    period, as laid out by :func:`capfirm.planner.dispatch_index`, and
+    ``pair_idx[w, t]`` is the position of that period's pair in
+    ``comp_pairs``.
+    """
+
+    charge: np.ndarray
+    discharge: np.ndarray
+    pv_used: np.ndarray
+    soc: np.ndarray
+    pair_idx: np.ndarray
     eta_charge: float
     eta_discharge: float
     delta_t_hours: float
-    soc_min_kwh: float
     soc_max_kwh: float
     soc_end_kwh: float
 
@@ -466,11 +413,11 @@ class RepairOutcome:
     unresolved_pairs: tuple[int, ...]
 
 
-def _pair_tols(problem: QpProblem, rel_tol: float = 1e-6) -> np.ndarray:
+def _pair_tols(problem: QpProblem) -> np.ndarray:
     scales = np.array([
         max(1.0, min(problem.ub[i], problem.ub[j]))
         for i, j in problem.comp_pairs]) if problem.comp_pairs else np.zeros(0)
-    return rel_tol * scales
+    return _PAIR_REL_TOL * scales
 
 
 def comp_violations(problem: QpProblem, x: np.ndarray) -> np.ndarray:
@@ -485,7 +432,6 @@ def repair_simultaneous_flow(
     problem: QpProblem,
     x: np.ndarray,
     hints: SocChainHints,
-    rel_tol: float = 1e-6,
 ) -> RepairOutcome:
     """Remove simultaneous charge/discharge from a relaxation point.
 
@@ -506,14 +452,13 @@ def repair_simultaneous_flow(
     Periods that cannot be fully repaired are reported for branching.
     """
     x = np.array(x, dtype=float)
-    tols = _pair_tols(problem, rel_tol)
+    tols = _pair_tols(problem)
     k = hints.eta_charge * hints.eta_discharge
     coef = hints.delta_t_hours * (1.0 / hints.eta_discharge - hints.eta_charge)
     unresolved: list[int] = []
 
-    for chain in hints.chains:
-        ci, di, pi, si = (chain.charge_idx, chain.discharge_idx,
-                          chain.pv_idx, chain.soc_idx)
+    for ci, di, pi, si, pair_idx in zip(hints.charge, hints.discharge, hints.pv_used,
+                                        hints.soc, hints.pair_idx):
         horizon = ci.shape[0]
         cha = x[ci].copy()
         dis = x[di].copy()
@@ -524,7 +469,7 @@ def repair_simultaneous_flow(
         sym_periods: list[int] = []
 
         for t in range(horizon):
-            ctol = tols[chain.pair_idx[t]]
+            ctol = tols[pair_idx[t]]
             if min(cha[t], dis[t]) <= ctol:
                 continue
             # stage 1: flux-preserving asymmetric reduction
@@ -557,7 +502,7 @@ def repair_simultaneous_flow(
                 last_sym = t
                 sym_periods.append(t)
             if min(cha[t], dis[t]) > ctol:
-                unresolved.append(int(chain.pair_idx[t]))
+                unresolved.append(int(pair_idx[t]))
 
         # terminal restoration: shed the SoC surplus created by stage 2
         tol_soc = 1e-9 * max(1.0, hints.soc_end_kwh)
@@ -565,7 +510,7 @@ def repair_simultaneous_flow(
             for tau in range(max(last_sym, 0), horizon):
                 if excess <= tol_soc:
                     break
-                ctol = tols[chain.pair_idx[tau]]
+                ctol = tols[pair_idx[tau]]
                 if cha[tau] > ctol:
                     continue
                 room = problem.ub[di[tau]] - dis[tau]
@@ -581,7 +526,7 @@ def repair_simultaneous_flow(
             if excess > max(tol_soc, 1e-7):
                 # terminal equality cannot be restored: flag the symmetric
                 # periods so branch-and-bound deals with them
-                unresolved.extend(int(chain.pair_idx[t]) for t in sym_periods)
+                unresolved.extend(int(pair_idx[t]) for t in sym_periods)
 
         x[ci] = cha
         x[di] = dis
@@ -595,9 +540,7 @@ def repair_simultaneous_flow(
 def solve_miqp(
     problem: QpProblem,
     node_limit: int = 1000,
-    repair_enabled: bool = True,
     soc_hints: SocChainHints | None = None,
-    tol: float = 1e-9,
 ) -> QpSolution:
     """Branch-and-bound over complementarity pairs on top of :func:`solve_qp`.
 
@@ -605,21 +548,25 @@ def solve_miqp(
     most-violated pair to zero in each child (ties broken by pair order);
     best-bound search stops when the optimality gap falls below
     ``1e-6 * (1 + |incumbent|)`` or the node limit is reached. When hints are
-    supplied and ``repair_enabled``, repaired relaxation points serve as
-    incumbents, which usually closes the gap at the root.
+    supplied, every violating relaxation point is repaired and a repaired
+    point serves as an incumbent, which usually closes the gap at the root.
     """
-    root = solve_qp(problem, tol=tol)
-    if root.status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED):
-        return replace(root, bnb=BnbStats(nodes=1))
-    if not problem.comp_pairs:
+    root = solve_qp(problem)
+    if (root.status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED)
+            or not problem.comp_pairs):
         return replace(root, bnb=BnbStats(nodes=1))
 
     tols = _pair_tols(problem)
+    # weak duality: no feasible point lies below the root objective minus
+    # the root's remaining duality gap s.z
     root_bound = root.objective
+    dual_bound = root_bound - root.residuals.comp_gap * (1.0 + abs(root_bound))
 
     incumbent_x = None
     incumbent_obj = np.inf
     incumbent_from_repair = False
+    heap: list[tuple[float, int, tuple[int, ...]]] = []
+    seq = 0
 
     def gap_tol(value: float) -> float:
         return 1e-6 * (1.0 + abs(value))
@@ -632,46 +579,39 @@ def solve_miqp(
             return
         obj = problem.objective(x)
         if obj < incumbent_obj - 1e-12:
-            if obj < root_bound - gap_tol(obj):
+            if obj < dual_bound - gap_tol(obj):
                 raise SolverError("incumbent below the relaxation bound: "
                                   "weak duality violated")
             incumbent_x = x
             incumbent_obj = obj
             incumbent_from_repair = from_repair
 
-    def process(sol: QpSolution, node_problem: QpProblem) -> np.ndarray | None:
-        """Returns per-pair violations if the node still needs branching."""
+    def visit(sol: QpSolution, node_problem: QpProblem, fixes: tuple[int, ...]) -> None:
+        """Take a complementary point as incumbent, else repair it and branch."""
+        nonlocal seq
         viol = comp_violations(node_problem, sol.x)
         if np.max(viol - tols) <= 0:
             consider(sol.x, from_repair=False)
-            return None
-        if repair_enabled and soc_hints is not None:
+            return
+        if soc_hints is not None:
             outcome = repair_simultaneous_flow(node_problem, sol.x, soc_hints)
             if outcome.resolved:
                 consider(outcome.x, from_repair=True)
-        return viol
-
-    nodes = 1
-    heap: list[tuple[float, int, tuple[int, ...]]] = []
-    seq = 0
-    root_viol = process(root, problem)
-    if root_viol is not None:
-        scaled = root_viol / np.maximum(tols / 1e-6, 1.0)
+        scaled = viol / np.maximum(tols / _PAIR_REL_TOL, 1.0)
         best = float(np.max(scaled))
         j = int(np.flatnonzero(scaled >= best - 1e-12)[0])
         i_var, j_var = problem.comp_pairs[j]
-        if incumbent_x is None or incumbent_obj - root_bound > gap_tol(incumbent_obj):
-            heap.append((root.objective, seq, (i_var,)))
-            heap.append((root.objective, seq + 1, (j_var,)))
-            seq += 2
-            heapq.heapify(heap)
+        heapq.heappush(heap, (sol.objective, seq, fixes + (i_var,)))
+        heapq.heappush(heap, (sol.objective, seq + 1, fixes + (j_var,)))
+        seq += 2
 
+    nodes = 1
+    visit(root, problem, ())
     best_bound = root_bound
     while heap:
         bound, _, fixes = heapq.heappop(heap)
         best_bound = bound
         if incumbent_x is not None and incumbent_obj - bound <= gap_tol(incumbent_obj):
-            best_bound = bound
             heap.clear()
             break
         if nodes >= node_limit:
@@ -680,22 +620,13 @@ def solve_miqp(
         ub = problem.ub.copy()
         ub[list(fixes)] = 0.0
         node_problem = replace(problem, ub=ub)
-        sol = solve_qp(node_problem, tol=tol)
+        sol = solve_qp(node_problem)
         nodes += 1
         if sol.status is not SolveStatus.OPTIMAL:
             continue
         if incumbent_x is not None and sol.objective >= incumbent_obj - gap_tol(incumbent_obj):
             continue
-        viol = process(sol, node_problem)
-        if viol is None:
-            continue
-        scaled = viol / np.maximum(tols / 1e-6, 1.0)
-        best = float(np.max(scaled))
-        j = int(np.flatnonzero(scaled >= best - 1e-12)[0])
-        i_var, j_var = problem.comp_pairs[j]
-        heapq.heappush(heap, (sol.objective, seq, fixes + (i_var,)))
-        heapq.heappush(heap, (sol.objective, seq + 1, fixes + (j_var,)))
-        seq += 2
+        visit(sol, node_problem, fixes)
 
     if incumbent_x is None:
         if heap:

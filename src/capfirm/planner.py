@@ -41,7 +41,6 @@ from .domain import (
 from .optim import (
     QpProblem,
     QpSolution,
-    ScenarioChain,
     SocChainHints,
     SolveStatus,
     solve_miqp,
@@ -211,14 +210,9 @@ def dispatch_block(
 
     pairs = tuple(zip(idx.charge.T.ravel().tolist(), idx.discharge.T.ravel().tolist()))
     hints = SocChainHints(
-        chains=tuple(
-            ScenarioChain(
-                charge_idx=idx.charge[w], discharge_idx=idx.discharge[w],
-                pv_idx=idx.pv_used[w], soc_idx=idx.soc[w],
-                pair_idx=np.arange(t_n) * s_n + w)
-            for w in range(s_n)),
-        eta_charge=eta_c, eta_discharge=eta_d,
-        delta_t_hours=dt, soc_min_kwh=system.bess_min_kwh,
+        charge=idx.charge, discharge=idx.discharge, pv_used=idx.pv_used, soc=idx.soc,
+        pair_idx=np.arange(t_n)[None, :] * s_n + np.arange(s_n)[:, None],
+        eta_charge=eta_c, eta_discharge=eta_d, delta_t_hours=dt,
         soc_max_kwh=system.soc_max_kwh, soc_end_kwh=system.soc_end_kwh)
     return DispatchBlock(index=idx, q=q, c=c, lb=lb, ub=ub, a_eq=a_eq, b_eq=b_eq,
                          pairs=pairs, hints=hints)
@@ -305,8 +299,7 @@ def _diagnose_infeasibility(instance: PlanningInstance) -> tuple[str, int | None
     return ("energy-coupled infeasibility (battery cannot honor the floors)", None)
 
 
-def plan(instance: PlanningInstance, node_limit: int = 1000,
-         repair_enabled: bool = True) -> PlanResult:
+def plan(instance: PlanningInstance) -> PlanResult:
     """Solve the day-ahead problem and return a verified plan.
 
     The returned engagement always satisfies the tender ramp/bound rules and
@@ -315,8 +308,7 @@ def plan(instance: PlanningInstance, node_limit: int = 1000,
     :class:`PlanningError` instead of returning silently wrong plans.
     """
     problem, hints, idx = build_planning_qp(instance)
-    sol = solve_miqp(problem, node_limit=node_limit,
-                     repair_enabled=repair_enabled, soc_hints=hints)
+    sol = solve_miqp(problem, soc_hints=hints)
     if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NODE_LIMIT_NO_INCUMBENT,
                       SolveStatus.UNBOUNDED):
         kind, period = _diagnose_infeasibility(instance)
@@ -351,7 +343,6 @@ def plan_deterministic(
     policy: TariffPolicy,
     system: SystemConfig,
     mode: str = "D",
-    node_limit: int = 1000,
 ) -> PlanResult:
     """Single-scenario wrapper: D plans on a forecast, Dstar on measurements."""
     if mode not in ("D", "Dstar"):
@@ -361,4 +352,4 @@ def plan_deterministic(
         grid=grid, policy=policy, system=system,
         scenarios=ScenarioSet.single(np.clip(profile, 0.0, policy.pv_capacity_kw)),
         mode=mode)
-    return plan(instance, node_limit=node_limit)
+    return plan(instance)

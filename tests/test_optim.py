@@ -1,11 +1,13 @@
 """QP interior point, complementarity branch-and-bound, and the flow repair."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from capfirm import optim
 from capfirm.optim import (
     QpProblem,
-    ScenarioChain,
     SocChainHints,
     SolveStatus,
     comp_violations,
@@ -13,6 +15,8 @@ from capfirm.optim import (
     solve_miqp,
     solve_qp,
 )
+from capfirm.planner import PlanningInstance, build_planning_qp
+from capfirm.scenarios import ScenarioSet
 
 from oracles import (
     dense_grid_qp,
@@ -21,6 +25,7 @@ from oracles import (
     random_box_qp,
     random_storage_miqp,
 )
+from toys import toy_grid, toy_policy, toy_system
 
 
 class TestSolveQpBasics:
@@ -82,6 +87,34 @@ class TestSolveQpBasics:
         s2 = solve_qp(QpProblem(q=lam * q, c=lam * c, a_ub=a, b_ub=b, lb=lb, ub=ub))
         assert np.allclose(s1.x, s2.x, atol=1e-6)
         assert s2.objective == pytest.approx(lam * s1.objective, rel=1e-6)
+
+    def test_singular_kkt_is_certified_infeasible(self, monkeypatch):
+        # no PV, an evening production floor, and charging fixed to zero in
+        # every period: the floor is out of reach. The interior point drives
+        # slacks toward 1e-50 until SuperLU finds the KKT matrix exactly
+        # singular; solve_qp must then certify infeasibility, not raise.
+        singular = []
+        splu = optim.spla.splu
+
+        def recording_splu(k):
+            try:
+                return splu(k)
+            except RuntimeError:
+                singular.append(k.shape)
+                raise
+
+        monkeypatch.setattr(optim.spla, "splu", recording_splu)
+        grid = toy_grid(5, peak=(3, 4))
+        policy = toy_policy(grid, price_peak=300.0, prod_min_frac_peak=0.05)
+        system = toy_system(capacity_kwh=12.0, soc_frac=(0.25, 1.0))
+        prob, _, _ = build_planning_qp(
+            PlanningInstance(grid, policy, system, ScenarioSet.single(np.zeros(5)), "D"))
+        ub = prob.ub.copy()
+        ub[[i for i, _ in prob.comp_pairs]] = 0.0
+        sol = solve_qp(replace(prob, ub=ub))
+        assert singular
+        assert sol.status is SolveStatus.INFEASIBLE
+        assert "certificate" in sol.message
 
 
 class TestSolveQpAgainstOracles:
@@ -204,10 +237,10 @@ def _two_period_chain_problem(pv_caps, soc_max, dis_cap=10.0):
                      a_eq=np.array(rows), b_eq=np.array(rhs), lb=lb, ub=ub,
                      comp_pairs=((2, 3), (7, 8)))
     hints = SocChainHints(
-        chains=(ScenarioChain(idx_cha, idx_dis, idx_pv, idx_soc,
-                              pair_idx=np.array([0, 1])),),
+        charge=idx_cha[None], discharge=idx_dis[None], pv_used=idx_pv[None],
+        soc=idx_soc[None], pair_idx=np.array([[0, 1]]),
         eta_charge=eta, eta_discharge=eta, delta_t_hours=1.0,
-        soc_min_kwh=0.0, soc_max_kwh=soc_max, soc_end_kwh=0.0)
+        soc_max_kwh=soc_max, soc_end_kwh=0.0)
     return prob, hints
 
 
