@@ -7,8 +7,15 @@ charge/discharge exclusivity of a battery, expressed without big-M binaries).
 
 ``solve_qp`` handles the continuous relaxation with an infeasible-start
 primal-dual interior-point method (Mehrotra predictor-corrector on the
-slack/bound standard form), one sparse LU factorization of the augmented
-KKT system per iteration. ``solve_miqp`` adds best-bound branch-and-bound
+slack/bound standard form). Each iteration factors the augmented KKT system
+``[[H + A'WA + dI, G'], [G, -dI]]``, whose sparsity pattern is fixed for a
+solve: it is built once, and each iteration only fills in its values. The
+matrix is quasi-definite, so SuperLU factors it with a symmetric
+fill-reducing ordering and no pivoting, which keeps the fill linear in the
+number of scenarios. When that factorization meets an exact zero pivot, or a
+refined solve with it still misses the residual tolerance, the iteration
+refactors with partial pivoting (counted in ``QpSolution.refactors``).
+``solve_miqp`` adds best-bound branch-and-bound
 over the pairs; when the caller passes the battery structure
 (:class:`SocChainHints`), a repair step turns every almost-complementary
 relaxation point into a feasible incumbent without touching the
@@ -133,6 +140,7 @@ class QpSolution:
     status: SolveStatus
     residuals: KktResiduals
     iterations: int = 0
+    refactors: int = 0        # IPM iterations that fell back to a pivoted LU
     comp_violation: float = 0.0
     bnb: BnbStats = field(default_factory=BnbStats)
     message: str = ""
@@ -209,20 +217,80 @@ def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, _STEP_FRACTION * ratio)
 
 
+def _kkt_assembler(a_all: sp.csr_matrix, g_all: sp.csr_matrix, d: np.ndarray,
+                   reg: float):
+    """Fixed CSC pattern of ``[[diag(d) + A'WA, G'], [G, -reg I]]``.
+
+    Returns ``assemble(w)``, which fills the matrix for the row weights ``w``
+    with one ``np.bincount``: every contribution (the diagonal ``d``, each
+    product ``a_ki a_kl`` of a row of A, the entries of G and G', and
+    ``-reg``) has a precomputed slot in the pattern, and only the products
+    of A are scaled by ``w`` from one call to the next. Every call returns
+    the same matrix object with new values.
+    """
+    m, n = a_all.shape
+    p = g_all.shape[0]
+    dim = n + p
+    # all ordered pairs (e1, e2) of stored entries within each row of A
+    counts = np.diff(a_all.indptr).astype(np.int64)
+    sq = counts * counts
+    pair_row = np.repeat(np.arange(m), sq)
+    j = np.arange(int(sq.sum())) - np.repeat(np.cumsum(sq) - sq, sq)
+    e1 = a_all.indptr[pair_row] + j // counts[pair_row]
+    e2 = a_all.indptr[pair_row] + j % counts[pair_row]
+    a_prod = a_all.data[e1] * a_all.data[e2]
+
+    g = g_all.tocoo()
+    n_rng, p_rng = np.arange(n), np.arange(n, dim)
+    rows = np.concatenate([n_rng, n + g.row, g.col, p_rng, a_all.indices[e1]])
+    cols = np.concatenate([n_rng, g.col, n + g.row, p_rng, a_all.indices[e2]])
+    keys, slot = np.unique(cols.astype(np.int64) * dim + rows, return_inverse=True)
+    indices = (keys % dim).astype(np.intc)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // dim, minlength=dim))]
+                            ).astype(np.intc)
+    n_fixed = rows.size - a_prod.size
+    values = np.concatenate([d, g.data, g.data, np.full(p, -reg), a_prod])
+    kkt = sp.csc_matrix((np.zeros(keys.size), indices, indptr), shape=(dim, dim))
+
+    def assemble(w: np.ndarray) -> sp.csc_matrix:
+        np.multiply(w[pair_row], a_prod, out=values[n_fixed:])
+        kkt.data = np.bincount(slot, weights=values, minlength=keys.size)
+        return kkt
+
+    return assemble
+
+
+def _splu_symmetric(kkt: sp.csc_matrix):
+    """LU of the quasi-definite KKT matrix without pivoting.
+
+    A symmetric fill-reducing ordering of ``K + K'`` keeps the fill linear in
+    the number of scenarios; the diagonal pivots of a quasi-definite matrix
+    are nonzero in exact arithmetic but may still be tiny or hit zero in
+    floating point, which the caller checks.
+    """
+    return spla.splu(kkt, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
 def _ipm(prob: QpProblem):
     """Mehrotra predictor-corrector on the slack standard form.
 
-    Returns (x, status, residuals, iterations). Infeasibility is *suspected*
-    (never certified) here; the caller confirms with an elastic problem.
-    Without inequality rows (m = 0) the first Newton step solves the
-    equality-constrained QP and the second iteration accepts it.
+    Returns (x, status, residuals, iterations, refactors), where
+    ``refactors`` counts the iterations that fell back to a partially pivoted
+    factorization. Infeasibility is *suspected* (never certified) here; the
+    caller confirms with an elastic problem. Without inequality rows (m = 0)
+    the first Newton step solves the equality-constrained QP and the second
+    iteration accepts it.
     """
     a_all, b_all, g_all, h_all = _standard_form(prob)
+    a_t = a_all.T.tocsr()
+    g_t = g_all.T.tocsr()
     n = prob.n_var
     m = a_all.shape[0]
     p = g_all.shape[0]
     hdiag = 2.0 * prob.q
     reg = _REG * max(1.0, float(np.max(hdiag, initial=0.0)))
+    assemble = _kkt_assembler(a_all, g_all, hdiag + reg, reg)
 
     # starting point: bound midpoints where available, else zero
     x = np.clip(0.0, prob.lb, prob.ub)
@@ -240,10 +308,11 @@ def _ipm(prob: QpProblem):
 
     status = None
     it = 0
+    refactors = 0
     for it in range(1, _MAX_ITER + 1):
-        r_d = hdiag * x + prob.c + a_all.T @ z + (g_all.T @ y if p else 0.0)
+        r_d = hdiag * x + prob.c + a_t @ z + g_t @ y
         r_p = a_all @ x + s - b_all
-        r_e = (g_all @ x - h_all) if p else np.zeros(0)
+        r_e = g_all @ x - h_all
         mu = float(s @ z) / m_mean
         obj = prob.objective(x)
 
@@ -262,31 +331,55 @@ def _ipm(prob: QpProblem):
         if np.max(z, initial=0.0) > 1e13 or np.max(s, initial=0.0) > 1e16:
             break  # suspected infeasible; certified by the caller
 
+        pivoted = False
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 # factor [[H + A'WA + dI, G'], [G, -dI]] with W = Z/S
-                top = sp.diags(hdiag + reg)
-                if m:
-                    top = top + (a_all.T @ sp.diags(z / s) @ a_all).tocsr()
-                if p:
-                    kkt = sp.bmat([[top, g_all.T], [g_all, -reg * sp.eye(p)]],
-                                  format="csc")
-                else:
-                    kkt = sp.csc_matrix(top)
-                lu = spla.splu(kkt)
+                kkt = assemble(z / s)
+                try:
+                    lu = _splu_symmetric(kkt)
+                except RuntimeError:
+                    # exact zero pivot: refactor with partial pivoting
+                    lu, pivoted = spla.splu(kkt), True
+
+                def kkt_solve(rhs):
+                    # a loop, not recursion: a closure that calls itself forms
+                    # a reference cycle, which keeps each iteration's LU
+                    # factors in memory until the cycle collector runs
+                    nonlocal lu, pivoted
+                    tol = 1e-11 * (1.0 + np.max(np.abs(rhs)))
+                    while True:
+                        sol = lu.solve(rhs)
+                        # one step of iterative refinement against the
+                        # regularized matrix; an unpivoted solve that still
+                        # misses (NaN included) is redone with partial pivoting
+                        res = rhs - kkt @ sol
+                        if np.max(np.abs(res)) <= tol:
+                            return sol
+                        sol = sol + lu.solve(res)
+                        if pivoted or np.max(np.abs(rhs - kkt @ sol)) <= tol:
+                            return sol
+                        lu, pivoted = spla.splu(kkt), True
 
                 def direction(r_c):
-                    rhs_x = -(r_d + a_all.T @ ((r_c + z * r_p) / s))
-                    rhs = np.concatenate([rhs_x, -r_e]) if p else rhs_x
-                    sol = lu.solve(rhs)
-                    # one step of iterative refinement against the regularized matrix
-                    res = rhs - kkt @ sol
-                    if np.max(np.abs(res)) > 1e-11 * (1.0 + np.max(np.abs(rhs))):
-                        sol = sol + lu.solve(res)
+                    rhs_x = -(r_d + a_t @ ((r_c + z * r_p) / s))
+                    sol = kkt_solve(np.concatenate([rhs_x, -r_e]))
                     dx = sol[:n]
-                    dy = sol[n:] if p else np.zeros(0)
+                    dy = sol[n:]
                     ds = -r_p - a_all @ dx
                     dz = (r_c - z * ds) / s
+                    # Near the optimum W = Z/S spans some 30 orders of
+                    # magnitude, and dz recovered from the reduced system can
+                    # miss the linearized stationarity H dx + A'dz + G'dy =
+                    # -r_d by more than r_d itself, so the dual residual
+                    # stalls above the tolerance. When the miss exceeds a
+                    # tenth of r_d, one more solve corrects the whole step.
+                    e_d = hdiag * dx + a_t @ dz + g_t @ dy + r_d
+                    if np.max(np.abs(e_d)) > 0.1 * np.max(np.abs(r_d)):
+                        corr = kkt_solve(np.concatenate([-e_d, -(g_all @ dx + r_e)]))
+                        dds = -(a_all @ corr[:n])
+                        dx, dy = dx + corr[:n], dy + corr[n:]
+                        ds, dz = ds + dds, dz - z * dds / s
                     return dx, dy, ds, dz
 
                 # predictor
@@ -301,9 +394,12 @@ def _ipm(prob: QpProblem):
                 a_p = _step_len(s, ds)
                 a_d = _step_len(z, dz)
         except (RuntimeError, FloatingPointError):
-            # SuperLU found the KKT matrix exactly singular, or the iterates
-            # overflow or turn NaN: suspected infeasible, as above
+            # the pivoted factorization too found the KKT matrix exactly
+            # singular, or the iterates overflow or turn NaN: suspected
+            # infeasible, as above
             break
+        finally:
+            refactors += pivoted
         if max(a_p, a_d) < 1e-12:
             break  # stalled
         x = x + a_p * dx
@@ -313,11 +409,10 @@ def _ipm(prob: QpProblem):
 
     residuals = KktResiduals(
         primal=_primal_violation(prob, x),
-        dual=float(np.max(np.abs(hdiag * x + prob.c + a_all.T @ z
-                                 + (g_all.T @ y if p else 0.0)))) / c_scale,
+        dual=float(np.max(np.abs(hdiag * x + prob.c + a_t @ z + g_t @ y))) / c_scale,
         comp_gap=float(s @ z) / (1.0 + abs(prob.objective(x))),
     )
-    return x, status, residuals, it
+    return x, status, residuals, it, refactors
 
 
 def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
@@ -349,7 +444,7 @@ def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
     ub = np.concatenate([prob.ub, np.full(n_el, np.inf)])
     elastic = QpProblem(q=q, c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
                         lb=lb, ub=ub)
-    x, _, _, _ = _ipm(elastic)
+    x = _ipm(elastic)[0]
     mass = float(np.sum(x[n:]))
     scale = 1.0 + max(float(np.max(np.abs(prob.b_ub))) if m else 0.0,
                       float(np.max(np.abs(prob.b_eq))) if peq else 0.0)
@@ -366,14 +461,16 @@ def solve_qp(problem: QpProblem) -> QpSolution:
         return QpSolution(np.zeros(problem.n_var), np.inf, SolveStatus.INFEASIBLE,
                           KktResiduals(np.inf, np.inf, np.inf),
                           message="inconsistent bounds")
-    x, status, res, it = _ipm(problem)
+    x, status, res, it, refactors = _ipm(problem)
     if status is SolveStatus.OPTIMAL:
-        return QpSolution(x, problem.objective(x), status, res, iterations=it)
+        return QpSolution(x, problem.objective(x), status, res, iterations=it,
+                          refactors=refactors)
     if status is SolveStatus.UNBOUNDED:
-        return QpSolution(x, -np.inf, status, res, iterations=it)
+        return QpSolution(x, -np.inf, status, res, iterations=it, refactors=refactors)
     infeasible, mass = _certify_infeasible(problem)
     if infeasible:
         return QpSolution(x, np.inf, SolveStatus.INFEASIBLE, res, iterations=it,
+                          refactors=refactors,
                           message=f"elastic certificate residual {mass:.3e}")
     raise SolverError(
         f"interior point did not converge (primal {res.primal:.2e}, "
@@ -632,11 +729,13 @@ def solve_miqp(
         if heap:
             return QpSolution(root.x, np.inf, SolveStatus.NODE_LIMIT_NO_INCUMBENT,
                               root.residuals, iterations=root.iterations,
+                              refactors=root.refactors,
                               comp_violation=float(np.max(comp_violations(problem, root.x))),
                               bnb=BnbStats(nodes=nodes, gap=np.inf),
                               message="node limit reached without incumbent")
         return QpSolution(root.x, np.inf, SolveStatus.INFEASIBLE, root.residuals,
-                          iterations=root.iterations, bnb=BnbStats(nodes=nodes),
+                          iterations=root.iterations, refactors=root.refactors,
+                          bnb=BnbStats(nodes=nodes),
                           message="all branches infeasible")
 
     gap = max(incumbent_obj - best_bound, 0.0) if heap else 0.0
@@ -650,6 +749,6 @@ def solve_miqp(
         incumbent_x, incumbent_obj, status,
         KktResiduals(primal=_primal_violation(problem, incumbent_x),
                      dual=root.residuals.dual, comp_gap=root.residuals.comp_gap),
-        iterations=root.iterations,
+        iterations=root.iterations, refactors=root.refactors,
         comp_violation=float(np.max(comp_violations(problem, incumbent_x))),
         bnb=BnbStats(nodes=nodes, gap=gap, repaired=incumbent_from_repair))

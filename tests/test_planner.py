@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capfirm import optim
 from capfirm.domain import TimeGrid, check_engagement
 from capfirm.planner import (
     PlanningError,
@@ -205,20 +206,64 @@ class TestPlanProperties:
                               SolveStatus.NODE_LIMIT_INCUMBENT)
 
 
+class TestSizingCaseDay:
+    def test_dual_residual_converges_at_a_large_battery_ratio(self):
+        # D-mode forecast of day 149 of synthetic season 1 of the benchmark
+        # generator (bench/season.py), 466.4 kW PV, battery ratio 1.75,
+        # 200/400 EUR/MWh. Without the full-step correction of the Newton
+        # direction the dual residual stalls near 3e-8 while the primal
+        # residual and the gap are ~1e-15, and plan raised SolverError
+        # ("interior point did not converge").
+        with np.load(DATA / "d_season1_day149.npz") as data:
+            forecast = data["forecast_kw"]
+        grid = TimeGrid.daily()
+        policy = toy_policy(grid, price_offpeak=200.0, price_peak=400.0,
+                            pv_capacity=466.4)
+        system = toy_system(pv_capacity=466.4, capacity_kwh=1.75 * 466.4)
+        res = plan_deterministic(forecast, grid, policy, system, mode="D")
+        assert res.status in (SolveStatus.OPTIMAL, SolveStatus.OPTIMAL_REPAIRED)
+        assert res.solution.residuals.dual <= 1e-9
+
+
 class TestPaperScaleDay:
-    def test_incumbent_within_the_root_duality_gap_is_accepted(self):
-        # 20 PV scenarios (T=96) of day 132 of synthetic season 4 of the
-        # benchmark generator (bench/season.py), 466.4 kW PV, ratio 0.5. The
-        # root stops with a total duality gap s.z above 1e-6 * (1 + |obj|),
-        # and the first incumbent lies below the root objective by more than
-        # that tolerance but within the gap; checking weak duality against
-        # the root objective alone raised SolverError here.
+    @pytest.fixture(scope="class")
+    def solved_day(self):
+        """Plan of day 132 of synthetic season 4 with every QP solve recorded.
+
+        20 PV scenarios (T=96) of the benchmark generator (bench/season.py),
+        466.4 kW PV, ratio 0.5.
+        """
         with np.load(DATA / "s20_season4_day132.npz") as data:
             scen = ScenarioSet(data["values_kw"], data["weights"])
         grid = TimeGrid.daily()
         policy = toy_policy(grid, pv_capacity=466.4)
         system = toy_system(pv_capacity=466.4, capacity_kwh=233.2)
-        res = plan(PlanningInstance(grid, policy, system, scen, "S"))
+        solves = []
+        solve_qp = optim.solve_qp
+
+        def recording_solve_qp(problem):
+            solves.append(solve_qp(problem))
+            return solves[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optim, "solve_qp", recording_solve_qp)
+            res = plan(PlanningInstance(grid, policy, system, scen, "S"))
+        return res, solves
+
+    def test_incumbent_within_the_root_duality_gap_is_accepted(self, solved_day):
+        # The root stops with a total duality gap s.z above 1e-6 * (1 + |obj|),
+        # and the first incumbent lies below the root objective by more than
+        # that tolerance but within the gap; checking weak duality against
+        # the root objective alone raised SolverError here.
+        res, _ = solved_day
         assert res.status in (SolveStatus.OPTIMAL, SolveStatus.OPTIMAL_REPAIRED)
         assert res.solution.bnb.gap == 0.0
         assert len(res.traces) == 20
+
+    def test_every_solve_factors_without_pivoting(self, solved_day):
+        # the symmetric, unpivoted factorization of the quasi-definite KKT
+        # matrix holds at S=20; a pivoted refactorization here would bring
+        # back its superlinear fill
+        res, solves = solved_day
+        assert len(solves) == res.solution.bnb.nodes
+        assert [sol.refactors for sol in solves] == [0] * len(solves)
