@@ -319,12 +319,6 @@ def _penalty(engagement_kw, production_kw, price_eur_mwh, policy: TariffPolicy,
     return value
 
 
-def _net_remuneration(engagement_kw, production_kw, price_eur_mwh,
-                      policy: TariffPolicy, grid: TimeGrid) -> np.ndarray:
-    gross = grid.delta_t_hours * (np.asarray(price_eur_mwh) / 1000.0) * np.asarray(production_kw)
-    return gross - _penalty(engagement_kw, production_kw, price_eur_mwh, policy, grid)
-
-
 def penalty(
     engagement_kw: float,
     production_kw: float,
@@ -349,22 +343,6 @@ def penalty(
                           overproduction))
 
 
-def net_remuneration(
-    engagement_kw: float,
-    production_kw: float,
-    price_eur_mwh: float,
-    policy: TariffPolicy,
-    grid: TimeGrid,
-) -> float:
-    """Gross revenue minus deviation penalty for one period, in EUR.
-
-    The gross term is signed: withdrawing from the grid (negative production)
-    costs money at the same contracted price.
-    """
-    return float(_net_remuneration(engagement_kw, production_kw, price_eur_mwh,
-                                   policy, grid))
-
-
 def penalty_series(
     engagement_kw: np.ndarray,
     production_kw: np.ndarray,
@@ -381,6 +359,11 @@ def net_remuneration_series(
     policy: TariffPolicy,
     grid: TimeGrid,
 ) -> np.ndarray:
-    """Vectorized per-period net remuneration (gross minus penalty)."""
-    return _net_remuneration(engagement_kw, production_kw, policy.price_eur_mwh,
-                             policy, grid)
+    """Per-period gross revenue minus deviation penalty, in EUR.
+
+    The gross term is signed: withdrawing from the grid (negative production)
+    costs money at the same contracted price.
+    """
+    price = policy.price_eur_mwh
+    gross = grid.delta_t_hours * (price / 1000.0) * np.asarray(production_kw)
+    return gross - _penalty(engagement_kw, production_kw, price, policy, grid)

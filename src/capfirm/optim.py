@@ -12,9 +12,10 @@ slack/bound standard form). Each iteration factors the augmented KKT system
 solve: it is built once, and each iteration only fills in its values. The
 matrix is quasi-definite, so SuperLU factors it with a symmetric
 fill-reducing ordering and no pivoting, which keeps the fill linear in the
-number of scenarios. When that factorization meets an exact zero pivot, or a
-refined solve with it still misses the residual tolerance, the iteration
-refactors with partial pivoting (counted in ``QpSolution.refactors``).
+number of scenarios. The static regularization ``d`` keeps the pivots clear
+of zero, so each Newton direction is solved with that factorization alone,
+without refinement; only an exact zero pivot makes the iteration refactor
+with partial pivoting (counted in ``QpSolution.refactors``).
 ``solve_miqp`` adds best-bound branch-and-bound
 over the pairs; when the caller passes the battery structure
 (:class:`SocChainHints`), a repair step turns every almost-complementary
@@ -35,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-_REG = 1e-11                  # static regularization of the augmented system
+_REG = 1e-9                   # static regularization of the augmented system
 _STEP_FRACTION = 0.995        # fraction-to-boundary
 _MAX_ITER = 120
 _TOL = 1e-9                   # scaled KKT stopping tolerance of the IPM
@@ -43,7 +44,7 @@ _PAIR_REL_TOL = 1e-6          # complementarity tolerance relative to the pair b
 
 
 class SolverError(RuntimeError):
-    """Numerical breakdown that is neither infeasibility nor unboundedness."""
+    """Numerical breakdown of a problem that is not certified infeasible."""
 
 
 class SolveStatus(Enum):
@@ -52,7 +53,6 @@ class SolveStatus(Enum):
     NODE_LIMIT_INCUMBENT = "node-limit-incumbent"
     NODE_LIMIT_NO_INCUMBENT = "node-limit-no-incumbent"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class QpSolution:
     status: SolveStatus
     residuals: KktResiduals
     iterations: int = 0
-    refactors: int = 0        # IPM iterations that fell back to a pivoted LU
+    refactors: int = 0        # IPM iterations whose unpivoted LU met a zero pivot
     comp_violation: float = 0.0
     bnb: BnbStats = field(default_factory=BnbStats)
     message: str = ""
@@ -265,8 +265,8 @@ def _splu_symmetric(kkt: sp.csc_matrix):
 
     A symmetric fill-reducing ordering of ``K + K'`` keeps the fill linear in
     the number of scenarios; the diagonal pivots of a quasi-definite matrix
-    are nonzero in exact arithmetic but may still be tiny or hit zero in
-    floating point, which the caller checks.
+    are nonzero in exact arithmetic but can still hit zero in floating point,
+    in which case SuperLU raises ``RuntimeError`` and the caller refactors.
     """
     return spla.splu(kkt, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
@@ -276,11 +276,11 @@ def _ipm(prob: QpProblem):
     """Mehrotra predictor-corrector on the slack standard form.
 
     Returns (x, status, residuals, iterations, refactors), where
-    ``refactors`` counts the iterations that fell back to a partially pivoted
-    factorization. Infeasibility is *suspected* (never certified) here; the
-    caller confirms with an elastic problem. Without inequality rows (m = 0)
-    the first Newton step solves the equality-constrained QP and the second
-    iteration accepts it.
+    ``refactors`` counts the iterations whose symmetric factorization met an
+    exact zero pivot and fell back to partial pivoting. Infeasibility is
+    *suspected* (never certified) here; the caller confirms with an elastic
+    problem. Without inequality rows (m = 0) the first Newton step solves the
+    equality-constrained QP and the second iteration accepts it.
     """
     a_all, b_all, g_all, h_all = _standard_form(prob)
     a_t = a_all.T.tocsr()
@@ -324,10 +324,6 @@ def _ipm(prob: QpProblem):
         if rp_norm <= _TOL and re_norm <= _TOL and rd_norm <= _TOL and gap_rel <= _TOL:
             status = SolveStatus.OPTIMAL
             break
-        if (np.max(np.abs(x)) > 1e13 and obj < -1e13
-                and rp_norm <= 1e-6 and re_norm <= 1e-6):
-            status = SolveStatus.UNBOUNDED
-            break
         if np.max(z, initial=0.0) > 1e13 or np.max(s, initial=0.0) > 1e16:
             break  # suspected infeasible; certified by the caller
 
@@ -342,30 +338,10 @@ def _ipm(prob: QpProblem):
                     # exact zero pivot: refactor with partial pivoting
                     lu, pivoted = spla.splu(kkt), True
 
-                def kkt_solve(rhs):
-                    # a loop, not recursion: a closure that calls itself forms
-                    # a reference cycle, which keeps each iteration's LU
-                    # factors in memory until the cycle collector runs
-                    nonlocal lu, pivoted
-                    tol = 1e-11 * (1.0 + np.max(np.abs(rhs)))
-                    while True:
-                        sol = lu.solve(rhs)
-                        # one step of iterative refinement against the
-                        # regularized matrix; an unpivoted solve that still
-                        # misses (NaN included) is redone with partial pivoting
-                        res = rhs - kkt @ sol
-                        if np.max(np.abs(res)) <= tol:
-                            return sol
-                        sol = sol + lu.solve(res)
-                        if pivoted or np.max(np.abs(rhs - kkt @ sol)) <= tol:
-                            return sol
-                        lu, pivoted = spla.splu(kkt), True
-
                 def direction(r_c):
                     rhs_x = -(r_d + a_t @ ((r_c + z * r_p) / s))
-                    sol = kkt_solve(np.concatenate([rhs_x, -r_e]))
-                    dx = sol[:n]
-                    dy = sol[n:]
+                    sol = lu.solve(np.concatenate([rhs_x, -r_e]))
+                    dx, dy = sol[:n], sol[n:]
                     ds = -r_p - a_all @ dx
                     dz = (r_c - z * ds) / s
                     # Near the optimum W = Z/S spans some 30 orders of
@@ -376,11 +352,15 @@ def _ipm(prob: QpProblem):
                     # tenth of r_d, one more solve corrects the whole step.
                     e_d = hdiag * dx + a_t @ dz + g_t @ dy + r_d
                     if np.max(np.abs(e_d)) > 0.1 * np.max(np.abs(r_d)):
-                        corr = kkt_solve(np.concatenate([-e_d, -(g_all @ dx + r_e)]))
+                        corr = lu.solve(np.concatenate([-e_d, -(g_all @ dx + r_e)]))
                         dds = -(a_all @ corr[:n])
-                        dx, dy = dx + corr[:n], dy + corr[n:]
+                        sol = sol + corr
                         ds, dz = ds + dds, dz - z * dds / s
-                    return dx, dy, ds, dz
+                    # SuperLU does not raise on NaN, and a NaN step passes
+                    # every comparison above unnoticed
+                    if not np.isfinite(sol).all():
+                        raise FloatingPointError("non-finite Newton direction")
+                    return sol[:n], sol[n:], ds, dz
 
                 # predictor
                 dx, dy, ds, dz = direction(-s * z)
@@ -395,7 +375,7 @@ def _ipm(prob: QpProblem):
                 a_d = _step_len(z, dz)
         except (RuntimeError, FloatingPointError):
             # the pivoted factorization too found the KKT matrix exactly
-            # singular, or the iterates overflow or turn NaN: suspected
+            # singular, or the step overflows or turns NaN: suspected
             # infeasible, as above
             break
         finally:
@@ -454,8 +434,10 @@ def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
 def solve_qp(problem: QpProblem) -> QpSolution:
     """Solve the continuous relaxation (complementarity pairs are ignored).
 
-    Raises :class:`SolverError` on numerical breakdown; infeasible and
-    unbounded problems are reported through the solution status.
+    Infeasible problems are reported through the solution status, with an
+    elastic certificate. Raises :class:`SolverError` when the interior point
+    does not converge on a problem that is not certified infeasible; the QPs
+    this package builds are bounded, and an unbounded one ends here too.
     """
     if np.any(problem.lb > problem.ub + 1e-12):
         return QpSolution(np.zeros(problem.n_var), np.inf, SolveStatus.INFEASIBLE,
@@ -465,8 +447,6 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     if status is SolveStatus.OPTIMAL:
         return QpSolution(x, problem.objective(x), status, res, iterations=it,
                           refactors=refactors)
-    if status is SolveStatus.UNBOUNDED:
-        return QpSolution(x, -np.inf, status, res, iterations=it, refactors=refactors)
     infeasible, mass = _certify_infeasible(problem)
     if infeasible:
         return QpSolution(x, np.inf, SolveStatus.INFEASIBLE, res, iterations=it,
@@ -649,8 +629,7 @@ def solve_miqp(
     point serves as an incumbent, which usually closes the gap at the root.
     """
     root = solve_qp(problem)
-    if (root.status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED)
-            or not problem.comp_pairs):
+    if root.status is SolveStatus.INFEASIBLE or not problem.comp_pairs:
         return replace(root, bnb=BnbStats(nodes=1))
 
     tols = _pair_tols(problem)

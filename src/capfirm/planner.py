@@ -309,8 +309,7 @@ def plan(instance: PlanningInstance) -> PlanResult:
     """
     problem, hints, idx = build_planning_qp(instance)
     sol = solve_miqp(problem, soc_hints=hints)
-    if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NODE_LIMIT_NO_INCUMBENT,
-                      SolveStatus.UNBOUNDED):
+    if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NODE_LIMIT_NO_INCUMBENT):
         kind, period = _diagnose_infeasibility(instance)
         raise PlanningError(f"planning failed ({sol.status.value}): {kind}",
                             kind=kind, period=period)

@@ -114,26 +114,24 @@ def _sign_constrained_ls(design: np.ndarray, target: np.ndarray) -> np.ndarray |
     With only three sign constraints the candidate active sets can be
     enumerated: each coefficient is either free or pinned at its (tiny)
     bound. The optimum of the convex problem is the feasible candidate with
-    the smallest residual. Returns None on rank deficiency of the free block.
+    the smallest residual; pinning all three gives a feasible candidate, so
+    there always is one. Returns None when the design is rank deficient,
+    i.e. its smallest singular value is at most 1e-12 times its largest;
+    otherwise every column subset has full rank as well.
     """
+    sv = np.linalg.svd(design, compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:
+        return None
     bounds = np.array([_A_FLOOR, -_BC_FLOOR, -_BC_FLOOR])
-    smax = np.linalg.svd(design, compute_uv=False)[0]
-    best, best_sse = None, np.inf
+    best, best_sse = bounds, np.inf
     for pattern in product((False, True), repeat=3):
         pinned = np.array(pattern)
         beta = bounds.copy()
         free = ~pinned
         if np.any(free):
-            sub = design[:, free]
             rhs = target - design[:, pinned] @ bounds[pinned]
-            sol, _, rank, _ = np.linalg.lstsq(sub, rhs, rcond=smax * 1e-12)
-            if rank < sub.shape[1]:
-                if not np.any(pinned):
-                    return None  # fully free block rank deficient
-                continue
-            beta[free] = sol
-        ok = beta[0] >= _A_FLOOR and beta[1] <= -_BC_FLOOR and beta[2] <= -_BC_FLOOR
-        if not ok:
+            beta[free] = np.linalg.lstsq(design[:, free], rhs, rcond=None)[0]
+        if beta[0] < _A_FLOOR or beta[1] > -_BC_FLOOR or beta[2] > -_BC_FLOOR:
             continue
         sse = float(np.sum((design @ beta - target) ** 2))
         if sse < best_sse - 1e-15:

@@ -12,7 +12,6 @@ from capfirm.domain import (
     TimeGrid,
     build_cre_policy,
     check_engagement,
-    net_remuneration,
     net_remuneration_series,
     penalty,
     penalty_series,
@@ -184,15 +183,22 @@ class TestPenalty:
 
 
 class TestNetRemuneration:
+    # the policy fixture pays a flat 100 EUR/MWh in every period
+
     def test_zero_zero(self, policy, grid):
-        assert net_remuneration(0.0, 0.0, 100.0, policy, grid) == 0.0
+        zeros = np.zeros(96)
+        assert np.all(net_remuneration_series(zeros, zeros, policy, grid) == 0.0)
 
     def test_pure_revenue(self, policy, grid):
         # inside the deadband: 0.25 h * 0.1 EUR/kWh * 400 kW = 10 EUR
-        assert net_remuneration(400.0, 400.0, 100.0, policy, grid) == pytest.approx(10.0)
+        flat = np.full(96, 400.0)
+        assert net_remuneration_series(flat, flat, policy, grid) == pytest.approx(
+            np.full(96, 10.0))
 
     def test_signed_withdrawal(self, policy, grid):
-        assert net_remuneration(-10.0, -10.0, 100.0, policy, grid) == pytest.approx(-0.25)
+        flat = np.full(96, -10.0)
+        assert net_remuneration_series(flat, flat, policy, grid) == pytest.approx(
+            np.full(96, -0.25))
 
     def test_zero_price_identically_zero(self, grid):
         pol = build_cre_policy(grid, 0.0, 0.0, PC)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from capfirm import optim
+from capfirm.controller import oracle_control
 from capfirm.domain import TimeGrid, check_engagement
 from capfirm.planner import (
     PlanningError,
@@ -223,6 +224,28 @@ class TestSizingCaseDay:
         res = plan_deterministic(forecast, grid, policy, system, mode="D")
         assert res.status in (SolveStatus.OPTIMAL, SolveStatus.OPTIMAL_REPAIRED)
         assert res.solution.residuals.dual <= 1e-9
+
+    @pytest.mark.parametrize("season, day, ratio, price", [
+        pytest.param(7, 143, 2.0, 400.0, id="season7_day143"),
+        pytest.param(1, 126, 1.25, 350.0, id="season1_day126")])
+    def test_perfect_foresight_plan_and_control_solve_without_pivoting(
+            self, season, day, ratio, price):
+        # realized PV of a day of a synthetic season of the benchmark
+        # generator (bench/season.py), 466.4 kW PV, D* mode, peak price
+        # twice the off-peak price. With a static regularization of 1e-11,
+        # season 7, day 143 raised SolverError when inaccurate solves were
+        # redone with a pivoted refactorization (the dual residual stalled
+        # at 3.8e-9), and season 1, day 126 raises it without that retry.
+        with np.load(DATA / f"dstar_season{season}_day{day}.npz") as data:
+            realized = data["power_kw"]
+        grid = TimeGrid.daily()
+        policy = toy_policy(grid, price, 2.0 * price, 466.4)
+        system = toy_system(466.4, ratio * 466.4)
+        res = plan_deterministic(realized, grid, policy, system, mode="Dstar")
+        ctl = oracle_control(res.engagement, realized, policy, system, grid)
+        optimal = (SolveStatus.OPTIMAL, SolveStatus.OPTIMAL_REPAIRED)
+        assert res.status in optimal and ctl.status in optimal
+        assert res.solution.refactors == ctl.solution.refactors == 0
 
 
 class TestPaperScaleDay:

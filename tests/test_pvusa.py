@@ -145,6 +145,43 @@ class TestFit:
                                         weather.temperature_c[day])
         assert np.max(np.abs(resid)) < 1e-6
 
+    def test_active_sign_constraint(self):
+        # power generated with b > 0: the fit pins b at its floor, and the
+        # KKT conditions hold there: zero gradient of the SSE in a and c,
+        # and an SSE that would still fall if b could rise
+        weather = _seasonal_weather()
+        irr, tmp = weather.irradiance_wm2, weather.temperature_c
+        power = 0.573 * irr + 1e-5 * irr ** 2 - 1.86e-3 * irr * tmp
+        fitted = steady_state_fit(power, weather)
+        assert fitted.b == -1e-12
+        day = irr > 5.0
+        design = np.column_stack([irr[day], irr[day] ** 2, irr[day] * tmp[day]])
+        grad = 2.0 * design.T @ (design @ fitted.as_array() - power[day])
+        scale = np.linalg.norm(design, axis=0) * np.linalg.norm(power[day])
+        assert np.all(np.abs(grad[[0, 2]]) <= 1e-12 * scale[[0, 2]])
+        assert grad[1] < 0.0
+
+    def test_rank_deficient_window_keeps_previous(self):
+        # six hours of varying weather, then eight hours of constant
+        # irradiance and temperature: the three regressors of a window
+        # inside the constant stretch are proportional, so fit_pvusa repeats
+        # the previous estimate instead of fitting
+        n = 14 * 4
+        ts = np.datetime64("2019-08-01T06:00") + np.arange(n) * np.timedelta64(15, "m")
+        irr = np.full(n, 500.0)
+        tmp = np.full(n, 20.0)
+        irr[:24] = np.linspace(100.0, 900.0, 24)
+        tmp[:24] = np.linspace(12.0, 24.0, 24)
+        weather = WeatherSeries(ts, irr, tmp)
+        power = pvusa_eval(REFERENCE_PARAMS, irr, tmp)
+        power[24:] = 200.0      # inconsistent with the first stretch
+        traj = fit_pvusa(power, weather, window_hours=3.0)
+        ends = np.array([t for t, _ in traj])
+        constant = ends - np.timedelta64(3, "h") >= ts[24]
+        assert constant.sum() >= 3 and not constant[0]
+        first = int(np.argmax(constant))
+        assert all(p is traj[first - 1][1] for _, p in traj[first:])
+
 
 class TestClearSky:
     def test_midnight_zero(self):
