@@ -12,10 +12,15 @@ slack/bound standard form). Each iteration factors the augmented KKT system
 solve: it is built once, and each iteration only fills in its values. The
 matrix is quasi-definite, so SuperLU factors it with a symmetric
 fill-reducing ordering and no pivoting, which keeps the fill linear in the
-number of scenarios. The static regularization ``d`` keeps the pivots clear
-of zero, so each Newton direction is solved with that factorization alone,
-without refinement; only an exact zero pivot makes the iteration refactor
-with partial pivoting (counted in ``QpSolution.refactors``).
+number of scenarios. The ordering is computed once per solve, by the first
+factorization; later iterations fill the matrix already permuted by it and
+factor in natural order. SuperLU runs with panels one column wide. The
+static regularization ``d`` keeps the pivots clear of zero, so each Newton
+direction is solved with that factorization alone, without refinement; only
+an exact zero pivot makes the iteration refactor with partial pivoting
+(counted in ``QpSolution.refactors``). A floor on the corrector's centering
+target keeps the total gap ``s.z`` at or above a tenth of the stopping
+tolerance, where the direction still meets the linearized stationarity.
 ``solve_miqp`` adds best-bound branch-and-bound
 over the pairs; when the caller passes the battery structure
 (:class:`SocChainHints`), a repair step turns every almost-complementary
@@ -63,6 +68,7 @@ class QpProblem:
     variable index pairs (i, j) that may not both be strictly positive; both
     variables must be bounded and nonnegative. The pair list order is
     meaningful: it is the deterministic tie-break order for branching.
+    ``pair_index`` holds the same pairs as a read-only (k, 2) index array.
     """
 
     q: np.ndarray
@@ -74,6 +80,7 @@ class QpProblem:
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
     comp_pairs: tuple[tuple[int, int], ...] = ()
+    pair_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = np.asarray(self.c).shape[0]
@@ -102,13 +109,14 @@ class QpProblem:
                 raise ValueError(f"{mat_name}/{rhs_name} dimensions inconsistent")
             object.__setattr__(self, mat_name, mat)
             object.__setattr__(self, rhs_name, rhs)
-        pairs = tuple((int(i), int(j)) for i, j in self.comp_pairs)
-        for i, j in pairs:
-            if self.lb[i] < -1e-12 or self.lb[j] < -1e-12:
-                raise ValueError("complementarity pair variables must be nonnegative")
-            if not (np.isfinite(self.ub[i]) and np.isfinite(self.ub[j])):
-                raise ValueError("complementarity pair variables must be bounded")
-        object.__setattr__(self, "comp_pairs", pairs)
+        idx = np.asarray(self.comp_pairs, dtype=np.intp).reshape(-1, 2)
+        if np.any(self.lb[idx] < -1e-12):
+            raise ValueError("complementarity pair variables must be nonnegative")
+        if not np.all(np.isfinite(self.ub[idx])):
+            raise ValueError("complementarity pair variables must be bounded")
+        idx.setflags(write=False)
+        object.__setattr__(self, "pair_index", idx)
+        object.__setattr__(self, "comp_pairs", tuple(map(tuple, idx.tolist())))
 
     @property
     def n_var(self) -> int:
@@ -217,58 +225,86 @@ def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, _STEP_FRACTION * ratio)
 
 
-def _kkt_assembler(a_all: sp.csr_matrix, g_all: sp.csr_matrix, d: np.ndarray,
-                   reg: float):
+def _csc_pattern(keys: np.ndarray, dim: int) -> sp.csc_matrix:
+    """Square CSC matrix with zero values at the sorted keys ``col * dim + row``."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // dim, minlength=dim))])
+    return sp.csc_matrix((np.zeros(keys.size), (keys % dim).astype(np.intc),
+                          indptr.astype(np.intc)), shape=(dim, dim))
+
+
+class _KktAssembler:
     """Fixed CSC pattern of ``[[diag(d) + A'WA, G'], [G, -reg I]]``.
 
-    Returns ``assemble(w)``, which fills the matrix for the row weights ``w``
-    with one ``np.bincount``: every contribution (the diagonal ``d``, each
-    product ``a_ki a_kl`` of a row of A, the entries of G and G', and
-    ``-reg``) has a precomputed slot in the pattern, and only the products
-    of A are scaled by ``w`` from one call to the next. Every call returns
-    the same matrix object with new values.
+    Calling it with the row weights ``w`` fills the matrix with one
+    ``np.bincount``: every contribution (the diagonal ``d``, each product
+    ``a_ki a_kl`` of a row of A, the entries of G and G', and ``-reg``) has a
+    precomputed slot in the pattern, and only the products of A are scaled by
+    ``w`` from one call to the next. Every call returns the same matrix
+    object with new values, until :meth:`permute` moves the slots.
     """
-    m, n = a_all.shape
-    p = g_all.shape[0]
-    dim = n + p
-    # all ordered pairs (e1, e2) of stored entries within each row of A
-    counts = np.diff(a_all.indptr).astype(np.int64)
-    sq = counts * counts
-    pair_row = np.repeat(np.arange(m), sq)
-    j = np.arange(int(sq.sum())) - np.repeat(np.cumsum(sq) - sq, sq)
-    e1 = a_all.indptr[pair_row] + j // counts[pair_row]
-    e2 = a_all.indptr[pair_row] + j % counts[pair_row]
-    a_prod = a_all.data[e1] * a_all.data[e2]
 
-    g = g_all.tocoo()
-    n_rng, p_rng = np.arange(n), np.arange(n, dim)
-    rows = np.concatenate([n_rng, n + g.row, g.col, p_rng, a_all.indices[e1]])
-    cols = np.concatenate([n_rng, g.col, n + g.row, p_rng, a_all.indices[e2]])
-    keys, slot = np.unique(cols.astype(np.int64) * dim + rows, return_inverse=True)
-    indices = (keys % dim).astype(np.intc)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // dim, minlength=dim))]
-                            ).astype(np.intc)
-    n_fixed = rows.size - a_prod.size
-    values = np.concatenate([d, g.data, g.data, np.full(p, -reg), a_prod])
-    kkt = sp.csc_matrix((np.zeros(keys.size), indices, indptr), shape=(dim, dim))
+    def __init__(self, a_all: sp.csr_matrix, g_all: sp.csr_matrix, d: np.ndarray,
+                 reg: float):
+        m, n = a_all.shape
+        p = g_all.shape[0]
+        self._dim = dim = n + p
+        # all ordered pairs (e1, e2) of stored entries within each row of A
+        counts = np.diff(a_all.indptr).astype(np.int64)
+        sq = counts * counts
+        self._pair_row = pair_row = np.repeat(np.arange(m), sq)
+        j = np.arange(int(sq.sum())) - np.repeat(np.cumsum(sq) - sq, sq)
+        e1 = a_all.indptr[pair_row] + j // counts[pair_row]
+        e2 = a_all.indptr[pair_row] + j % counts[pair_row]
+        self._a_prod = a_all.data[e1] * a_all.data[e2]
 
-    def assemble(w: np.ndarray) -> sp.csc_matrix:
-        np.multiply(w[pair_row], a_prod, out=values[n_fixed:])
-        kkt.data = np.bincount(slot, weights=values, minlength=keys.size)
-        return kkt
+        g = g_all.tocoo()
+        n_rng, p_rng = np.arange(n), np.arange(n, dim)
+        rows = np.concatenate([n_rng, n + g.row, g.col, p_rng, a_all.indices[e1]])
+        cols = np.concatenate([n_rng, g.col, n + g.row, p_rng, a_all.indices[e2]])
+        keys, self._slot = np.unique(cols.astype(np.int64) * dim + rows,
+                                     return_inverse=True)
+        self._n_fixed = rows.size - self._a_prod.size
+        self._values = np.concatenate([d, g.data, g.data, np.full(p, -reg), self._a_prod])
+        self._kkt = _csc_pattern(keys, dim)
 
-    return assemble
+    def __call__(self, w: np.ndarray) -> sp.csc_matrix:
+        np.multiply(w[self._pair_row], self._a_prod, out=self._values[self._n_fixed:])
+        self._kkt.data = np.bincount(self._slot, weights=self._values,
+                                    minlength=self._kkt.nnz)
+        return self._kkt
+
+    def permute(self, perm: np.ndarray) -> None:
+        """Move entry (r, c) to (perm[r], perm[c]) in every later call.
+
+        The later matrices are ``P K P'`` with ``(P v)[perm[r]] = v[r]``, so
+        ``K x = b`` is solved as ``P K P' y = b[argsort(perm)]``,
+        ``x = y[perm]``.
+        """
+        dim = self._dim
+        counts = np.diff(self._kkt.indptr)
+        cols = np.repeat(perm.astype(np.int64), counts)
+        keys = cols * dim + perm[self._kkt.indices]
+        order = np.argsort(keys)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self._slot = rank[self._slot]
+        self._kkt = _csc_pattern(keys[order], dim)
 
 
-def _splu_symmetric(kkt: sp.csc_matrix):
+def _splu_symmetric(kkt: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
     """LU of the quasi-definite KKT matrix without pivoting.
 
     A symmetric fill-reducing ordering of ``K + K'`` keeps the fill linear in
-    the number of scenarios; the diagonal pivots of a quasi-definite matrix
-    are nonzero in exact arithmetic but can still hit zero in floating point,
-    in which case SuperLU raises ``RuntimeError`` and the caller refactors.
+    the number of scenarios. ``_ipm`` takes it from its first factorization
+    and factors the later, symmetrically permuted matrices in ``NATURAL``
+    order, with the same fill. Panels one column wide suit the few non-zeros
+    per column of L and U (about 7): on the S=20 planning KKT they take
+    about 40 % less factor time than SuperLU's default width. The diagonal
+    pivots of a quasi-definite matrix are nonzero in exact arithmetic but can
+    still hit zero in floating point, in which case SuperLU raises
+    ``RuntimeError`` and the caller refactors.
     """
-    return spla.splu(kkt, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    return spla.splu(kkt, permc_spec=permc_spec, diag_pivot_thresh=0.0, panel_size=1,
                      options=dict(SymmetricMode=True))
 
 
@@ -290,7 +326,8 @@ def _ipm(prob: QpProblem):
     p = g_all.shape[0]
     hdiag = 2.0 * prob.q
     reg = _REG * max(1.0, float(np.max(hdiag, initial=0.0)))
-    assemble = _kkt_assembler(a_all, g_all, hdiag + reg, reg)
+    assemble = _KktAssembler(a_all, g_all, hdiag + reg, reg)
+    perm = inv = None   # the first symmetric factorization's ordering
 
     # starting point: bound midpoints where available, else zero
     x = np.clip(0.0, prob.lb, prob.ub)
@@ -333,14 +370,18 @@ def _ipm(prob: QpProblem):
                 # factor [[H + A'WA + dI, G'], [G, -dI]] with W = Z/S
                 kkt = assemble(z / s)
                 try:
-                    lu = _splu_symmetric(kkt)
+                    lu = (_splu_symmetric(kkt) if perm is None
+                          else _splu_symmetric(kkt, "NATURAL"))
                 except RuntimeError:
                     # exact zero pivot: refactor with partial pivoting
                     lu, pivoted = spla.splu(kkt), True
 
+                def solve(rhs):
+                    return lu.solve(rhs) if perm is None else lu.solve(rhs[inv])[perm]
+
                 def direction(r_c):
                     rhs_x = -(r_d + a_t @ ((r_c + z * r_p) / s))
-                    sol = lu.solve(np.concatenate([rhs_x, -r_e]))
+                    sol = solve(np.concatenate([rhs_x, -r_e]))
                     dx, dy = sol[:n], sol[n:]
                     ds = -r_p - a_all @ dx
                     dz = (r_c - z * ds) / s
@@ -352,7 +393,7 @@ def _ipm(prob: QpProblem):
                     # tenth of r_d, one more solve corrects the whole step.
                     e_d = hdiag * dx + a_t @ dz + g_t @ dy + r_d
                     if np.max(np.abs(e_d)) > 0.1 * np.max(np.abs(r_d)):
-                        corr = lu.solve(np.concatenate([-e_d, -(g_all @ dx + r_e)]))
+                        corr = solve(np.concatenate([-e_d, -(g_all @ dx + r_e)]))
                         dds = -(a_all @ corr[:n])
                         sol = sol + corr
                         ds, dz = ds + dds, dz - z * dds / s
@@ -369,8 +410,14 @@ def _ipm(prob: QpProblem):
                 mu_aff = float((s + a_p * ds) @ (z + a_d * dz)) / m_mean
                 sigma = (max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0
 
-                # corrector
-                dx, dy, ds, dz = direction(sigma * mu - s * z - ds * dz)
+                # corrector. Without a floor on the centering target, the
+                # last iterations drive the mean gap toward 1e-17, where W
+                # spans so many orders of magnitude that the direction misses
+                # stationarity by more than r_d and the step collapses; the
+                # floor holds the total gap s.z at or above a tenth of the
+                # stopping tolerance.
+                target = max(sigma * mu, 0.1 * _TOL * (1.0 + abs(obj)) / m_mean)
+                dx, dy, ds, dz = direction(target - s * z - ds * dz)
                 a_p = _step_len(s, ds)
                 a_d = _step_len(z, dz)
         except (RuntimeError, FloatingPointError):
@@ -380,6 +427,11 @@ def _ipm(prob: QpProblem):
             break
         finally:
             refactors += pivoted
+        if perm is None and not pivoted:
+            # the pattern is fixed, so the ordering is too: fill the later
+            # matrices in its order and factor them without reordering
+            perm, inv = lu.perm_c, np.argsort(lu.perm_c)
+            assemble.permute(perm)
         if max(a_p, a_d) < 1e-12:
             break  # stalled
         x = x + a_p * dx
@@ -491,18 +543,14 @@ class RepairOutcome:
 
 
 def _pair_tols(problem: QpProblem) -> np.ndarray:
-    scales = np.array([
-        max(1.0, min(problem.ub[i], problem.ub[j]))
-        for i, j in problem.comp_pairs]) if problem.comp_pairs else np.zeros(0)
-    return _PAIR_REL_TOL * scales
+    i, j = problem.pair_index.T
+    return _PAIR_REL_TOL * np.maximum(1.0, np.minimum(problem.ub[i], problem.ub[j]))
 
 
 def comp_violations(problem: QpProblem, x: np.ndarray) -> np.ndarray:
     """min(x_i, x_j) per complementarity pair (values below 0 clipped)."""
-    if not problem.comp_pairs:
-        return np.zeros(0)
-    idx = np.asarray(problem.comp_pairs)
-    return np.maximum(np.minimum(x[idx[:, 0]], x[idx[:, 1]]), 0.0)
+    i, j = problem.pair_index.T
+    return np.maximum(np.minimum(x[i], x[j]), 0.0)
 
 
 def repair_simultaneous_flow(

@@ -230,17 +230,14 @@ def sample_scenarios(
         raise ValueError(f"forecast must have length {t_n}")
 
     children = np.random.SeedSequence(seed).spawn(n_scenarios)
-    values = np.empty((n_scenarios, t_n))
-    degenerate = np.array([m.degenerate for m in model.marginals])
-    for w, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        g = model.cholesky_factor @ rng.standard_normal(t_n)
-        u = special.ndtr(g)
-        z = np.zeros(t_n)
-        for k in range(t_n):
-            if not degenerate[k]:
-                z[k] = model.marginals[k].inverse_cdf(u[k])
-        values[w] = np.clip(forecast + z, 0.0, pv_capacity_kw)
+    rngs = (np.random.Generator(np.random.PCG64(child)) for child in children)
+    u = special.ndtr(np.array([model.cholesky_factor @ rng.standard_normal(t_n)
+                               for rng in rngs]))
+    z = np.zeros((n_scenarios, t_n))
+    for k, marginal in enumerate(model.marginals):
+        if not marginal.degenerate:
+            z[:, k] = marginal.inverse_cdf(u[:, k])
+    values = np.clip(forecast + z, 0.0, pv_capacity_kw)
     weights = np.full(n_scenarios, 1.0 / n_scenarios)
     weights /= weights.sum()
     return ScenarioSet(values_kw=values, weights=weights)

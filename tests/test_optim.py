@@ -30,6 +30,19 @@ from oracles import (
 from toys import toy_grid, toy_policy, toy_system
 
 
+class TestQpProblem:
+    def test_complementarity_pairs_are_checked_and_kept_in_order(self):
+        base = dict(q=np.zeros(4), c=np.ones(4), lb=[0.0, 0.0, 0.0, -1.0],
+                    ub=[1.0, 2.0, np.inf, 1.0])
+        prob = QpProblem(**base, comp_pairs=[(1, 0), (np.int64(0), 1)])
+        assert prob.comp_pairs == ((1, 0), (0, 1))
+        assert all(type(i) is int for pair in prob.comp_pairs for i in pair)
+        with pytest.raises(ValueError, match="bounded"):
+            QpProblem(**base, comp_pairs=[(0, 1), (0, 2)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            QpProblem(**base, comp_pairs=[(3, 0)])
+
+
 class TestSolveQpBasics:
     def test_active_bound(self):
         # min (x-1)^2 s.t. x <= 0 -> x = 0 (squared value 1)
@@ -211,7 +224,7 @@ class TestKktAssembly:
         parts = _kkt_parts(prob)
         m, p = parts[0].shape[0], parts[1].shape[0]
         assert (m > 0, p > 0) == (has_rows, has_eq)
-        assemble = optim._kkt_assembler(*parts)
+        assemble = optim._KktAssembler(*parts)
         for _ in range(2 if m else 1):
             w = np.exp(rng.uniform(-8.0, 8.0, m))
             got = assemble(w).toarray()
@@ -227,10 +240,33 @@ class TestKktAssembly:
         per_scenario = {}
         for n_scen in (5, 50):
             parts = _kkt_parts(_noisy_planning_qp(n_periods=96, n_scen=n_scen))
-            kkt = optim._kkt_assembler(*parts)(np.ones(parts[0].shape[0]))
+            kkt = optim._KktAssembler(*parts)(np.ones(parts[0].shape[0]))
             lu = optim._splu_symmetric(kkt)
             per_scenario[n_scen] = (lu.L.nnz + lu.U.nnz) / n_scen
         assert per_scenario[50] <= 1.5 * per_scenario[5]
+
+    def test_reused_ordering_keeps_the_fill_and_the_solution(self):
+        # _ipm takes the ordering of its first factorization and fills the
+        # later matrices permuted by it. Permuting by perm_c where its inverse
+        # belongs multiplies the fill by 17.5 here.
+        parts = _kkt_parts(_noisy_planning_qp(n_periods=96, n_scen=20))
+        m = parts[0].shape[0]
+        rng = np.random.default_rng(29)
+        assemble = optim._KktAssembler(*parts)
+        perm = optim._splu_symmetric(assemble(np.exp(rng.uniform(-6.0, 6.0, m)))).perm_c
+        w = np.exp(rng.uniform(-6.0, 6.0, m))
+        kkt = assemble(w).copy()
+        fresh = optim._splu_symmetric(kkt)
+        assemble.permute(perm)
+        inv = np.argsort(perm)
+        permuted = assemble(w)
+        assert (permuted != kkt[inv][:, inv]).nnz == 0
+        reused = optim._splu_symmetric(permuted, "NATURAL")
+        assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz
+        b = rng.standard_normal(kkt.shape[0])
+        ref = fresh.solve(b)
+        got = reused.solve(b[inv])[perm]
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 class TestSolveQpAgainstOracles:

@@ -230,22 +230,43 @@ class TestSizingCaseDay:
         pytest.param(1, 126, 1.25, 350.0, id="season1_day126")])
     def test_perfect_foresight_plan_and_control_solve_without_pivoting(
             self, season, day, ratio, price):
-        # realized PV of a day of a synthetic season of the benchmark
-        # generator (bench/season.py), 466.4 kW PV, D* mode, peak price
-        # twice the off-peak price. With a static regularization of 1e-11,
-        # season 7, day 143 raised SolverError when inaccurate solves were
-        # redone with a pivoted refactorization (the dual residual stalled
-        # at 3.8e-9), and season 1, day 126 raises it without that retry.
-        with np.load(DATA / f"dstar_season{season}_day{day}.npz") as data:
-            realized = data["power_kw"]
-        grid = TimeGrid.daily()
-        policy = toy_policy(grid, price, 2.0 * price, 466.4)
-        system = toy_system(466.4, ratio * 466.4)
-        res = plan_deterministic(realized, grid, policy, system, mode="Dstar")
-        ctl = oracle_control(res.engagement, realized, policy, system, grid)
+        # With a static regularization of 1e-11, season 7, day 143 raised
+        # SolverError when inaccurate solves were redone with a pivoted
+        # refactorization (the dual residual stalled at 3.8e-9), and
+        # season 1, day 126 raises it without that retry. What keeps day 143
+        # solving now is the IPM's centering floor: without it the mean gap
+        # falls to 7e-17 by iteration 19, the Newton direction misses
+        # stationarity by more than the dual residual, and the plan raises
+        # SolverError with one-column SuperLU panels (dual 1.3e-9, and
+        # 2.9e-9 with the ordering reused as well).
+        res, ctl = _perfect_foresight_day(season, day, ratio, price)
         optimal = (SolveStatus.OPTIMAL, SolveStatus.OPTIMAL_REPAIRED)
         assert res.status in optimal and ctl.status in optimal
         assert res.solution.refactors == ctl.solution.refactors == 0
+
+    def test_centering_floor_keeps_the_total_gap_within_tolerance(self):
+        # on day 143 the floor binds: the last iterations hold the total gap
+        # s.z near a tenth of the tolerance, and it must end below it. (Day
+        # 126 stops on the mean gap with a total of 6e-9 in plan and 1.5e-8
+        # in control, with or without the floor.)
+        res, ctl = _perfect_foresight_day(7, 143, 2.0, 400.0)
+        assert res.solution.residuals.comp_gap <= optim._TOL
+        assert ctl.solution.residuals.comp_gap <= optim._TOL
+
+
+def _perfect_foresight_day(season, day, ratio, price):
+    """D* plan and oracle control of a stored day.
+
+    Realized PV of a day of a synthetic season of the benchmark generator
+    (bench/season.py), 466.4 kW PV, peak price twice the off-peak price.
+    """
+    with np.load(DATA / f"dstar_season{season}_day{day}.npz") as data:
+        realized = data["power_kw"]
+    grid = TimeGrid.daily()
+    policy = toy_policy(grid, price, 2.0 * price, 466.4)
+    system = toy_system(466.4, ratio * 466.4)
+    res = plan_deterministic(realized, grid, policy, system, mode="Dstar")
+    return res, oracle_control(res.engagement, realized, policy, system, grid)
 
 
 class TestPaperScaleDay:

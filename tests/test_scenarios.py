@@ -193,6 +193,25 @@ class TestSampleScenarios:
             p = stats.chi2.sf(chi2, n_bins - 1)
             assert p > 0.01, f"lead time {k}: p={p}"
 
+    def test_matches_the_per_element_transform(self):
+        # one substream and one Cholesky product per scenario, then each
+        # coordinate through its marginal; lead time 0 is degenerate
+        rng = np.random.default_rng(12)
+        errors, _ = _correlated_errors(60, 8, 0.6, rng)
+        errors[:, 0] = 0.0
+        model = fit_copula(errors, PC)
+        assert model.marginals[0].degenerate
+        forecast = np.linspace(50.0, 400.0, 8)
+        out = sample_scenarios(model, forecast, 25, seed=4, pv_capacity_kw=PC)
+        expected = np.empty((25, 8))
+        for w, child in enumerate(np.random.SeedSequence(4).spawn(25)):
+            rng_w = np.random.Generator(np.random.PCG64(child))
+            u = std_normal_cdf(model.cholesky_factor @ rng_w.standard_normal(8))
+            z = [0.0 if m.degenerate else m.inverse_cdf(u[k])
+                 for k, m in enumerate(model.marginals)]
+            expected[w] = np.clip(forecast + z, 0.0, PC)
+        assert np.array_equal(out.values_kw, expected)
+
     def test_zero_scenarios_rejected(self):
         marginals = (ErrorMarginal(0, np.zeros(40), True),)
         model = CopulaModel(marginals, np.eye(1), np.eye(1))
