@@ -16,11 +16,29 @@ number of scenarios. The ordering is computed once per solve, by the first
 factorization; later iterations fill the matrix already permuted by it and
 factor in natural order. SuperLU runs with panels one column wide. The
 static regularization ``d`` keeps the pivots clear of zero, so each Newton
-direction is solved with that factorization alone, without refinement; only
-an exact zero pivot makes the iteration refactor with partial pivoting
-(counted in ``QpSolution.refactors``). A floor on the corrector's centering
-target keeps the total gap ``s.z`` at or above a tenth of the stopping
-tolerance, where the direction still meets the linearized stationarity.
+direction is solved with that factorization alone, without refinement. An
+iteration is redone once with partial pivoting when its unpivoted
+factorization meets an exact zero pivot, or when its step collapses (both
+step lengths below ``_MIN_STEP``): near the end an unpivoted direction can
+blow up although no pivot is zero. Both are counted in
+``QpSolution.refactors``. A floor on the corrector's centering target keeps
+the total gap ``s.z`` at or above a tenth of the stopping tolerance, where
+the direction still meets the linearized stationarity.
+
+The duals of the inequality rows start at ``max|c|`` (1 when ``c = 0``),
+after Mehrotra (1992), rather than at 1. The planning and control problems
+at a selling price ``p`` are ``p`` times one fixed problem, and their
+optimal duals scale with ``p``. Started on that scale, the iterates of the
+problem at every price are the same up to the factor ``p``: the Newton
+system, the step lengths and the centering are invariant when ``q``, ``c``,
+``z`` and ``y`` scale together. This is near, not exact, homogeneity. The
+regularization ``d`` is ``1e-9 * max(1, max 2q)``, which does not scale when
+``max 2q < 1``, and the ``1 +`` terms of the stopping tests and of the
+centering floor do not scale either. So the iteration counts can still
+differ by one across prices, and a non-unique optimum can still be left at
+slightly different points. Without this start, the early iterations are
+spent reconciling a dual of size 1 with a cost of size ``max|c|``.
+
 ``solve_miqp`` adds best-bound branch-and-bound
 over the pairs; when the caller passes the battery structure
 (:class:`SocChainHints`), a repair step turns every almost-complementary
@@ -43,6 +61,7 @@ import scipy.sparse.linalg as spla
 
 _REG = 1e-9                   # static regularization of the augmented system
 _STEP_FRACTION = 0.995        # fraction-to-boundary
+_MIN_STEP = 1e-12             # a shorter primal and dual step has stalled
 _MAX_ITER = 120
 _TOL = 1e-9                   # scaled KKT stopping tolerance of the IPM
 _PAIR_REL_TOL = 1e-6          # complementarity tolerance relative to the pair bound
@@ -148,7 +167,7 @@ class QpSolution:
     status: SolveStatus
     residuals: KktResiduals
     iterations: int = 0
-    refactors: int = 0        # IPM iterations whose unpivoted LU met a zero pivot
+    refactors: int = 0        # iterations redone with pivoting: zero pivot or stall
     comp_violation: float = 0.0
     bnb: BnbStats = field(default_factory=BnbStats)
     message: str = ""
@@ -312,8 +331,9 @@ def _ipm(prob: QpProblem):
     """Mehrotra predictor-corrector on the slack standard form.
 
     Returns (x, status, residuals, iterations, refactors), where
-    ``refactors`` counts the iterations whose symmetric factorization met an
-    exact zero pivot and fell back to partial pivoting. Infeasibility is
+    ``refactors`` counts the iterations redone with partial pivoting: their
+    symmetric factorization met an exact zero pivot, or their step stalled.
+    The duals start at ``max|c|`` (see the module note). Infeasibility is
     *suspected* (never certified) here; the caller confirms with an elastic
     problem. Without inequality rows (m = 0) the first Newton step solves the
     equality-constrained QP and the second iteration accepts it.
@@ -335,7 +355,9 @@ def _ipm(prob: QpProblem):
     x[both] = 0.5 * (prob.lb[both] + prob.ub[both])
     floor = max(1.0, 1e-2 * float(np.max(np.abs(b_all), initial=0.0)))
     s = np.maximum(b_all - a_all @ x, floor)
-    z = np.full(m, 1.0)
+    # duals on the scale of the cost: a problem and its multiples by a price
+    # then start, and move, alike
+    z = np.full(m, float(np.max(np.abs(prob.c), initial=0.0)) or 1.0)
     y = np.zeros(p)
 
     b_scale = 1.0 + float(np.max(np.abs(b_all), initial=0.0))
@@ -403,23 +425,30 @@ def _ipm(prob: QpProblem):
                         raise FloatingPointError("non-finite Newton direction")
                     return sol[:n], sol[n:], ds, dz
 
-                # predictor
-                dx, dy, ds, dz = direction(-s * z)
-                a_p = _step_len(s, ds)
-                a_d = _step_len(z, dz)
-                mu_aff = float((s + a_p * ds) @ (z + a_d * dz)) / m_mean
-                sigma = (max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0
+                while True:
+                    # predictor
+                    dx, dy, ds, dz = direction(-s * z)
+                    a_p = _step_len(s, ds)
+                    a_d = _step_len(z, dz)
+                    mu_aff = float((s + a_p * ds) @ (z + a_d * dz)) / m_mean
+                    sigma = (max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0
 
-                # corrector. Without a floor on the centering target, the
-                # last iterations drive the mean gap toward 1e-17, where W
-                # spans so many orders of magnitude that the direction misses
-                # stationarity by more than r_d and the step collapses; the
-                # floor holds the total gap s.z at or above a tenth of the
-                # stopping tolerance.
-                target = max(sigma * mu, 0.1 * _TOL * (1.0 + abs(obj)) / m_mean)
-                dx, dy, ds, dz = direction(target - s * z - ds * dz)
-                a_p = _step_len(s, ds)
-                a_d = _step_len(z, dz)
+                    # corrector. Without a floor on the centering target, the
+                    # last iterations drive the mean gap toward 1e-17, where W
+                    # spans so many orders of magnitude that the direction
+                    # misses stationarity by more than r_d and the step
+                    # collapses; the floor holds the total gap s.z at or
+                    # above a tenth of the stopping tolerance.
+                    target = max(sigma * mu, 0.1 * _TOL * (1.0 + abs(obj)) / m_mean)
+                    dx, dy, ds, dz = direction(target - s * z - ds * dz)
+                    a_p = _step_len(s, ds)
+                    a_d = _step_len(z, dz)
+                    if max(a_p, a_d) >= _MIN_STEP or pivoted:
+                        break
+                    # a stalled step from the unpivoted factorization: its
+                    # direction can be huge although no pivot is zero, so
+                    # redo the iteration once with partial pivoting
+                    lu, pivoted = spla.splu(kkt), True
         except (RuntimeError, FloatingPointError):
             # the pivoted factorization too found the KKT matrix exactly
             # singular, or the step overflows or turns NaN: suspected
@@ -432,8 +461,8 @@ def _ipm(prob: QpProblem):
             # matrices in its order and factor them without reordering
             perm, inv = lu.perm_c, np.argsort(lu.perm_c)
             assemble.permute(perm)
-        if max(a_p, a_d) < 1e-12:
-            break  # stalled
+        if max(a_p, a_d) < _MIN_STEP:
+            break  # stalled after a pivoted factorization too
         x = x + a_p * dx
         s = s + a_p * ds
         y = y + a_d * dy

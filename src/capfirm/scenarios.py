@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.stats import rankdata
 
 MIN_HISTORY_DAYS = 30
 _EIG_FLOOR = 1e-8
@@ -159,6 +158,16 @@ def _repair_positive_definite(r: np.ndarray, floor: float = _EIG_FLOOR) -> np.nd
     return out
 
 
+def _average_ranks(sorted_sample: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values`` in their own sorted copy ``sorted_sample``.
+
+    Tied values share the mean of their positions, as
+    ``scipy.stats.rankdata(values, method="average")`` ranks them.
+    """
+    return (np.searchsorted(sorted_sample, values, "left")
+            + np.searchsorted(sorted_sample, values, "right") + 1) / 2.0
+
+
 def fit_copula(errors_kw, pv_capacity_kw: float,
                min_days: int = MIN_HISTORY_DAYS) -> CopulaModel:
     """Estimate marginals and normal-score correlation from an error history.
@@ -166,9 +175,10 @@ def fit_copula(errors_kw, pv_capacity_kw: float,
     ``errors_kw`` is a (days x T) matrix of forecast errors. Lead times whose
     sample standard deviation is below ``1e-9 * pv_capacity_kw`` (night hours)
     are flagged degenerate: they get an identity row in the correlation and
-    later emit exactly zero error. Ranks are mapped through
-    ``(rank - 0.5)/n`` before the normal quantile, and the estimated
-    correlation is repaired to positive definite by eigenvalue flooring.
+    later emit exactly zero error. Average ranks (ties share their mean
+    position) are mapped through ``(rank - 0.5)/n`` before the normal
+    quantile, and the estimated correlation is repaired to positive definite
+    by eigenvalue flooring.
     """
     errors = np.asarray(errors_kw, dtype=float)
     if errors.ndim != 2:
@@ -189,8 +199,8 @@ def fit_copula(errors_kw, pv_capacity_kw: float,
     scores = np.zeros_like(errors)
     active = np.flatnonzero(~degenerate)
     for k in active:
-        u = (rankdata(errors[:, k], method="average") - 0.5) / days
-        scores[:, k] = special.ndtri(u)
+        rank = _average_ranks(marginals[k].sorted_errors_kw, errors[:, k])
+        scores[:, k] = special.ndtri((rank - 0.5) / days)
     corr = np.eye(t_n)
     if active.size >= 2:
         sub = np.corrcoef(scores[:, active], rowvar=False)

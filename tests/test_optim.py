@@ -165,6 +165,31 @@ class TestSolveQpBasics:
         assert status is None
         assert iterations == 1
 
+    def test_stalled_step_is_redone_with_pivoting(self, monkeypatch):
+        # an unpivoted factorization can return a finite but huge direction
+        # although no pivot is zero, and the step then collapses to ~1e-70;
+        # the IPM must redo that iteration once with partial pivoting and go
+        # on to the optimum, not stop and raise
+        class HugeOnceLu:
+            def __init__(self, lu):
+                self.lu, self.perm_c, self.solves = lu, lu.perm_c, 0
+
+            def solve(self, rhs):
+                self.solves += 1
+                return self.lu.solve(rhs) * (1e70 if self.solves == 1 else 1.0)
+
+        splu_symmetric = optim._splu_symmetric
+        factors = []
+
+        def third_factor_huge(kkt, *args):
+            factors.append(splu_symmetric(kkt, *args))
+            return HugeOnceLu(factors[-1]) if len(factors) == 3 else factors[-1]
+
+        monkeypatch.setattr(optim, "_splu_symmetric", third_factor_huge)
+        sol = solve_qp(_noisy_planning_qp(n_periods=8, n_scen=3))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.refactors == 1
+
 
 def _unreachable_floor_node():
     grid = toy_grid(5, peak=(3, 4))

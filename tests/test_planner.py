@@ -253,6 +253,53 @@ class TestSizingCaseDay:
         assert res.solution.residuals.comp_gap <= optim._TOL
         assert ctl.solution.residuals.comp_gap <= optim._TOL
 
+    def test_stalled_control_step_is_redone_with_pivoting(self):
+        # D plan and oracle control of day 77 of synthetic season 5, ratio
+        # 1.25, 400/800 EUR/MWh. With the duals started on the cost scale,
+        # the control's unpivoted direction blows up late in the solve
+        # although no pivot is zero, and both step lengths collapse below
+        # 1e-12; without a pivoted retry of that iteration control raised
+        # SolverError.
+        with np.load(DATA / "d_season5_day77.npz") as data:
+            forecast, realized = data["forecast_kw"], data["power_kw"]
+        grid = TimeGrid.daily()
+        policy = toy_policy(grid, 400.0, 800.0, 466.4)
+        system = toy_system(466.4, 1.25 * 466.4)
+        res = plan_deterministic(forecast, grid, policy, system, mode="D")
+        ctl = oracle_control(res.engagement, realized, policy, system, grid)
+        assert res.status is SolveStatus.OPTIMAL
+        assert ctl.status is SolveStatus.OPTIMAL
+
+
+class TestPriceHomogeneity:
+    @pytest.mark.parametrize("name, key, mode, ratio", [
+        pytest.param("d_season1_day149", "forecast_kw", "D", 1.5,
+                     id="d_season1_day149"),
+        pytest.param("dstar_season1_day126", "power_kw", "Dstar", 1.25,
+                     id="dstar_season1_day126"),
+        pytest.param("dstar_season7_day143", "power_kw", "Dstar", 2.0,
+                     id="dstar_season7_day143")])
+    def test_plan_scales_with_the_price(self, name, key, mode, ratio):
+        # Every cost term of a plan is proportional to the selling price, so
+        # the plan at price p is p times one fixed problem. Each stored day
+        # is planned at the battery ratio the benchmark's sizing sweep gives
+        # it, at the sweep's 8 prices. Started with duals on the cost scale,
+        # the IPM takes nearly the same iterates up to that factor: the
+        # static regularization and the "1 +" terms of the stopping tests
+        # and of the centering floor still depend on the price.
+        with np.load(DATA / f"{name}.npz") as data:
+            profile = data[key]
+        grid = TimeGrid.daily()
+        system = toy_system(466.4, ratio * 466.4)
+        prices = np.arange(50.0, 401.0, 50.0)
+        plans = [plan_deterministic(profile, grid, toy_policy(grid, p, 2.0 * p, 466.4),
+                                    system, mode=mode) for p in prices]
+        assert len({res.solution.iterations for res in plans}) == 1
+        engagement = np.array([res.engagement.values_kw for res in plans])
+        assert np.max(np.ptp(engagement, axis=0)) < 0.05
+        per_price = [res.objective / p for res, p in zip(plans, prices)]
+        assert per_price == pytest.approx([per_price[0]] * len(prices), rel=1e-10)
+
 
 def _perfect_foresight_day(season, day, ratio, price):
     """D* plan and oracle control of a stored day.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from capfirm import scenarios
 from capfirm.scenarios import (
     CopulaModel,
     ErrorMarginal,
@@ -105,6 +106,21 @@ class TestFitCopula:
         assert vals.min() >= 1e-8 * 0.5
         recon = model.cholesky_factor @ model.cholesky_factor.T
         assert np.max(np.abs(recon - model.correlation)) < 1e-10
+
+    def test_average_ranks_match_rankdata(self):
+        # whole-kW errors tie often; the ranks, and through them the fitted
+        # correlation, must be bit-identical to scipy's average ranks
+        rng = np.random.default_rng(5)
+        errors = np.round(_correlated_errors(60, 96, 0.9, rng, scale=2.0)[0])
+        for col in errors.T:
+            assert np.array_equal(scenarios._average_ranks(np.sort(col), col),
+                                  stats.rankdata(col, method="average"))
+        fitted = fit_copula(errors, PC)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenarios, "_average_ranks",
+                       lambda s, e: stats.rankdata(e, method="average"))
+            reference = fit_copula(errors, PC)
+        assert np.array_equal(fitted.correlation, reference.correlation)
 
 
 class TestSampleScenarios:
