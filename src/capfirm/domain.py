@@ -83,10 +83,6 @@ class TimeGrid:
         mask = (starts >= peak_start_hour) & (starts < peak_end_hour)
         return cls(n_periods=n, delta_t_hours=delta_t_hours, peak_mask=mask)
 
-    @property
-    def period_start_hours(self) -> np.ndarray:
-        return np.arange(self.n_periods) * self.delta_t_hours
-
 
 @dataclass(frozen=True)
 class TariffPolicy:
@@ -304,53 +300,24 @@ def check_engagement(plan: EngagementPlan, policy: TariffPolicy) -> EngagementCh
     return EngagementCheck(True, None)
 
 
-def _penalty(engagement_kw, production_kw, price_eur_mwh, policy: TariffPolicy,
-             grid: TimeGrid, overproduction: bool = False) -> np.ndarray:
-    """Threshold-quadratic deviation penalty, elementwise over its inputs."""
-    band = policy.deadband_kw
-    coef = grid.delta_t_hours * (np.asarray(price_eur_mwh) / 1000.0) / policy.pv_capacity_kw
-    e = np.asarray(engagement_kw)
-    p = np.asarray(production_kw)
-    under = np.maximum((e - band) - p, 0.0)
-    value = coef * under * (under + 4.0 * band)
-    if overproduction:
-        over = np.maximum(p - (e + band), 0.0)
-        value = value + coef * over * (over + 4.0 * band)
-    return value
-
-
-def penalty(
-    engagement_kw: float,
-    production_kw: float,
-    price_eur_mwh: float,
-    policy: TariffPolicy,
-    grid: TimeGrid,
-    *,
-    overproduction: bool = False,
-) -> float:
-    """Threshold-quadratic deviation penalty of one period, in EUR.
-
-    Underproduction deeper than the deadband below the engagement is charged
-    ``(dt * price / capacity) * d * (d + 4 * deadband)`` where ``d`` is the
-    shortfall beyond the deadband. Inside the deadband (and anywhere above it)
-    the penalty is zero.
-
-    With ``overproduction=True`` the mirrored quadratic is also charged above
-    ``engagement + deadband``; planner-produced dispatches never overproduce,
-    so this only matters when grading externally supplied traces.
-    """
-    return float(_penalty(engagement_kw, production_kw, price_eur_mwh, policy, grid,
-                          overproduction))
-
-
 def penalty_series(
     engagement_kw: np.ndarray,
     production_kw: np.ndarray,
     policy: TariffPolicy,
     grid: TimeGrid,
 ) -> np.ndarray:
-    """Vectorized per-period penalty of a whole day against a whole plan."""
-    return _penalty(engagement_kw, production_kw, policy.price_eur_mwh, policy, grid)
+    """Threshold-quadratic deviation penalty per period, in EUR.
+
+    Underproduction deeper than the deadband below the engagement is charged
+    ``(dt * price / capacity) * d * (d + 4 * deadband)`` where ``d`` is the
+    shortfall beyond the deadband. Inside the deadband, and anywhere above
+    it, the penalty is zero: planned and controlled dispatches never produce
+    above ``engagement + deadband``.
+    """
+    band = policy.deadband_kw
+    coef = grid.delta_t_hours * (policy.price_eur_mwh / 1000.0) / policy.pv_capacity_kw
+    under = np.maximum((np.asarray(engagement_kw) - band) - np.asarray(production_kw), 0.0)
+    return coef * under * (under + 4.0 * band)
 
 
 def net_remuneration_series(
@@ -366,4 +333,4 @@ def net_remuneration_series(
     """
     price = policy.price_eur_mwh
     gross = grid.delta_t_hours * (price / 1000.0) * np.asarray(production_kw)
-    return gross - _penalty(engagement_kw, production_kw, price, policy, grid)
+    return gross - penalty_series(engagement_kw, production_kw, policy, grid)

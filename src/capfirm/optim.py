@@ -16,14 +16,15 @@ number of scenarios. The ordering is computed once per solve, by the first
 factorization; later iterations fill the matrix already permuted by it and
 factor in natural order. SuperLU runs with panels one column wide. The
 static regularization ``d`` keeps the pivots clear of zero, so each Newton
-direction is solved with that factorization alone, without refinement. An
+direction is one solve with that factorization, without refinement. An
 iteration is redone once with partial pivoting when its unpivoted
 factorization meets an exact zero pivot, or when its step collapses (both
 step lengths below ``_MIN_STEP``): near the end an unpivoted direction can
 blow up although no pivot is zero. Both are counted in
 ``QpSolution.refactors``. A floor on the corrector's centering target keeps
 the total gap ``s.z`` at or above a tenth of the stopping tolerance, where
-the direction still meets the linearized stationarity.
+the direction still meets the linearized stationarity, so it needs no
+correction step.
 
 The duals of the inequality rows start at ``max|c|`` (1 when ``c = 0``),
 after Mehrotra (1992), rather than at 1. The planning and control problems
@@ -39,11 +40,11 @@ differ by one across prices, and a non-unique optimum can still be left at
 slightly different points. Without this start, the early iterations are
 spent reconciling a dual of size 1 with a cost of size ``max|c|``.
 
-``solve_miqp`` adds best-bound branch-and-bound
-over the pairs; when the caller passes the battery structure
-(:class:`SocChainHints`), a repair step turns every almost-complementary
+``solve_miqp`` adds best-bound branch-and-bound over the pairs. When the
+caller passes the battery structure (:class:`SocChainHints`), a one-stage
+repair, the flux-preserving reduction paid for by PV curtailment, turns a
 relaxation point into a feasible incumbent without touching the
-coupling-point production.
+coupling-point production; a period it cannot clear is left to branching.
 
 Everything is deterministic: a fixed input yields a bit-identical solution
 path.
@@ -398,32 +399,16 @@ def _ipm(prob: QpProblem):
                     # exact zero pivot: refactor with partial pivoting
                     lu, pivoted = spla.splu(kkt), True
 
-                def solve(rhs):
-                    return lu.solve(rhs) if perm is None else lu.solve(rhs[inv])[perm]
-
                 def direction(r_c):
-                    rhs_x = -(r_d + a_t @ ((r_c + z * r_p) / s))
-                    sol = solve(np.concatenate([rhs_x, -r_e]))
-                    dx, dy = sol[:n], sol[n:]
-                    ds = -r_p - a_all @ dx
-                    dz = (r_c - z * ds) / s
-                    # Near the optimum W = Z/S spans some 30 orders of
-                    # magnitude, and dz recovered from the reduced system can
-                    # miss the linearized stationarity H dx + A'dz + G'dy =
-                    # -r_d by more than r_d itself, so the dual residual
-                    # stalls above the tolerance. When the miss exceeds a
-                    # tenth of r_d, one more solve corrects the whole step.
-                    e_d = hdiag * dx + a_t @ dz + g_t @ dy + r_d
-                    if np.max(np.abs(e_d)) > 0.1 * np.max(np.abs(r_d)):
-                        corr = solve(np.concatenate([-e_d, -(g_all @ dx + r_e)]))
-                        dds = -(a_all @ corr[:n])
-                        sol = sol + corr
-                        ds, dz = ds + dds, dz - z * dds / s
+                    rhs = np.concatenate([-(r_d + a_t @ ((r_c + z * r_p) / s)), -r_e])
+                    sol = lu.solve(rhs) if perm is None else lu.solve(rhs[inv])[perm]
                     # SuperLU does not raise on NaN, and a NaN step passes
-                    # every comparison above unnoticed
+                    # every later comparison unnoticed
                     if not np.isfinite(sol).all():
                         raise FloatingPointError("non-finite Newton direction")
-                    return sol[:n], sol[n:], ds, dz
+                    dx = sol[:n]
+                    ds = -r_p - a_all @ dx
+                    return dx, sol[n:], ds, (r_c - z * ds) / s
 
                 while True:
                     # predictor
@@ -555,20 +540,15 @@ class SocChainHints:
     charge: np.ndarray
     discharge: np.ndarray
     pv_used: np.ndarray
-    soc: np.ndarray
     pair_idx: np.ndarray
     eta_charge: float
     eta_discharge: float
-    delta_t_hours: float
-    soc_max_kwh: float
-    soc_end_kwh: float
 
 
 @dataclass(frozen=True)
 class RepairOutcome:
     x: np.ndarray
     resolved: bool
-    unresolved_pairs: tuple[int, ...]
 
 
 def _pair_tols(problem: QpProblem) -> np.ndarray:
@@ -589,106 +569,33 @@ def repair_simultaneous_flow(
 ) -> RepairOutcome:
     """Remove simultaneous charge/discharge from a relaxation point.
 
-    Per violating period, in chronological order:
-
-    1. reduce charge by ``dc`` and discharge by ``eta_cha*eta_dis*dc`` (or the
-       discharge-clearing analogue), which keeps the SoC flux of the period
-       exactly unchanged; the balance is paid by extra PV curtailment, so it
-       is limited by the PV used in that period;
-    2. any remainder is reduced symmetrically by ``d`` on both sides, which
-       raises the downstream SoC by ``d*(1/eta_dis - eta_cha)*dt`` per period
-       and is therefore capped by the remaining SoC headroom.
-
-    Step 2 leaves the terminal SoC above its pinned value; a restoration pass
-    sheds the surplus by substituting stored energy for curtailed PV in later
-    periods. The coupling-point production is never changed, so for planning
-    problems the objective of the repaired point equals the relaxation bound.
-    Periods that cannot be fully repaired are reported for branching.
+    In every violating period, charge falls by ``dc`` and discharge by
+    ``eta_cha*eta_dis*dc`` until one side is clear. That keeps the period's
+    SoC flux, and so every SoC, exactly unchanged; the power balance is paid
+    by extra PV curtailment, so the reduction is limited by the PV used in
+    that period. Each period is repaired on its own, in one array pass over
+    all scenarios and periods. The coupling-point production is never
+    changed, so for planning problems the objective of the repaired point
+    equals the relaxation bound. A period that this leaves violating (too
+    little PV) makes the outcome unresolved, and branch-and-bound takes it.
     """
     x = np.array(x, dtype=float)
-    tols = _pair_tols(problem)
     k = hints.eta_charge * hints.eta_discharge
-    coef = hints.delta_t_hours * (1.0 / hints.eta_discharge - hints.eta_charge)
-    unresolved: list[int] = []
-
-    for ci, di, pi, si, pair_idx in zip(hints.charge, hints.discharge, hints.pv_used,
-                                        hints.soc, hints.pair_idx):
-        horizon = ci.shape[0]
-        cha = x[ci].copy()
-        dis = x[di].copy()
-        pv = x[pi].copy()
-        soc = x[si].copy()
-        excess = 0.0
-        last_sym = -1
-        sym_periods: list[int] = []
-
-        for t in range(horizon):
-            ctol = tols[pair_idx[t]]
-            if min(cha[t], dis[t]) <= ctol:
-                continue
-            # stage 1: flux-preserving asymmetric reduction
-            if k * cha[t] <= dis[t]:
-                full_dc, full_dd = cha[t], k * cha[t]
-            else:
-                full_dd = dis[t]
-                full_dc = dis[t] / k
-            need_pv = full_dc - full_dd
-            frac = 1.0 if need_pv <= pv[t] + 1e-12 else (
-                pv[t] / need_pv if need_pv > 0 else 0.0)
-            cha[t] -= frac * full_dc
-            dis[t] -= frac * full_dd
-            pv[t] = max(pv[t] - frac * need_pv, 0.0)
-            cha[t] = max(cha[t], 0.0)
-            dis[t] = max(dis[t], 0.0)
-            if min(cha[t], dis[t]) <= ctol:
-                continue
-            # stage 2: symmetric reduction limited by SoC-cap headroom
-            if coef <= 1e-15:
-                d = min(cha[t], dis[t])
-            else:
-                headroom = max(hints.soc_max_kwh - float(np.max(soc[t:])), 0.0)
-                d = min(cha[t], dis[t], headroom / coef)
-            if d > 0.0:
-                cha[t] -= d
-                dis[t] -= d
-                soc[t:] += coef * d
-                excess += coef * d
-                last_sym = t
-                sym_periods.append(t)
-            if min(cha[t], dis[t]) > ctol:
-                unresolved.append(int(pair_idx[t]))
-
-        # terminal restoration: shed the SoC surplus created by stage 2
-        tol_soc = 1e-9 * max(1.0, hints.soc_end_kwh)
-        if excess > tol_soc:
-            for tau in range(max(last_sym, 0), horizon):
-                if excess <= tol_soc:
-                    break
-                ctol = tols[pair_idx[tau]]
-                if cha[tau] > ctol:
-                    continue
-                room = problem.ub[di[tau]] - dis[tau]
-                delta = min(pv[tau], room,
-                            excess * hints.eta_discharge / hints.delta_t_hours)
-                if delta <= 0.0:
-                    continue
-                dis[tau] += delta
-                pv[tau] -= delta
-                shed = hints.delta_t_hours * delta / hints.eta_discharge
-                soc[tau:] -= shed
-                excess -= shed
-            if excess > max(tol_soc, 1e-7):
-                # terminal equality cannot be restored: flag the symmetric
-                # periods so branch-and-bound deals with them
-                unresolved.extend(int(pair_idx[t]) for t in sym_periods)
-
-        x[ci] = cha
-        x[di] = dis
-        x[pi] = pv
-        x[si] = soc
-
-    unresolved_t = tuple(sorted(set(unresolved)))
-    return RepairOutcome(x=x, resolved=not unresolved_t, unresolved_pairs=unresolved_t)
+    tol = _pair_tols(problem)[hints.pair_idx]
+    hit = np.minimum(x[hints.charge], x[hints.discharge]) > tol
+    ci, di, pi = hints.charge[hit], hints.discharge[hit], hints.pv_used[hit]
+    cha, dis, pv = x[ci], x[di], x[pi]
+    # the full reduction clears the side with the smaller flux
+    clear_cha = k * cha <= dis
+    dc = np.where(clear_cha, cha, dis / k)
+    dd = np.where(clear_cha, k * cha, dis)
+    need_pv = dc - dd
+    frac = np.divide(pv, need_pv, out=np.zeros_like(pv), where=need_pv > 0)
+    frac[need_pv <= pv + 1e-12] = 1.0
+    x[ci] = np.maximum(cha - frac * dc, 0.0)
+    x[di] = np.maximum(dis - frac * dd, 0.0)
+    x[pi] = np.maximum(pv - frac * need_pv, 0.0)
+    return RepairOutcome(x=x, resolved=not np.any(np.minimum(x[ci], x[di]) > tol[hit]))
 
 
 def solve_miqp(
@@ -704,6 +611,8 @@ def solve_miqp(
     ``1e-6 * (1 + |incumbent|)`` or the node limit is reached. When hints are
     supplied, every violating relaxation point is repaired and a repaired
     point serves as an incumbent, which usually closes the gap at the root.
+    The repair makes the flux-preserving reduction only: a point with a period
+    it cannot clear is no incumbent, and branching goes on from it.
     """
     root = solve_qp(problem)
     if root.status is SolveStatus.INFEASIBLE or not problem.comp_pairs:

@@ -210,10 +210,9 @@ def dispatch_block(
 
     pairs = tuple(zip(idx.charge.T.ravel().tolist(), idx.discharge.T.ravel().tolist()))
     hints = SocChainHints(
-        charge=idx.charge, discharge=idx.discharge, pv_used=idx.pv_used, soc=idx.soc,
+        charge=idx.charge, discharge=idx.discharge, pv_used=idx.pv_used,
         pair_idx=np.arange(t_n)[None, :] * s_n + np.arange(s_n)[:, None],
-        eta_charge=eta_c, eta_discharge=eta_d, delta_t_hours=dt,
-        soc_max_kwh=system.soc_max_kwh, soc_end_kwh=system.soc_end_kwh)
+        eta_charge=eta_c, eta_discharge=eta_d)
     return DispatchBlock(index=idx, q=q, c=c, lb=lb, ub=ub, a_eq=a_eq, b_eq=b_eq,
                          pairs=pairs, hints=hints)
 

@@ -29,22 +29,6 @@ class EstimationError(ValueError):
     """Raised when the error history cannot support a copula fit."""
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF, accurate to double precision."""
-    x = np.asarray(x, dtype=float)
-    out = special.ndtr(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_quantile(u):
-    """Inverse standard normal CDF; defined on the open interval (0, 1)."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("quantile arguments must lie strictly inside (0, 1)")
-    out = special.ndtri(arr)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class ErrorMarginal:
     """Sorted historical forecast errors of one lead time."""
@@ -66,13 +50,6 @@ class ErrorMarginal:
         m = z.shape[0]
         grid = (np.arange(1, m + 1) - 0.5) / m
         return np.interp(u, grid, z)
-
-    def cdf(self, z):
-        """Inverse of :meth:`inverse_cdf` (same interpolation nodes)."""
-        zs = self.sorted_errors_kw
-        m = zs.shape[0]
-        grid = (np.arange(1, m + 1) - 0.5) / m
-        return np.interp(z, zs, grid)
 
 
 @dataclass(frozen=True)
@@ -168,8 +145,7 @@ def _average_ranks(sorted_sample: np.ndarray, values: np.ndarray) -> np.ndarray:
             + np.searchsorted(sorted_sample, values, "right") + 1) / 2.0
 
 
-def fit_copula(errors_kw, pv_capacity_kw: float,
-               min_days: int = MIN_HISTORY_DAYS) -> CopulaModel:
+def fit_copula(errors_kw, pv_capacity_kw: float) -> CopulaModel:
     """Estimate marginals and normal-score correlation from an error history.
 
     ``errors_kw`` is a (days x T) matrix of forecast errors. Lead times whose
@@ -184,8 +160,9 @@ def fit_copula(errors_kw, pv_capacity_kw: float,
     if errors.ndim != 2:
         raise EstimationError("error history must be a (days x T) matrix")
     days, t_n = errors.shape
-    if days < min_days:
-        raise EstimationError(f"need at least {min_days} history days, got {days}")
+    if days < MIN_HISTORY_DAYS:
+        raise EstimationError(
+            f"need at least {MIN_HISTORY_DAYS} history days, got {days}")
     if not np.all(np.isfinite(errors)):
         raise EstimationError("error history contains non-finite values")
 

@@ -9,7 +9,7 @@ from capfirm.controller import (
     day_economics,
     oracle_control,
 )
-from capfirm.domain import EngagementPlan, net_remuneration_series, penalty
+from capfirm.domain import EngagementPlan, net_remuneration_series, penalty_series
 from capfirm.planner import PlanningInstance, build_planning_qp, plan_deterministic
 from capfirm.scenarios import ScenarioSet
 
@@ -77,9 +77,7 @@ class TestOracleControl:
         expected_p = np.minimum(realized, np.minimum(eng + policy.deadband_kw,
                                                      policy.prod_max_kw))
         assert np.allclose(res.trace.production_kw, expected_p, atol=1e-5)
-        expected_pen = sum(
-            penalty(eng[t], expected_p[t], policy.price_eur_mwh[t], policy, grid)
-            for t in range(8))
+        expected_pen = float(np.sum(penalty_series(eng, expected_p, policy, grid)))
         assert res.economics.penalty_eur == pytest.approx(expected_pen, abs=1e-6)
 
     def test_penalty_consistent_with_domain(self):
@@ -89,10 +87,8 @@ class TestOracleControl:
         pv = np.array([0.0, 10.0, 30.0, 55.0, 60.0, 45.0, 20.0, 0.0])
         planned = plan_deterministic(pv * 1.2, grid, policy, system, mode="D")
         res = oracle_control(planned.engagement, pv, policy, system, grid)
-        recomputed = sum(
-            penalty(planned.engagement.values_kw[t], res.trace.production_kw[t],
-                    policy.price_eur_mwh[t], policy, grid)
-            for t in range(8))
+        recomputed = float(np.sum(penalty_series(
+            planned.engagement.values_kw, res.trace.production_kw, policy, grid)))
         assert res.economics.penalty_eur == pytest.approx(recomputed, abs=1e-12)
 
     def test_objective_beats_greedy_baseline(self):

@@ -13,7 +13,6 @@ from capfirm.domain import (
     build_cre_policy,
     check_engagement,
     net_remuneration_series,
-    penalty,
     penalty_series,
 )
 
@@ -124,13 +123,21 @@ class TestCheckEngagement:
             check_engagement(EngagementPlan(np.zeros(10)), policy)
 
 
+def flat(value):
+    return np.full(96, value)
+
+
 class TestPenalty:
+    # the policy fixture charges a flat 100 EUR/MWh in every period
+
     def test_zero_inside_deadband(self, policy, grid):
-        assert penalty(300.0, 300.0, 100.0, policy, grid) == 0.0
+        production = 300.0 - np.linspace(0.0, 0.999 * policy.deadband_kw, 96)
+        assert np.all(penalty_series(flat(300.0), production, policy, grid) == 0.0)
 
     def test_zero_at_threshold(self, policy, grid):
         e = 300.0
-        assert penalty(e, e - policy.deadband_kw, 100.0, policy, grid) == 0.0
+        assert np.all(penalty_series(flat(e), flat(e - policy.deadband_kw),
+                                     policy, grid) == 0.0)
 
     def test_hand_evaluated_ten_kw_shortfall(self, policy, grid):
         # delta = 10 kW beyond the deadband, pi = 100 EUR/MWh, dt = 0.25 h
@@ -138,48 +145,32 @@ class TestPenalty:
         p = e - policy.deadband_kw - 10.0
         # independent scalar evaluation of the threshold-quadratic form
         oracle = (0.25 * (100.0 / 1000.0) / PC) * 10.0 * (10.0 + 4.0 * 23.32)
-        val = penalty(e, p, 100.0, policy, grid)
-        assert val == pytest.approx(oracle, abs=1e-15)
-        assert val == pytest.approx(0.055360205831903944, abs=1e-9)
+        val = penalty_series(flat(e), flat(p), policy, grid)
+        assert val == pytest.approx(flat(oracle), abs=1e-15)
+        assert val[0] == pytest.approx(0.055360205831903944, abs=1e-9)
 
     def test_continuity_and_monotonicity(self, policy, grid):
         e = 200.0
         edge = e - policy.deadband_kw
         eps = 1e-7
-        assert penalty(e, edge - eps, 100.0, policy, grid) < 1e-8
-        shortfalls = np.linspace(0.1, 50.0, 40)
-        vals = [penalty(e, edge - d, 100.0, policy, grid) for d in shortfalls]
+        assert np.all(penalty_series(flat(e), flat(edge - eps), policy, grid) < 1e-8)
+        shortfalls = np.linspace(0.1, 50.0, 96)
+        vals = penalty_series(flat(e), edge - shortfalls, policy, grid)
         assert np.all(np.diff(vals) > 0)
 
-    def test_linear_in_price_and_dt(self, policy):
+    def test_linear_in_price_and_dt(self, policy, grid):
         e, p = 300.0, 250.0
-        g1 = TimeGrid.daily(0.25)
+        base = penalty_series(flat(e), flat(p), policy, grid)
+        doubled = build_cre_policy(grid, 200.0, 200.0, PC)
+        assert penalty_series(flat(e), flat(p), doubled, grid) == pytest.approx(2.0 * base)
         g2 = TimeGrid(48, 0.5, np.zeros(48, dtype=bool))
-        assert penalty(e, p, 200.0, policy, g1) == pytest.approx(
-            2.0 * penalty(e, p, 100.0, policy, g1))
-        assert penalty(e, p, 100.0, policy, g2) == pytest.approx(
-            2.0 * penalty(e, p, 100.0, policy, g1))
+        half_hourly = build_cre_policy(g2, 100.0, 100.0, PC)
+        assert penalty_series(np.full(48, e), np.full(48, p), half_hourly, g2) == \
+            pytest.approx(2.0 * base[:48])
 
     def test_zero_above_engagement(self, policy, grid):
-        for p in (300.0, 320.0, 460.0):
-            assert penalty(300.0, p, 100.0, policy, grid) == 0.0
-
-    def test_overproduction_flag(self, policy, grid):
-        e = 100.0
-        p = e + policy.deadband_kw + 10.0
-        assert penalty(e, p, 100.0, policy, grid) == 0.0
-        sym = penalty(e, p, 100.0, policy, grid, overproduction=True)
-        under = penalty(e, e - policy.deadband_kw - 10.0, 100.0, policy, grid)
-        assert sym == pytest.approx(under)
-
-    def test_series_matches_scalar(self, policy, grid):
-        rng = np.random.default_rng(0)
-        e = rng.uniform(-20, 400, 96)
-        p = rng.uniform(-20, 400, 96)
-        series = penalty_series(e, p, policy, grid)
-        scalars = [penalty(e[t], p[t], policy.price_eur_mwh[t], policy, grid)
-                   for t in range(96)]
-        assert np.allclose(series, scalars, atol=1e-12)
+        production = np.resize([300.0, 320.0, 460.0], 96)
+        assert np.all(penalty_series(flat(300.0), production, policy, grid) == 0.0)
 
 
 class TestNetRemuneration:

@@ -17,7 +17,7 @@ from capfirm.optim import (
     solve_miqp,
     solve_qp,
 )
-from capfirm.planner import PlanningInstance, build_planning_qp
+from capfirm.planner import PlanningInstance, build_planning_qp, dispatch_block
 from capfirm.scenarios import ScenarioSet
 
 from oracles import (
@@ -415,9 +415,7 @@ def _two_period_chain_problem(pv_caps, soc_max, dis_cap=10.0):
                      comp_pairs=((2, 3), (7, 8)))
     hints = SocChainHints(
         charge=idx_cha[None], discharge=idx_dis[None], pv_used=idx_pv[None],
-        soc=idx_soc[None], pair_idx=np.array([[0, 1]]),
-        eta_charge=eta, eta_discharge=eta, delta_t_hours=1.0,
-        soc_max_kwh=soc_max, soc_end_kwh=0.0)
+        pair_idx=np.array([[0, 1]]), eta_charge=eta, eta_discharge=eta)
     return prob, hints
 
 
@@ -454,25 +452,69 @@ class TestRepairSimultaneousFlow:
         assert out.x[4] == pytest.approx(s0, abs=1e-9)
         assert out.x[9] == pytest.approx(0.0, abs=1e-9)
 
-    def test_symmetric_repair_capped_by_soc_headroom(self):
-        # no PV anywhere blocks the flux-preserving stage; the symmetric
-        # reduction is capped by d * (1/eta - eta) * dt = SoC headroom and
-        # the period stays flagged for branching
+    def test_period_without_pv_is_unresolved(self):
+        # no PV to curtail: the flux-preserving reduction cannot move, and
+        # the period is left for branching
         eta = 0.9
-        soc_max = 2.5
-        prob, hints = _two_period_chain_problem(np.array([0.0, 0.0]), soc_max)
+        prob, hints = _two_period_chain_problem(np.array([0.0, 0.0]), soc_max=2.5)
         x = np.zeros(10)
         x[[0, 2, 3]] = [-3.0, 5.0, 2.0]           # withdraw 3, churn 5/2
         s0 = eta * 5.0 - 2.0 / eta
         x[4] = s0
         x[[5, 8]] = [s0 * eta, s0 * eta]
-        x[9] = 0.0
-        # make period 1 impossible to shed into: discharge already at cap
-        x_in = x.copy()
-        out = repair_simultaneous_flow(prob, x_in, hints)
-        coef = 1.0 / eta - eta
-        d_expected = (soc_max - s0) / coef
+        out = repair_simultaneous_flow(prob, x, hints)
         assert not out.resolved
-        assert out.x[2] == pytest.approx(5.0 - d_expected, abs=1e-9)
-        assert out.x[3] == pytest.approx(2.0 - d_expected, abs=1e-9)
         assert out.x[0] == -3.0                    # production untouched
+
+    def test_paper_scale_block_in_one_pass(self):
+        # S=20 scenarios over T=96 periods, simultaneous flow with PV
+        # headroom in about half of the cells of a point that meets every
+        # equality row; the SoC rises in even periods and falls back in odd
+        s_n, t_n = 20, 96
+        grid = toy_grid(t_n, peak=range(76, 84))
+        policy = toy_policy(grid, pv_capacity=466.4)
+        system = toy_system(pv_capacity=466.4, capacity_kwh=233.2)
+        rng = np.random.default_rng(3)
+        pv = rng.uniform(50.0, 400.0, (s_n, t_n))
+        block = dispatch_block(pv, np.full(s_n, 1.0 / s_n), t_n, grid, policy, system)
+        prob = QpProblem(q=block.q, c=block.c, a_eq=block.a_eq, b_eq=block.b_eq,
+                         lb=block.lb, ub=block.ub, comp_pairs=block.pairs)
+        idx, dt = block.index, grid.delta_t_hours
+        eta_c, eta_d = system.eta_charge, system.eta_discharge
+        rate = np.repeat(rng.uniform(0.0, 50.0, (s_n, t_n // 2)), 2, axis=1)
+        rate[:, 1::2] *= -1.0                    # SoC rate eta_c*cha - dis/eta_d
+        churn = np.where(rng.random((s_n, t_n)) < 0.5, rng.uniform(1.0, 10.0, (s_n, t_n)),
+                         0.0)
+        up = rate >= 0.0
+        cha = np.where(up, rate / eta_c + churn, churn / (eta_c * eta_d))
+        dis = np.where(up, eta_c * eta_d * churn, -rate * eta_d + churn)
+        x = np.zeros(prob.n_var)
+        x[idx.pv_used] = 0.5 * pv
+        x[idx.charge] = cha
+        x[idx.discharge] = dis
+        x[idx.production] = x[idx.pv_used] + dis - cha
+        x[idx.soc] = system.soc_init_kwh + dt * np.cumsum(eta_c * cha - dis / eta_d, axis=1)
+        tols = optim._pair_tols(prob)
+        assert np.sum(comp_violations(prob, x) > tols) > s_n * t_n // 3
+        assert np.max(np.abs(prob.a_eq @ x - prob.b_eq)) <= 1e-12 * np.max(np.abs(x))
+
+        # reference: the per-period loop that the array pass replaces
+        ref, k = x.copy(), eta_c * eta_d
+        for c, d, p, tol in zip(idx.charge.ravel(), idx.discharge.ravel(),
+                                idx.pv_used.ravel(), tols[block.hints.pair_idx].ravel()):
+            if min(ref[c], ref[d]) <= tol:
+                continue
+            dc, dd = (ref[c], k * ref[c]) if k * ref[c] <= ref[d] else (ref[d] / k, ref[d])
+            need = dc - dd
+            frac = 1.0 if need <= ref[p] + 1e-12 else (ref[p] / need if need > 0 else 0.0)
+            ref[c] = max(ref[c] - frac * dc, 0.0)
+            ref[d] = max(ref[d] - frac * dd, 0.0)
+            ref[p] = max(ref[p] - frac * need, 0.0)
+
+        out = repair_simultaneous_flow(prob, x, block.hints)
+        assert out.resolved
+        assert np.array_equal(out.x, ref)
+        assert np.max(np.abs(prob.a_eq @ out.x - prob.a_eq @ x)) <= 1e-12 * np.max(np.abs(x))
+        assert np.array_equal(out.x[idx.production], x[idx.production])
+        assert prob.objective(out.x) == pytest.approx(prob.objective(x), rel=1e-12, abs=1e-12)
+        assert np.all(comp_violations(prob, out.x) <= tols)

@@ -1,8 +1,8 @@
-"""Normal transforms, copula estimation and scenario sampling."""
+"""Copula estimation and scenario sampling."""
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import special, stats
 
 from capfirm import scenarios
 from capfirm.scenarios import (
@@ -12,41 +12,9 @@ from capfirm.scenarios import (
     ScenarioSet,
     fit_copula,
     sample_scenarios,
-    std_normal_cdf,
-    std_normal_quantile,
 )
 
 PC = 466.4
-
-
-def _normal_cdf_quadrature(x):
-    val, _ = integrate.quad(lambda t: np.exp(-0.5 * t * t) / np.sqrt(2 * np.pi),
-                            -30.0, x, limit=200)
-    return val
-
-
-class TestNormalTransforms:
-    def test_cdf_symmetry(self):
-        assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_cdf_vs_quadrature(self):
-        for x in (-8.0, -3.5, -1.0, 0.3, 1.959964, 4.2, 8.0):
-            assert std_normal_cdf(x) == pytest.approx(
-                _normal_cdf_quadrature(x), abs=1e-7)
-        assert std_normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
-
-    def test_quantile_midpoint(self):
-        assert std_normal_quantile(0.5) == 0.0
-
-    def test_round_trip(self):
-        x = np.linspace(-6.0, 6.0, 121)
-        back = std_normal_quantile(std_normal_cdf(x))
-        assert np.max(np.abs(back - x)) < 1e-6
-
-    def test_quantile_domain(self):
-        for u in (0.0, 1.0, -0.1, 1.2):
-            with pytest.raises(ValueError):
-                std_normal_quantile(u)
 
 
 def _correlated_errors(days, t_n, rho, rng, scale=30.0):
@@ -187,8 +155,9 @@ class TestSampleScenarios:
         dev = out.values_kw - forecast[None, :]
         scores = np.empty_like(dev)
         for k, marg in enumerate(model.marginals):
-            u = np.clip(marg.cdf(dev[:, k]), 1e-9, 1 - 1e-9)
-            scores[:, k] = std_normal_quantile(u)
+            zs = marg.sorted_errors_kw
+            u = np.interp(dev[:, k], zs, (np.arange(1, zs.size + 1) - 0.5) / zs.size)
+            scores[:, k] = special.ndtri(np.clip(u, 1e-9, 1 - 1e-9))
         r_gen = np.corrcoef(scores, rowvar=False)
         assert np.max(np.abs(r_gen - model.correlation)) <= 0.05
 
@@ -202,7 +171,8 @@ class TestSampleScenarios:
         dev = out.values_kw - forecast[None, :]
         n_bins = 20
         for k, marg in enumerate(model.marginals):
-            u = marg.cdf(dev[:, k])
+            zs = marg.sorted_errors_kw
+            u = np.interp(dev[:, k], zs, (np.arange(1, zs.size + 1) - 0.5) / zs.size)
             counts, _ = np.histogram(u, bins=n_bins, range=(0.0, 1.0))
             expected = dev.shape[0] / n_bins
             chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -222,7 +192,7 @@ class TestSampleScenarios:
         expected = np.empty((25, 8))
         for w, child in enumerate(np.random.SeedSequence(4).spawn(25)):
             rng_w = np.random.Generator(np.random.PCG64(child))
-            u = std_normal_cdf(model.cholesky_factor @ rng_w.standard_normal(8))
+            u = special.ndtr(model.cholesky_factor @ rng_w.standard_normal(8))
             z = [0.0 if m.degenerate else m.inverse_cdf(u[k])
                  for k, m in enumerate(model.marginals)]
             expected[w] = np.clip(forecast + z, 0.0, PC)
