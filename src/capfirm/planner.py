@@ -20,6 +20,15 @@ rows (power balance and the SoC recursion); every variable additionally
 carries finite bounds, which the solver folds into slack rows (about
 ``2*(T + 6*T*S)`` more). The terminal SoC is pinned to its boundary value
 through its bounds.
+
+The pv_used, charge, discharge and soc series appear in no inequality row
+but their bounds, so the solver eliminates them before it factors its KKT
+matrix (see :mod:`capfirm.optim`), except the ``n_fixed`` variables whose
+bounds coincide (the terminal SoC, pv_used where no PV is available). The
+factored matrix then has dimension ``T + 4*T*S + 2*n_fixed``: the
+engagement, production and underdev columns, the ``2*T*S`` equality rows
+and one column and one equality row per fixed variable. At S=20 and T=96
+that is about 10,300, against 11,616 variables and 3,840 equality rows.
 """
 
 from __future__ import annotations

@@ -81,15 +81,23 @@ class TestOracleControl:
         assert res.economics.penalty_eur == pytest.approx(expected_pen, abs=1e-6)
 
     def test_penalty_consistent_with_domain(self):
+        # the tender's penalty, written out per period: a shortfall d beyond
+        # the deadband below the engagement costs (dt*price/capacity)*d*(d + 4*band)
         grid = toy_grid(8)
         policy = toy_policy(grid)
         system = toy_system(capacity_kwh=15.0)
         pv = np.array([0.0, 10.0, 30.0, 55.0, 60.0, 45.0, 20.0, 0.0])
         planned = plan_deterministic(pv * 1.2, grid, policy, system, mode="D")
         res = oracle_control(planned.engagement, pv, policy, system, grid)
-        recomputed = float(np.sum(penalty_series(
-            planned.engagement.values_kw, res.trace.production_kw, policy, grid)))
-        assert res.economics.penalty_eur == pytest.approx(recomputed, abs=1e-12)
+        band = policy.deadband_kw
+        expected = 0.0
+        for eng, prod, price in zip(planned.engagement.values_kw, res.trace.production_kw,
+                                    policy.price_eur_mwh):
+            d = max(eng - band - prod, 0.0)
+            expected += grid.delta_t_hours * (price / 1000.0) / policy.pv_capacity_kw \
+                * d * (d + 4.0 * band)
+        assert res.economics.penalty_eur > 0.0
+        assert res.economics.penalty_eur == pytest.approx(expected, rel=1e-12)
 
     def test_objective_beats_greedy_baseline(self):
         # idle battery, export pv up to the deadband cap: always feasible on

@@ -119,7 +119,8 @@ class TestSolveQpBasics:
         # stop and leave the decision to the elastic certificate, whose KKT
         # matrix has another dimension and factors normally
         node = _unreachable_floor_node()
-        dim = node.n_var + optim._standard_form(node)[2].shape[0]
+        parts = _kkt_parts(node)
+        dim = optim._KktAssembler(*parts)(np.ones(parts[0].shape[0])).shape[0]
         calls = []
         splu = optim.spla.splu
 
@@ -215,20 +216,36 @@ def _noisy_planning_qp(n_periods, n_scen, seed=5):
 
 
 def _kkt_parts(prob):
-    """The standard-form rows and the KKT diagonal and regularization of _ipm."""
+    """The standard-form rows, G', and the KKT diagonal and regularization of _ipm."""
     a_all, _, g_all, _ = optim._standard_form(prob)
     hdiag = 2.0 * prob.q
     reg = optim._REG * max(1.0, float(np.max(hdiag, initial=0.0)))
-    return a_all, g_all, hdiag + reg, reg
+    return a_all, g_all.T.tocsr(), hdiag + reg, reg
 
 
-def _reference_kkt(a_all, g_all, d, reg, w):
+def _reference_kkt(a_all, g_t, d, reg, w):
     """[[diag(d) + A'WA, G'], [G, -reg I]] assembled from whole sparse matrices."""
     top = sp.diags(d) + (a_all.T @ sp.diags(w) @ a_all).tocsr()
-    p = g_all.shape[0]
+    p = g_t.shape[1]
     if not p:
         return sp.csc_matrix(top)
-    return sp.bmat([[top, g_all.T], [g_all, -reg * sp.eye(p)]], format="csc")
+    return sp.bmat([[top, g_t], [g_t.T, -reg * sp.eye(p)]], format="csc")
+
+
+def _reference_condensed_kkt(keep, a_all, g_t, d, reg, w):
+    """Schur complement of the eliminated variables' block of the whole matrix.
+
+    That block must be diagonal and meet the retained variables nowhere.
+    """
+    full = _reference_kkt(a_all, g_t, d, reg, w)
+    n = a_all.shape[1]
+    elim = np.setdiff1d(np.arange(n), keep)
+    rest = np.concatenate([keep, np.arange(n, full.shape[0])])
+    block = full[elim][:, elim]
+    assert (block - sp.diags(block.diagonal())).nnz == 0
+    assert full[keep][:, elim].nnz == 0
+    border = full[rest][:, elim]
+    return (full[rest][:, rest] - border @ sp.diags(1.0 / block.diagonal()) @ border.T).tocsc()
 
 
 class TestKktAssembly:
@@ -241,27 +258,72 @@ class TestKktAssembly:
         if case == "planning":
             prob = _noisy_planning_qp(n_periods=6, n_scen=2)
         elif case == "bounds_only":
+            # every variable but the free one is eliminated
             q, c, _, _, lb, ub = random_box_qp(rng, 7)
+            lb[3], ub[3] = -np.inf, np.inf
             prob = QpProblem(q=q, c=c, lb=lb, ub=ub)
         else:
             prob = QpProblem(q=[1.0, 0.0, 2.0], c=[0.0, 1.0, -1.0],
                              a_eq=[[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], b_eq=[2.0, 0.5])
         parts = _kkt_parts(prob)
-        m, p = parts[0].shape[0], parts[1].shape[0]
+        m, p = parts[0].shape[0], parts[1].shape[1]
         assert (m > 0, p > 0) == (has_rows, has_eq)
         assemble = optim._KktAssembler(*parts)
         for _ in range(2 if m else 1):
             w = np.exp(rng.uniform(-8.0, 8.0, m))
             got = assemble(w).toarray()
-            ref = _reference_kkt(*parts, w).toarray()
-            assert got.shape == ref.shape == (prob.n_var + p,) * 2
+            ref = _reference_condensed_kkt(assemble.keep, *parts, w).toarray()
+            assert got.shape == ref.shape == (assemble.keep.size + p,) * 2
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("charges_fixed", [False, True], ids=["relaxation", "node"])
+    def test_back_substituted_direction_solves_the_whole_system(self, charges_fixed):
+        # the condensed solve plus dx_E = (r1_E - G_E' dy) / D_E must solve
+        # the whole KKT system, also at a branch-and-bound node whose fixed
+        # charges stay in the factored core as equality rows
+        prob = _noisy_planning_qp(n_periods=8, n_scen=3)
+        if charges_fixed:
+            ub = prob.ub.copy()
+            ub[[i for i, _ in prob.comp_pairs]] = 0.0
+            prob = replace(prob, ub=ub)
+        parts = _kkt_parts(prob)
+        a_all, g_t = parts[:2]
+        rng = np.random.default_rng(41)
+        assemble = optim._KktAssembler(*parts)
+        w = np.exp(rng.uniform(-8.0, 8.0, a_all.shape[0]))
+        lu = optim._splu_symmetric(assemble(w))
+        r1 = rng.standard_normal(prob.n_var)
+        r2 = rng.standard_normal(g_t.shape[1])
+        dx, dy = assemble.expand(lu.solve(assemble.condense(r1, r2)), r1)
+        full = _reference_kkt(*parts, w)
+        sol = np.concatenate([dx, dy])
+        ref = sp.linalg.spsolve(full, np.concatenate([r1, r2]))
+        assert np.max(np.abs(sol - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_exactly_the_bound_only_variables_are_eliminated(self):
+        # x0, x1 share a row of A (coupled); x2 has bounds only; x3 has a
+        # one-entry row of A and no bounds; x4 is fixed, an equality row of
+        # the standard form; x5 is free and appears only in an equality row
+        prob = QpProblem(q=[1.0, 0.0, 0.5, 0.0, 1.0, 2.0], c=[1.0, 1.0, 1.0, -1.0, 1.0, 1.0],
+                         a_ub=[[1.0, -1.0, 0, 0, 0, 0], [0, 0, 0, 2.0, 0, 0]],
+                         b_ub=[1.0, 3.0],
+                         a_eq=[[0, 0, 1.0, 0, 0, 1.0]], b_eq=[0.5],
+                         lb=[0.0, -np.inf, -1.0, -np.inf, 2.0, -np.inf],
+                         ub=[4.0, 5.0, 1.0, np.inf, 2.0, np.inf])
+        parts = _kkt_parts(prob)
+        assemble = optim._KktAssembler(*parts)
+        assert assemble.keep.tolist() == [0, 1, 4, 5]
+        kkt = assemble(np.ones(parts[0].shape[0]))
+        assert kkt.shape == (4 + 2, 4 + 2)    # two equality rows: a_eq and x4
+        sol = solve_qp(prob)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.x[4] == pytest.approx(2.0, abs=1e-9)
 
     def test_symmetric_fill_grows_linearly_in_scenarios(self):
         # without pivoting the fill does not depend on the values. The
         # partially pivoted factorization of the same matrices grows
-        # superlinearly: 7.7k non-zeros of L + U per scenario at S=5 against
-        # 93k at S=50 (5.2k and 5.7k here)
+        # superlinearly: 5.1k non-zeros of L + U per scenario at S=5 against
+        # 111k at S=50 (3.1k and 3.6k here)
         per_scenario = {}
         for n_scen in (5, 50):
             parts = _kkt_parts(_noisy_planning_qp(n_periods=96, n_scen=n_scen))
@@ -273,7 +335,7 @@ class TestKktAssembly:
     def test_reused_ordering_keeps_the_fill_and_the_solution(self):
         # _ipm takes the ordering of its first factorization and fills the
         # later matrices permuted by it. Permuting by perm_c where its inverse
-        # belongs multiplies the fill by 17.5 here.
+        # belongs multiplies the fill by 21.6 here.
         parts = _kkt_parts(_noisy_planning_qp(n_periods=96, n_scen=20))
         m = parts[0].shape[0]
         rng = np.random.default_rng(29)

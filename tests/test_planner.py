@@ -317,6 +317,37 @@ def _perfect_foresight_day(season, day, ratio, price):
 
 
 class TestPaperScaleDay:
+    def test_bound_only_dispatch_is_eliminated_before_factoring(self, monkeypatch):
+        # pv_used, charge, discharge and soc appear in no inequality row but
+        # their bounds, so the IPM eliminates them in closed form, except the
+        # fixed ones (terminal SoC, PV-free periods), which stay as variables
+        # and as equality rows. The matrix handed to the first factorization
+        # is then T engagement columns, 2ST production and underdev columns,
+        # 2ST equality rows and twice the fixed variables.
+        with np.load(DATA / "s20_season4_day132.npz") as data:
+            scen = ScenarioSet(data["values_kw"], data["weights"])
+        grid = TimeGrid.daily()
+        policy = toy_policy(grid, pv_capacity=466.4)
+        system = toy_system(pv_capacity=466.4, capacity_kwh=233.2)
+        problem, _, _ = build_planning_qp(PlanningInstance(grid, policy, system, scen, "S"))
+        lb, ub = problem.lb, problem.ub
+        n_fixed = int(np.sum(np.isfinite(lb) & np.isfinite(ub)
+                             & (ub - lb <= 1e-14 * np.maximum(1.0, np.abs(ub)))))
+        t_n, s_n = grid.n_periods, scen.n_scenarios
+        dims = []
+
+        class FirstFactor(Exception):
+            pass
+
+        def record(kkt, *args):
+            dims.append(kkt.shape[0])
+            raise FirstFactor
+
+        monkeypatch.setattr(optim, "_splu_symmetric", record)
+        with pytest.raises(FirstFactor):
+            optim.solve_qp(problem)
+        assert dims == [t_n + 4 * s_n * t_n + 2 * n_fixed]
+
     @pytest.fixture(scope="class")
     def solved_day(self):
         """Plan of day 132 of synthetic season 4 with every QP solve recorded.
