@@ -6,9 +6,12 @@ and system numbers (quarter-hour grid, 19-21 h peak window, CRE-style bound
 fractions, battery able to fully charge in one hour inside a 10-90 % SoC
 window, 300/700 EUR capex split, 20 years at 5 %, 3000-cycle battery life,
 the 7x8 sizing grid). The peak window and the tender fractions are the
-:mod:`capfirm.domain` constants. The ``econ.*`` keys are parsed so that
-config files carrying them load, but no builder reads them yet. Unknown keys
-are rejected listing the valid ones.
+:mod:`capfirm.domain` constants. The ``econ.*``, ``scenarios.*``,
+``sizing.*`` and ``synthetic.*`` keys are parsed so that config files
+carrying them load, but no builder reads them yet. The ``synthetic.*`` keys
+describe a synthetic season: its length, start date and AR(1) daily
+clearness index. There is no key for a feature that no code implements.
+Unknown keys are rejected listing the valid ones.
 """
 
 from __future__ import annotations
@@ -54,14 +57,11 @@ DEFAULTS: dict[str, float | int | str] = {
     "scenarios.count": 20,
     "sizing.ratios": "0.5,0.75,1,1.25,1.5,1.75,2",
     "sizing.prices_eur_mwh": "50,100,150,200,250,300,350,400",
-    "sim.withdrawal_price_eur_mwh": "tariff",
     "synthetic.days": 151,
     "synthetic.start_date": "2019-08-03",
     "synthetic.ar1_coeff": 0.85,
     "synthetic.index_std": 0.25,
     "synthetic.index_mean": 0.60,
-    "synthetic.forecast_error_std_frac": 0.08,
-    "synthetic.forecast_bias_frac": 0.0,
 }
 
 
@@ -175,15 +175,3 @@ def build_system(config: dict, ratio: float | None = None) -> SystemConfig:
         soc_end_kwh=float(config["bess.soc_init_frac"]) * cap,
         soc_max_kwh=float(config["bess.soc_max_frac"]) * cap,
     )
-
-
-def withdrawal_price(config: dict) -> float | None:
-    """Flat withdrawal price in EUR/MWh, or None to bill at the tariff."""
-    raw = str(config["sim.withdrawal_price_eur_mwh"]).strip()
-    if raw == "tariff":
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            "sim.withdrawal_price_eur_mwh must be a number or 'tariff'") from exc

@@ -153,7 +153,7 @@ def oracle_control(
             "dispatch infeasible (energy-coupled: battery cannot honor the floors)")
 
     trace = dispatch_trace(sol.x, idx, 0, engagement.values_kw, policy.deadband_kw)
-    trace.validate(grid, system, tol=1e-6)
+    trace.validate(grid, system)
     econ = day_economics(trace, engagement, policy, grid)
     return ControlResult(trace=trace, economics=econ, objective=sol.objective,
                          status=sol.status, solution=sol)

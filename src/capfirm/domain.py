@@ -192,8 +192,9 @@ class DispatchTrace:
                      "discharge_kw", "soc_kwh", "underdev_kw"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), n, name))
 
-    def validate(self, grid: TimeGrid, system: SystemConfig, tol: float = 1e-6) -> None:
-        """Raise if the trace violates balance, SoC or sign constraints."""
+    def validate(self, grid: TimeGrid, system: SystemConfig) -> None:
+        """Raise if the trace violates balance, SoC or sign constraints by 1e-6."""
+        tol = 1e-6
         if self.production_kw.shape[0] != grid.n_periods:
             raise ShapeError("trace length does not match the grid")
         for name in ("pv_used_kw", "charge_kw", "discharge_kw", "underdev_kw"):

@@ -49,11 +49,14 @@ differ by one across prices, and a non-unique optimum can still be left at
 slightly different points. Without this start, the early iterations are
 spent reconciling a dual of size 1 with a cost of size ``max|c|``.
 
-``solve_miqp`` adds best-bound branch-and-bound over the pairs. When the
-caller passes the battery structure (:class:`SocChainHints`), a one-stage
-repair, the flux-preserving reduction paid for by PV curtailment, turns a
-relaxation point into a feasible incumbent without touching the
-coupling-point production; a period it cannot clear is left to branching.
+``solve_miqp`` adds best-bound branch-and-bound over the pairs. Each pair is
+a row (charge, discharge) of ``QpProblem.comp_pairs``. When the caller
+passes the battery structure (:class:`SocChainHints`: the PV-used variable
+of each pair's period, aligned with those rows, and the two efficiencies),
+a one-stage repair, the flux-preserving reduction paid for by PV
+curtailment, turns a relaxation point into a feasible incumbent without
+touching the coupling-point production; a pair it cannot clear is left to
+branching.
 
 Everything is deterministic: a fixed input yields a bit-identical solution
 path.
@@ -83,7 +86,6 @@ class SolverError(RuntimeError):
 
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
-    OPTIMAL_REPAIRED = "relaxation-optimal-repaired"
     NODE_LIMIT_INCUMBENT = "node-limit-incumbent"
     NODE_LIMIT_NO_INCUMBENT = "node-limit-no-incumbent"
     INFEASIBLE = "infeasible"
@@ -93,11 +95,11 @@ class SolveStatus(Enum):
 class QpProblem:
     """min  sum_i q_i x_i^2 + c.x  s.t.  A x <= b, G x = h, lb <= x <= ub.
 
-    ``q`` must be elementwise nonnegative (convexity). ``comp_pairs`` lists
-    variable index pairs (i, j) that may not both be strictly positive; both
-    variables must be bounded and nonnegative. The pair list order is
-    meaningful: it is the deterministic tie-break order for branching.
-    ``pair_index`` holds the same pairs as a read-only (k, 2) index array.
+    ``q`` must be elementwise nonnegative (convexity). ``comp_pairs`` holds
+    variable index pairs (i, j) that may not both be strictly positive, one
+    per row of a read-only (k, 2) index array copied from the argument; both
+    variables must be bounded and nonnegative. The row order is meaningful:
+    it is the deterministic tie-break order for branching.
     """
 
     q: np.ndarray
@@ -108,8 +110,7 @@ class QpProblem:
     b_eq: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
-    comp_pairs: tuple[tuple[int, int], ...] = ()
-    pair_index: np.ndarray = field(init=False, repr=False, compare=False)
+    comp_pairs: np.ndarray = ()
 
     def __post_init__(self):
         n = np.asarray(self.c).shape[0]
@@ -138,14 +139,13 @@ class QpProblem:
                 raise ValueError(f"{mat_name}/{rhs_name} dimensions inconsistent")
             object.__setattr__(self, mat_name, mat)
             object.__setattr__(self, rhs_name, rhs)
-        idx = np.asarray(self.comp_pairs, dtype=np.intp).reshape(-1, 2)
-        if np.any(self.lb[idx] < -1e-12):
+        pairs = np.array(self.comp_pairs, dtype=np.intp).reshape(-1, 2)
+        if np.any(self.lb[pairs] < -1e-12):
             raise ValueError("complementarity pair variables must be nonnegative")
-        if not np.all(np.isfinite(self.ub[idx])):
+        if not np.all(np.isfinite(self.ub[pairs])):
             raise ValueError("complementarity pair variables must be bounded")
-        idx.setflags(write=False)
-        object.__setattr__(self, "pair_index", idx)
-        object.__setattr__(self, "comp_pairs", tuple(map(tuple, idx.tolist())))
+        pairs.setflags(write=False)
+        object.__setattr__(self, "comp_pairs", pairs)
 
     @property
     def n_var(self) -> int:
@@ -178,7 +178,6 @@ class QpSolution:
     residuals: KktResiduals
     iterations: int = 0
     refactors: int = 0        # iterations redone with pivoting: zero pivot or stall
-    comp_violation: float = 0.0
     bnb: BnbStats = field(default_factory=BnbStats)
     message: str = ""
 
@@ -608,16 +607,12 @@ def solve_qp(problem: QpProblem) -> QpSolution:
 class SocChainHints:
     """Battery structure needed by the simultaneous-flow repair.
 
-    The index arrays are (S, T): row w holds scenario w's variable indices per
-    period, as laid out by :func:`capfirm.planner.dispatch_index`, and
-    ``pair_idx[w, t]`` is the position of that period's pair in
-    ``comp_pairs``.
+    The pairs of ``QpProblem.comp_pairs`` are (charge, discharge) variables
+    of one battery period; ``pv_used[k]`` is the PV-used variable of the
+    period of pair k, whose power balance a repair of that pair pays into.
     """
 
-    charge: np.ndarray
-    discharge: np.ndarray
     pv_used: np.ndarray
-    pair_idx: np.ndarray
     eta_charge: float
     eta_discharge: float
 
@@ -629,13 +624,13 @@ class RepairOutcome:
 
 
 def _pair_tols(problem: QpProblem) -> np.ndarray:
-    i, j = problem.pair_index.T
+    i, j = problem.comp_pairs.T
     return _PAIR_REL_TOL * np.maximum(1.0, np.minimum(problem.ub[i], problem.ub[j]))
 
 
 def comp_violations(problem: QpProblem, x: np.ndarray) -> np.ndarray:
     """min(x_i, x_j) per complementarity pair (values below 0 clipped)."""
-    i, j = problem.pair_index.T
+    i, j = problem.comp_pairs.T
     return np.maximum(np.minimum(x[i], x[j]), 0.0)
 
 
@@ -650,17 +645,18 @@ def repair_simultaneous_flow(
     ``eta_cha*eta_dis*dc`` until one side is clear. That keeps the period's
     SoC flux, and so every SoC, exactly unchanged; the power balance is paid
     by extra PV curtailment, so the reduction is limited by the PV used in
-    that period. Each period is repaired on its own, in one array pass over
-    all scenarios and periods. The coupling-point production is never
-    changed, so for planning problems the objective of the repaired point
-    equals the relaxation bound. A period that this leaves violating (too
-    little PV) makes the outcome unresolved, and branch-and-bound takes it.
+    that period. Each pair is repaired on its own, in one array pass over
+    all of them. The coupling-point production is never changed, so for
+    planning problems the objective of the repaired point equals the
+    relaxation bound. A pair that this leaves violating (too little PV)
+    makes the outcome unresolved, and branch-and-bound takes it.
     """
     x = np.array(x, dtype=float)
     k = hints.eta_charge * hints.eta_discharge
-    tol = _pair_tols(problem)[hints.pair_idx]
-    hit = np.minimum(x[hints.charge], x[hints.discharge]) > tol
-    ci, di, pi = hints.charge[hit], hints.discharge[hit], hints.pv_used[hit]
+    tol = _pair_tols(problem)
+    hit = comp_violations(problem, x) > tol
+    ci, di = problem.comp_pairs[hit].T
+    pi = hints.pv_used[hit]
     cha, dis, pv = x[ci], x[di], x[pi]
     # the full reduction clears the side with the smaller flux
     clear_cha = k * cha <= dis
@@ -688,11 +684,13 @@ def solve_miqp(
     ``1e-6 * (1 + |incumbent|)`` or the node limit is reached. When hints are
     supplied, every violating relaxation point is repaired and a repaired
     point serves as an incumbent, which usually closes the gap at the root.
-    The repair makes the flux-preserving reduction only: a point with a period
-    it cannot clear is no incumbent, and branching goes on from it.
+    The repair makes the flux-preserving reduction only: a point with a pair
+    it cannot clear is no incumbent, and branching goes on from it. A closed
+    search is ``OPTIMAL`` either way; ``bnb.repaired`` tells whether its
+    incumbent came from the repair.
     """
     root = solve_qp(problem)
-    if root.status is SolveStatus.INFEASIBLE or not problem.comp_pairs:
+    if root.status is SolveStatus.INFEASIBLE or not problem.comp_pairs.size:
         return replace(root, bnb=BnbStats(nodes=1))
 
     tols = _pair_tols(problem)
@@ -772,7 +770,6 @@ def solve_miqp(
             return QpSolution(root.x, np.inf, SolveStatus.NODE_LIMIT_NO_INCUMBENT,
                               root.residuals, iterations=root.iterations,
                               refactors=root.refactors,
-                              comp_violation=float(np.max(comp_violations(problem, root.x))),
                               bnb=BnbStats(nodes=nodes, gap=np.inf),
                               message="node limit reached without incumbent")
         return QpSolution(root.x, np.inf, SolveStatus.INFEASIBLE, root.residuals,
@@ -782,15 +779,10 @@ def solve_miqp(
 
     gap = max(incumbent_obj - best_bound, 0.0) if heap else 0.0
     closed = not heap or gap <= gap_tol(incumbent_obj)
-    if closed:
-        status = (SolveStatus.OPTIMAL_REPAIRED if incumbent_from_repair
-                  else SolveStatus.OPTIMAL)
-    else:
-        status = SolveStatus.NODE_LIMIT_INCUMBENT
+    status = SolveStatus.OPTIMAL if closed else SolveStatus.NODE_LIMIT_INCUMBENT
     return QpSolution(
         incumbent_x, incumbent_obj, status,
         KktResiduals(primal=_primal_violation(problem, incumbent_x),
                      dual=root.residuals.dual, comp_gap=root.residuals.comp_gap),
         iterations=root.iterations, refactors=root.refactors,
-        comp_violation=float(np.max(comp_violations(problem, incumbent_x))),
         bnb=BnbStats(nodes=nodes, gap=gap, repaired=incumbent_from_repair))

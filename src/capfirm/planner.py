@@ -119,7 +119,7 @@ class DispatchBlock:
     ub: np.ndarray
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
     hints: SocChainHints
 
 
@@ -167,9 +167,11 @@ def dispatch_block(
     scenario probabilities; the block starts at column ``first``. Negative PV
     (scenario values may carry round-off below zero) is clipped to zero, so
     the pv_used bounds stay consistent. Equality rows come scenario-major,
-    per period the power balance then the SoC recursion; complementarity
-    pairs come period-major, so branching ties resolve toward the earliest
-    period.
+    per period the power balance then the SoC recursion. The complementarity
+    pairs are the (k, 2) array of (charge, discharge) columns, period-major
+    (pair ``t*S + w`` is scenario w's period t), so branching ties resolve
+    toward the earliest period; ``hints.pv_used`` lists each pair's pv_used
+    column in the same order.
     """
     s_n, t_n = pv_kw.shape
     n = first + 6 * t_n * s_n
@@ -217,11 +219,9 @@ def dispatch_block(
     b_eq = np.zeros(2 * t_n * s_n)
     b_eq[soc_row[:, 0]] = system.soc_init_kwh
 
-    pairs = tuple(zip(idx.charge.T.ravel().tolist(), idx.discharge.T.ravel().tolist()))
-    hints = SocChainHints(
-        charge=idx.charge, discharge=idx.discharge, pv_used=idx.pv_used,
-        pair_idx=np.arange(t_n)[None, :] * s_n + np.arange(s_n)[:, None],
-        eta_charge=eta_c, eta_discharge=eta_d)
+    pairs = np.stack((idx.charge.T.ravel(), idx.discharge.T.ravel()), axis=1)
+    hints = SocChainHints(pv_used=idx.pv_used.T.ravel(), eta_charge=eta_c,
+                          eta_discharge=eta_d)
     return DispatchBlock(index=idx, q=q, c=c, lb=lb, ub=ub, a_eq=a_eq, b_eq=b_eq,
                          pairs=pairs, hints=hints)
 
@@ -311,9 +311,10 @@ def plan(instance: PlanningInstance) -> PlanResult:
     """Solve the day-ahead problem and return a verified plan.
 
     The returned engagement always satisfies the tender ramp/bound rules and
-    every per-scenario trace satisfies balance, SoC recursion, bounds and
-    charge/discharge exclusivity to 1e-6; violations raise
-    :class:`PlanningError` instead of returning silently wrong plans.
+    every per-scenario trace satisfies balance, SoC recursion and bounds to
+    1e-6; violations raise instead of returning silently wrong plans. Every
+    incumbent of :func:`~capfirm.optim.solve_miqp` meets charge/discharge
+    exclusivity to ``1e-6 * max(1, pair bound)``, so it is not checked again.
     """
     problem, hints, idx = build_planning_qp(instance)
     sol = solve_miqp(problem, soc_hints=hints)
@@ -334,12 +335,8 @@ def plan(instance: PlanningInstance) -> PlanResult:
     for w in range(instance.scenarios.n_scenarios):
         trace = dispatch_trace(sol.x, idx, w, engagement.values_kw,
                                instance.policy.deadband_kw)
-        trace.validate(instance.grid, instance.system, tol=1e-6)
+        trace.validate(instance.grid, instance.system)
         traces.append(trace)
-    scale = max(instance.system.charge_power_kw, instance.system.discharge_power_kw)
-    if sol.comp_violation > 1e-6 * max(1.0, scale):
-        raise PlanningError("simultaneous charge/discharge beyond tolerance",
-                            kind="complementarity")
     return PlanResult(engagement=engagement, traces=tuple(traces),
                       objective=sol.objective, status=sol.status, solution=sol)
 

@@ -144,16 +144,14 @@ def fit_pvusa(
     weather: WeatherSeries,
     window_hours: float = 12.0,
     step_hours: float = 1.0,
-    daytime_threshold_wm2: float = _DAYTIME_WM2,
-    min_samples: int = 3,
 ) -> list[tuple[np.datetime64, PvusaParams]]:
     """Sliding-window sign-constrained estimation of the PVUSA coefficients.
 
     Each window minimizes the squared power residual over its daytime samples
     subject to the coefficient signs. Windows advance by ``step_hours``.
-    Windows with fewer than ``min_samples`` daytime samples are skipped with
-    a diagnostic; windows whose design matrix is rank deficient reuse the
-    previous estimate. Returns the estimate trajectory as
+    Windows with fewer than 3 daytime samples (irradiance above 5 W/m^2) are
+    skipped with a diagnostic; windows whose design matrix is rank deficient
+    reuse the previous estimate. Returns the estimate trajectory as
     ``[(window_end_timestamp, params), ...]`` in time order; the last entry
     is the steady-state estimate.
     """
@@ -161,7 +159,7 @@ def fit_pvusa(
     if power.shape != weather.timestamps.shape:
         raise WeatherShapeError("power series must match the weather length")
     ts = weather.timestamps
-    day = weather.irradiance_wm2 > daytime_threshold_wm2
+    day = weather.irradiance_wm2 > _DAYTIME_WM2
 
     window = np.timedelta64(int(round(window_hours * 3600)), "s")
     step = np.timedelta64(int(round(step_hours * 3600)), "s")
@@ -175,7 +173,7 @@ def fit_pvusa(
         hi = np.searchsorted(ts, end, side="right")
         sel = np.flatnonzero(day[lo:hi]) + lo
         start = start + step
-        if sel.size < max(min_samples, 3):
+        if sel.size < 3:
             logger.debug("window ending %s skipped: %d daytime samples",
                          end, sel.size)
             continue
@@ -195,11 +193,7 @@ def fit_pvusa(
     return trajectory
 
 
-def steady_state_fit(
-    power_kw,
-    weather: WeatherSeries,
-    daytime_threshold_wm2: float = _DAYTIME_WM2,
-) -> PvusaParams:
+def steady_state_fit(power_kw, weather: WeatherSeries) -> PvusaParams:
     """Pooled sign-constrained fit over the whole daytime history.
 
     Individual half-day windows give unbiased but high-variance estimates
@@ -211,7 +205,7 @@ def steady_state_fit(
     power = np.asarray(power_kw, dtype=float)
     if power.shape != weather.timestamps.shape:
         raise WeatherShapeError("power series must match the weather length")
-    day = weather.irradiance_wm2 > daytime_threshold_wm2
+    day = weather.irradiance_wm2 > _DAYTIME_WM2
     if np.count_nonzero(day) < 3:
         raise ValueError("not enough daytime samples for a pooled fit")
     irr = weather.irradiance_wm2[day]

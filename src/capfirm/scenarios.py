@@ -119,14 +119,14 @@ class ScenarioSet:
         return cls(values_kw=profile[None, :], weights=np.array([1.0]))
 
 
-def _repair_positive_definite(r: np.ndarray, floor: float = _EIG_FLOOR) -> np.ndarray:
+def _repair_positive_definite(r: np.ndarray) -> np.ndarray:
     """Floor the eigenvalues, then renormalize the diagonal back to one."""
     out = 0.5 * (r + r.T)
     for _ in range(5):
         vals, vecs = np.linalg.eigh(out)
-        if vals.min() >= floor:
+        if vals.min() >= _EIG_FLOOR:
             break
-        vals = np.maximum(vals, 2.0 * floor)
+        vals = np.maximum(vals, 2.0 * _EIG_FLOOR)
         out = (vecs * vals) @ vecs.T
         d = np.sqrt(np.diag(out))
         out = out / np.outer(d, d)

@@ -16,6 +16,47 @@ from capfirm.scenarios import ScenarioSet
 from toys import no_bess_system, toy_grid, toy_policy, toy_system
 
 
+def _pair_contract_problem(name):
+    """An S=3, T=8 planning problem or a T=8 control problem."""
+    grid = toy_grid(8, peak=(6, 7))
+    policy = toy_policy(grid)
+    system = toy_system(capacity_kwh=20.0)
+    pv = np.array([0.0, 10.0, 35.0, 70.0, 80.0, 45.0, 15.0, 0.0])
+    if name == "planning":
+        scen = ScenarioSet(np.stack([pv, 0.5 * pv, 1.2 * pv]), np.array([0.5, 0.25, 0.25]))
+        return build_planning_qp(PlanningInstance(grid, policy, system, scen, "S"))
+    eng = EngagementPlan(np.array([0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 30.0]))
+    return build_control_qp(eng, pv, policy, system, grid)
+
+
+class TestPairContract:
+    @pytest.mark.parametrize("name", ["planning", "control"])
+    def test_pairs_and_pv_used_share_a_power_balance_row(self, name):
+        # the repair curtails hints.pv_used[k] to pay for clearing pair k, so
+        # all three columns must meet in one power-balance row, with signs
+        # that keep it balanced, and the pair's SoC row must keep its flux
+        # under the reduction dc = k * dd that the efficiencies give
+        prob, hints, _ = _pair_contract_problem(name)
+        a_eq = prob.a_eq.toarray()
+        k_eta = hints.eta_charge * hints.eta_discharge
+        assert prob.comp_pairs.shape == (hints.pv_used.size, 2)
+        balance_rows = set()
+        for (cha, dis), pv in zip(prob.comp_pairs, hints.pv_used):
+            pv_rows = np.flatnonzero(a_eq[:, pv])
+            assert pv_rows.size == 1
+            row = pv_rows[0]
+            assert a_eq[row, cha] != 0.0 and a_eq[row, dis] != 0.0
+            assert a_eq[row, pv] == a_eq[row, dis] == -a_eq[row, cha]
+            shared = np.flatnonzero((a_eq[:, cha] != 0.0) & (a_eq[:, dis] != 0.0))
+            assert shared.size == 2 and row in shared
+            soc_row = shared[shared != row][0]
+            assert a_eq[soc_row, pv] == 0.0
+            flux = a_eq[soc_row, cha] + k_eta * a_eq[soc_row, dis]
+            assert abs(flux) <= 1e-12 * abs(a_eq[soc_row, cha])
+            balance_rows.add(row)
+        assert len(balance_rows) == prob.comp_pairs.shape[0]
+
+
 class TestOracleControl:
     def test_matches_planner_on_same_data(self):
         # planning with perfect foresight then controlling on the same PV is
@@ -45,7 +86,7 @@ class TestOracleControl:
         assert np.array_equal(p_prob.a_eq[:, t_n:].toarray(), c_prob.a_eq.toarray())
         assert p_prob.a_eq[:, :t_n].nnz == 0
         assert np.array_equal(p_prob.b_eq, c_prob.b_eq)
-        assert [(i - t_n, j - t_n) for i, j in p_prob.comp_pairs] == list(c_prob.comp_pairs)
+        assert np.array_equal(p_prob.comp_pairs - t_n, c_prob.comp_pairs)
         for name in ("underdev", "pv_used", "charge", "discharge", "soc"):
             p_cols = getattr(p_idx, name)[0]
             c_cols = getattr(c_idx, name)[0]

@@ -34,9 +34,14 @@ class TestQpProblem:
     def test_complementarity_pairs_are_checked_and_kept_in_order(self):
         base = dict(q=np.zeros(4), c=np.ones(4), lb=[0.0, 0.0, 0.0, -1.0],
                     ub=[1.0, 2.0, np.inf, 1.0])
-        prob = QpProblem(**base, comp_pairs=[(1, 0), (np.int64(0), 1)])
-        assert prob.comp_pairs == ((1, 0), (0, 1))
-        assert all(type(i) is int for pair in prob.comp_pairs for i in pair)
+        given = np.array([[1, 0], [0, 1]], dtype=np.int64)
+        prob = QpProblem(**base, comp_pairs=given)
+        assert prob.comp_pairs.dtype == np.intp
+        assert np.array_equal(prob.comp_pairs, [[1, 0], [0, 1]])
+        assert not prob.comp_pairs.flags.writeable
+        given[0] = (2, 3)                     # a copy, not a view of the caller's array
+        assert np.array_equal(prob.comp_pairs, [[1, 0], [0, 1]])
+        assert QpProblem(**base).comp_pairs.shape == (0, 2)
         with pytest.raises(ValueError, match="bounded"):
             QpProblem(**base, comp_pairs=[(0, 1), (0, 2)])
         with pytest.raises(ValueError, match="nonnegative"):
@@ -400,7 +405,7 @@ class TestSolveMiqp:
         assert min(rel.x) > 1e-3                 # relaxation really churns
         ref_obj, _ = enumerate_miqp(prob)
         sol = solve_miqp(prob)
-        assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.OPTIMAL_REPAIRED)
+        assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(ref_obj, abs=1e-6)
         assert np.max(comp_violations(prob, sol.x)) <= 1e-6 * 5.0
 
@@ -423,8 +428,7 @@ class TestSolveMiqp:
         rng = np.random.default_rng(9)
         prob = random_storage_miqp(rng, 6)
         sol = solve_miqp(prob, node_limit=2)
-        assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.OPTIMAL_REPAIRED,
-                              SolveStatus.NODE_LIMIT_INCUMBENT,
+        assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.NODE_LIMIT_INCUMBENT,
                               SolveStatus.NODE_LIMIT_NO_INCUMBENT,
                               SolveStatus.INFEASIBLE)
 
@@ -475,9 +479,7 @@ def _two_period_chain_problem(pv_caps, soc_max, dis_cap=10.0):
     prob = QpProblem(q=np.zeros(n), c=np.zeros(n),
                      a_eq=np.array(rows), b_eq=np.array(rhs), lb=lb, ub=ub,
                      comp_pairs=((2, 3), (7, 8)))
-    hints = SocChainHints(
-        charge=idx_cha[None], discharge=idx_dis[None], pv_used=idx_pv[None],
-        pair_idx=np.array([[0, 1]]), eta_charge=eta, eta_discharge=eta)
+    hints = SocChainHints(pv_used=idx_pv, eta_charge=eta, eta_discharge=eta)
     return prob, hints
 
 
@@ -560,10 +562,11 @@ class TestRepairSimultaneousFlow:
         assert np.sum(comp_violations(prob, x) > tols) > s_n * t_n // 3
         assert np.max(np.abs(prob.a_eq @ x - prob.b_eq)) <= 1e-12 * np.max(np.abs(x))
 
-        # reference: the per-period loop that the array pass replaces
+        # reference: the per-period loop that the array pass replaces, over
+        # the planner's (S, T) layout and with each tolerance from the bounds
         ref, k = x.copy(), eta_c * eta_d
-        for c, d, p, tol in zip(idx.charge.ravel(), idx.discharge.ravel(),
-                                idx.pv_used.ravel(), tols[block.hints.pair_idx].ravel()):
+        for c, d, p in zip(idx.charge.ravel(), idx.discharge.ravel(), idx.pv_used.ravel()):
+            tol = 1e-6 * max(1.0, min(prob.ub[c], prob.ub[d]))
             if min(ref[c], ref[d]) <= tol:
                 continue
             dc, dd = (ref[c], k * ref[c]) if k * ref[c] <= ref[d] else (ref[d] / k, ref[d])
