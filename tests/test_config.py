@@ -25,13 +25,17 @@ def test_default_policy_is_the_reference_cre_policy():
     assert got.pv_capacity_kw == want.pv_capacity_kw
 
 
+def test_unknown_key_rejected():
+    with pytest.raises(ConfigError):
+        apply_overrides(default_config(), {"tariff.no_such_key": "1"})
+
+
 @pytest.mark.parametrize("key", [
-    "tariff.no_such_key",
     # keys of features that no code implements
     "sim.withdrawal_price_eur_mwh",
     "synthetic.forecast_error_std_frac",
     "synthetic.forecast_bias_frac",
 ])
-def test_unknown_key_rejected(key):
+def test_removed_key_rejected(key):
     with pytest.raises(ConfigError):
         apply_overrides(default_config(), {key: "1"})
