@@ -5,7 +5,13 @@ The model expresses the instantaneous AC power of a plant as
 ``T`` (degC) and plant-specific coefficients ``a > 0``, ``b < 0``, ``c < 0``.
 Estimation runs a sign-constrained least squares over a sliding window of
 power measurements, refit on a fixed cadence; nighttime samples carry no
-information about the coefficients and are excluded.
+information about the coefficients and are excluded. The windows are solved
+in batches: each window's daytime samples fill one slice of a zero-padded
+stack of design and target, one batched QR reduces every window to a 3x3
+triangular ``R`` and ``Q^T y``, the rank test runs on the singular values of
+``R``, and the sign constraints are met by enumerating the active sets on
+``R``. The pooled fit over the whole history is the same kernel on a stack of
+one.
 
 A Haurwitz-style clear-sky irradiance helper is included for synthetic data
 generation and daytime masking; timestamps are interpreted as local solar
@@ -30,6 +36,21 @@ REFERENCE_PARAMS = None  # set below, after the dataclass exists
 _DAYTIME_WM2 = 5.0
 _A_FLOOR = 1e-9
 _BC_FLOOR = 1e-12
+# The sign constraints a >= _A_FLOOR, b <= -_BC_FLOOR, c <= -_BC_FLOOR, as
+# sign * coefficient >= floor, and the bound each coefficient is pinned at.
+_SIGNS = np.array([1.0, -1.0, -1.0])
+_FLOORS = np.array([_A_FLOOR, _BC_FLOOR, _BC_FLOOR])
+_BOUNDS = _SIGNS * _FLOORS
+# The candidate active sets in enumeration order, True where a coefficient is
+# pinned at its bound; the last pins all three. They are solved in groups of
+# equal free count (3, 2, 1), each group with its free columns.
+_PINNED = np.array(list(product((False, True), repeat=3)))
+_FREE_GROUPS = [(group, np.array([np.flatnonzero(~_PINNED[p]) for p in group]))
+                for group in (np.flatnonzero((~_PINNED).sum(axis=1) == k)
+                              for k in (3, 2, 1))]
+# Padded rows per batched solve of fit_pvusa's windows (512 KiB of stack), so
+# that its working memory stays small whatever the series length.
+_BLOCK_ROWS = 1 << 14
 
 
 class WeatherShapeError(ValueError):
@@ -108,35 +129,64 @@ def pvusa_eval(params: PvusaParams, irradiance_wm2, temperature_c,
     return power
 
 
-def _sign_constrained_ls(design: np.ndarray, target: np.ndarray) -> np.ndarray | None:
-    """Least squares with a > 0, b < 0, c < 0 via active-set enumeration.
+def _sign_constrained_ls(stack: np.ndarray):
+    """Least squares with a > 0, b < 0, c < 0 for a stack of problems at once.
+
+    ``stack`` is (W, L, 4): per problem, the rows ``(I, I^2, I*T, power)`` of
+    a design X and its target y, zero-padded to a common length L >= 3. Zero
+    rows change neither the least-squares solution nor the singular values,
+    so the padding is exact.
+
+    One batched QR of ``[X | y]`` gives every problem's 3x3 ``R`` and, in its
+    last column, ``Q^T y``. ``R`` has the design's singular values; a design is
+    rank deficient when the smallest is at most 1e-12 times the largest, and
+    otherwise every column subset has full rank as well.
 
     With only three sign constraints the candidate active sets can be
     enumerated: each coefficient is either free or pinned at its (tiny)
-    bound. The optimum of the convex problem is the feasible candidate with
-    the smallest residual; pinning all three gives a feasible candidate, so
-    there always is one. Returns None when the design is rank deficient,
-    i.e. its smallest singular value is at most 1e-12 times its largest;
-    otherwise every column subset has full rank as well.
+    bound. Each candidate is a least-squares problem on ``R`` and ``Q^T y``;
+    those with the same number of free coefficients share one batched QR.
+    All candidates of a problem share the residual outside range(X), so
+    residuals are compared on ``|R beta - Q^T y|^2``. The optimum of the
+    convex problem is the feasible candidate with the smallest residual:
+    taken in enumeration order, a candidate replaces the best so far only if
+    its residual is smaller by more than 1e-15. Pinning all three gives a
+    feasible candidate, so there always is one.
+
+    Returns ``(beta, full_rank)``: the (W, 3) coefficients, NaN where the
+    (W,) mask ``full_rank`` is False.
     """
-    sv = np.linalg.svd(design, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        return None
-    bounds = np.array([_A_FLOOR, -_BC_FLOOR, -_BC_FLOOR])
-    best, best_sse = bounds, np.inf
-    for pattern in product((False, True), repeat=3):
-        pinned = np.array(pattern)
-        beta = bounds.copy()
-        free = ~pinned
-        if np.any(free):
-            rhs = target - design[:, pinned] @ bounds[pinned]
-            beta[free] = np.linalg.lstsq(design[:, free], rhs, rcond=None)[0]
-        if beta[0] < _A_FLOOR or beta[1] > -_BC_FLOOR or beta[2] > -_BC_FLOOR:
-            continue
-        sse = float(np.sum((design @ beta - target) ** 2))
-        if sse < best_sse - 1e-15:
-            best, best_sse = beta, sse
-    return best
+    r_aug = np.linalg.qr(stack, mode="r")
+    sv = np.linalg.svd(r_aug[:, :3, :3], compute_uv=False)
+    full_rank = sv[:, -1] > 1e-12 * sv[:, 0]
+    r, qty = r_aug[full_rank, :3, :3], r_aug[full_rank, :3, 3]
+    n = r.shape[0]
+    # beta[w, p]: candidate p of problem w, pinned coefficients at their bound
+    beta = np.tile(_BOUNDS, (n, len(_PINNED), 1))
+    rhs = qty[:, None] - np.einsum("wij,pj->wpi", r, np.where(_PINNED, _BOUNDS, 0.0))
+    for group, free in _FREE_GROUPS:
+        # the QR of [R_F | rhs] gives R_F's triangle and, last, Q^T rhs
+        k = free.shape[1]
+        r_free = np.linalg.qr(np.concatenate(
+            [r[:, :, free].transpose(0, 2, 1, 3), rhs[:, group, :, None]], axis=3), mode="r")
+        beta[:, group[:, None], free] = np.linalg.solve(
+            r_free[..., :k, :k], r_free[..., :k, k:])[..., 0]
+    feasible = np.all(beta * _SIGNS >= _FLOORS, axis=2)
+    sse = np.sum((np.einsum("wij,wpj->wpi", r, beta) - qty[:, None]) ** 2, axis=2)
+    best, best_sse = np.full(n, len(_PINNED) - 1), np.full(n, np.inf)
+    for p in range(len(_PINNED)):
+        better = feasible[:, p] & (sse[:, p] < best_sse - 1e-15)
+        best, best_sse = np.where(better, p, best), np.where(better, sse[:, p], best_sse)
+    out = np.full((stack.shape[0], 3), np.nan)
+    out[full_rank] = beta[np.arange(n), best]
+    return out, full_rank
+
+
+def _daytime_rows(power_kw: np.ndarray, weather: WeatherSeries):
+    """Indices of the daytime samples, and their rows ``(I, I^2, I*T, power)``."""
+    day = np.flatnonzero(weather.irradiance_wm2 > _DAYTIME_WM2)
+    irr, tmp = weather.irradiance_wm2[day], weather.temperature_c[day]
+    return day, np.column_stack([irr, irr ** 2, irr * tmp, power_kw[day]])
 
 
 def fit_pvusa(
@@ -148,47 +198,75 @@ def fit_pvusa(
     """Sliding-window sign-constrained estimation of the PVUSA coefficients.
 
     Each window minimizes the squared power residual over its daytime samples
-    subject to the coefficient signs. Windows advance by ``step_hours``.
-    Windows with fewer than 3 daytime samples (irradiance above 5 W/m^2) are
-    skipped with a diagnostic; windows whose design matrix is rank deficient
-    reuse the previous estimate. Returns the estimate trajectory as
-    ``[(window_end_timestamp, params), ...]`` in time order; the last entry
-    is the steady-state estimate.
+    subject to the coefficient signs. The first window starts at the first
+    timestamp and windows advance by ``step_hours``; a window covers its
+    start and end inclusively and counts while its end is at most one second
+    past the last timestamp. Windows with fewer than 3 daytime samples
+    (irradiance above 5 W/m^2) are skipped with a diagnostic; windows whose
+    design matrix is rank deficient repeat the previous estimate (the same
+    object). Returns the estimate trajectory as
+    ``[(window_end_timestamp, params), ...]`` in time order; the last entry is
+    the steady-state estimate.
+
+    The windows are fitted in batches rather than one by one: their daytime
+    samples are gathered into a zero-padded (windows, longest window, 4)
+    stack of design and target, reduced by one batched QR and rank-tested on
+    the singular values of each ``R`` (see ``_sign_constrained_ls``). A batch
+    holds up to ``_BLOCK_ROWS`` padded rows; on 60 days of quarter-hour data
+    with 12-hour windows that is about 330 windows.
+
+    Raises ValueError when the step rounds to less than one second or the
+    window to zero seconds or less.
     """
     power = np.asarray(power_kw, dtype=float)
     if power.shape != weather.timestamps.shape:
         raise WeatherShapeError("power series must match the weather length")
+    window_s = int(round(window_hours * 3600))
+    step_s = int(round(step_hours * 3600))
+    if window_s <= 0:
+        raise ValueError(f"window_hours must be positive, got {window_hours}")
+    if step_s < 1:
+        raise ValueError(f"step_hours must be at least one second, got {step_hours}")
     ts = weather.timestamps
-    day = weather.irradiance_wm2 > _DAYTIME_WM2
+    if ts.size == 0:
+        return []
+    window = np.timedelta64(window_s, "s")
+    step = np.timedelta64(step_s, "s")
 
-    window = np.timedelta64(int(round(window_hours * 3600)), "s")
-    step = np.timedelta64(int(round(step_hours * 3600)), "s")
+    # window k starts at ts[0] + k*step; exact integer nanoseconds throughout
+    span = ts[-1] + np.timedelta64(1, "s") - window - ts[0]
+    count = int(span // step) + 1 if span >= np.timedelta64(0, "s") else 0
+    ends = ts[0] + np.arange(count) * step + window
+    day, rows = _daytime_rows(power, weather)
+    first = np.searchsorted(day, np.searchsorted(ts, ends - window, side="left"))
+    n_day = np.searchsorted(day, np.searchsorted(ts, ends, side="right")) - first
+
+    fitted = np.flatnonzero(n_day >= 3)
+    padded = np.vstack([rows, np.zeros(4)])     # index -1 reads a zero row
+    per_block = max(1, _BLOCK_ROWS // int(n_day.max(initial=1)))
+    fits = []
+    for lo in range(0, fitted.size, per_block):
+        block = fitted[lo:lo + per_block]
+        offsets = np.arange(n_day[block].max())
+        index = np.where(offsets < n_day[block, None], first[block, None] + offsets, -1)
+        beta, full_rank = _sign_constrained_ls(np.take(padded, index, axis=0))
+        fits.extend(zip(beta.tolist(), full_rank.tolist()))
+
     trajectory: list[tuple[np.datetime64, PvusaParams]] = []
     previous: PvusaParams | None = None
-
-    start = ts[0]
-    while start + window <= ts[-1] + np.timedelta64(1, "s"):
-        end = start + window
-        lo = np.searchsorted(ts, start, side="left")
-        hi = np.searchsorted(ts, end, side="right")
-        sel = np.flatnonzero(day[lo:hi]) + lo
-        start = start + step
-        if sel.size < 3:
-            logger.debug("window ending %s skipped: %d daytime samples",
-                         end, sel.size)
+    solved = iter(fits)
+    for end, n in zip(ends, n_day.tolist()):
+        if n < 3:
+            logger.debug("window ending %s skipped: %d daytime samples", end, n)
             continue
-        irr = weather.irradiance_wm2[sel]
-        tmp = weather.temperature_c[sel]
-        design = np.column_stack([irr, irr ** 2, irr * tmp])
-        beta = _sign_constrained_ls(design, power[sel])
-        if beta is None:
-            if previous is None:
-                logger.debug("window ending %s rank deficient, no fallback", end)
-                continue
+        coef, ok = next(solved)
+        if ok:
+            previous = PvusaParams(*coef)
+        elif previous is None:
+            logger.debug("window ending %s rank deficient, no fallback", end)
+            continue
+        else:
             logger.debug("window ending %s rank deficient, keeping previous", end)
-            trajectory.append((end, previous))
-            continue
-        previous = PvusaParams(a=float(beta[0]), b=float(beta[1]), c=float(beta[2]))
         trajectory.append((end, previous))
     return trajectory
 
@@ -200,21 +278,19 @@ def steady_state_fit(power_kw, weather: WeatherSeries) -> PvusaParams:
     (the three regressors are nearly collinear within a single day); the
     long-run value is obtained by pooling every daytime sample into one
     regression, which is what the window trajectory converges to as history
-    accumulates.
+    accumulates. The regression is ``_sign_constrained_ls`` on a stack of
+    one design, the same kernel as ``fit_pvusa``'s.
     """
     power = np.asarray(power_kw, dtype=float)
     if power.shape != weather.timestamps.shape:
         raise WeatherShapeError("power series must match the weather length")
-    day = weather.irradiance_wm2 > _DAYTIME_WM2
-    if np.count_nonzero(day) < 3:
+    _, rows = _daytime_rows(power, weather)
+    if rows.shape[0] < 3:
         raise ValueError("not enough daytime samples for a pooled fit")
-    irr = weather.irradiance_wm2[day]
-    tmp = weather.temperature_c[day]
-    design = np.column_stack([irr, irr ** 2, irr * tmp])
-    beta = _sign_constrained_ls(design, power[day])
-    if beta is None:
+    beta, full_rank = _sign_constrained_ls(rows[None])
+    if not full_rank[0]:
         raise ValueError("pooled design matrix is rank deficient")
-    return PvusaParams(a=float(beta[0]), b=float(beta[1]), c=float(beta[2]))
+    return PvusaParams(*beta[0].tolist())
 
 
 def clear_sky_irradiance(latitude_deg: float, timestamps):

@@ -2,14 +2,17 @@
 
 These deliberately avoid the production solve path: projected descent with
 Dykstra projections for convex QPs, multi-resolution dense grids for very
-small problems, and exhaustive binary enumeration for complementarity
-problems (each fixed pattern is a plain convex QP).
+small problems, exhaustive binary enumeration for complementarity
+problems (each fixed pattern is a plain convex QP), and a one-window-at-a-time
+PVUSA fit with an active-set enumeration of plain least-squares solves.
 """
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
+from capfirm import pvusa
 from capfirm.optim import QpProblem, SolveStatus, solve_qp
 
 
@@ -173,3 +176,64 @@ def random_storage_miqp(rng, n_periods):
     pairs = tuple((int(idx["cha"][t]), int(idx["dis"][t])) for t in range(t_n))
     return QpProblem(q=q, c=c, a_eq=a_eq, b_eq=b_eq, lb=lb, ub=ub,
                      comp_pairs=pairs)
+
+
+def sign_constrained_ls_enumeration(design, target):
+    """PVUSA least squares under a > 0, b < 0, c < 0 for one design.
+
+    Every active set is one ``lstsq`` call with the pinned coefficients at
+    their bounds; the feasible candidate with the smallest full residual
+    wins, in ``product`` order, by more than 1e-15. Returns None when the
+    design's singular values fail the 1e-12 rank test.
+    """
+    sv = np.linalg.svd(design, compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:
+        return None
+    bounds = np.array([pvusa._A_FLOOR, -pvusa._BC_FLOOR, -pvusa._BC_FLOOR])
+    best, best_sse = bounds, np.inf
+    for pattern in product((False, True), repeat=3):
+        pinned = np.array(pattern)
+        beta = bounds.copy()
+        free = ~pinned
+        if np.any(free):
+            rhs = target - design[:, pinned] @ bounds[pinned]
+            beta[free] = np.linalg.lstsq(design[:, free], rhs, rcond=None)[0]
+        if beta[0] < bounds[0] or beta[1] > bounds[1] or beta[2] > bounds[2]:
+            continue
+        sse = float(np.sum((design @ beta - target) ** 2))
+        if sse < best_sse - 1e-15:
+            best, best_sse = beta, sse
+    return best
+
+
+def fit_pvusa_per_window(power, weather, window_hours, step_hours):
+    """``pvusa.fit_pvusa``'s trajectory, one window at a time in a while loop.
+
+    Returns ``(trajectory, windows)``: the trajectory in ``fit_pvusa``'s form,
+    where a rank-deficient window repeats the previous object, and the number
+    of windows the loop visited, skipped ones included.
+    """
+    ts = weather.timestamps
+    day = weather.irradiance_wm2 > pvusa._DAYTIME_WM2
+    window = np.timedelta64(int(round(window_hours * 3600)), "s")
+    step = np.timedelta64(int(round(step_hours * 3600)), "s")
+    trajectory, previous, windows = [], None, 0
+    start = ts[0]
+    while start + window <= ts[-1] + np.timedelta64(1, "s"):
+        end = start + window
+        windows += 1
+        lo = np.searchsorted(ts, start, side="left")
+        hi = np.searchsorted(ts, end, side="right")
+        sel = np.flatnonzero(day[lo:hi]) + lo
+        start = start + step
+        if sel.size < 3:
+            continue
+        irr, tmp = weather.irradiance_wm2[sel], weather.temperature_c[sel]
+        design = np.column_stack([irr, irr ** 2, irr * tmp])
+        beta = sign_constrained_ls_enumeration(design, power[sel])
+        if beta is not None:
+            previous = pvusa.PvusaParams(*beta.tolist())
+        elif previous is None:
+            continue
+        trajectory.append((end, previous))
+    return trajectory, windows

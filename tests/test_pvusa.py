@@ -13,6 +13,8 @@ from capfirm.pvusa import (
     steady_state_fit,
 )
 
+from oracles import fit_pvusa_per_window
+
 
 def _solar_weather(days=3, step_minutes=15, latitude=50.6, start="2019-08-01"):
     n = days * 24 * 60 // step_minutes
@@ -34,6 +36,17 @@ def _seasonal_weather(days=46, step_minutes=15, latitude=50.6, start="2019-08-03
     offsets = np.repeat(rng.uniform(-4.0, 4.0, days), 24 * 60 // step_minutes)
     temp = (18.0 - 16.0 * frac + offsets
             + 8.0 * np.sin(2.0 * np.pi * ((hours % 24) - 9.0) / 24.0))
+    return WeatherSeries(ts, irr, temp)
+
+
+def _daylight_weather(n, step_minutes=15, start="2019-08-01T00:00"):
+    """Irradiance above the daytime threshold at every sample, and irradiance
+    and temperature on incommensurate periods, so that no window is skipped
+    and none is rank deficient."""
+    hours = np.arange(n) * step_minutes / 60.0
+    ts = np.datetime64(start) + np.arange(n) * np.timedelta64(step_minutes, "m")
+    irr = 500.0 + 300.0 * np.sin(2.0 * np.pi * hours / 7.0)
+    temp = 15.0 + 5.0 * np.cos(2.0 * np.pi * hours / 5.0)
     return WeatherSeries(ts, irr, temp)
 
 
@@ -181,6 +194,97 @@ class TestFit:
         assert constant.sum() >= 3 and not constant[0]
         first = int(np.argmax(constant))
         assert all(p is traj[first - 1][1] for _, p in traj[first:])
+
+    @pytest.mark.parametrize("window_hours, step_hours",
+                             [(12.0, 1.0), (6.0, 0.25), (3.0, 1.0)])
+    def test_batched_fit_matches_per_window_enumeration(self, window_hours, step_hours):
+        # noisy measurements, with a 16-hour stretch in which irradiance
+        # steps by 1 W/m^2 and temperature by 4e-10 degC: the designs of the
+        # windows inside it have a smallest-to-largest singular value ratio
+        # of ~2e-14, rank deficient under the 1e-12 test though not exactly
+        base = _seasonal_weather()
+        irr = base.irradiance_wm2.copy()
+        tmp = base.temperature_c.copy()
+        stretch = slice(20 * 96 + 16, 20 * 96 + 80)
+        irr[stretch] = 500.0 + np.arange(64) % 3
+        tmp[stretch] = 20.0 + 4e-10 * (np.arange(64) % 2)
+        weather = WeatherSeries(base.timestamps, irr, tmp)
+        rng = np.random.default_rng(3)
+        power = (pvusa_eval(REFERENCE_PARAMS, irr, tmp)
+                 + 0.01 * 466.4 * rng.standard_normal(irr.shape))
+
+        traj = fit_pvusa(power, weather, window_hours, step_hours)
+        ref, _ = fit_pvusa_per_window(power, weather, window_hours, step_hours)
+        assert [t for t, _ in traj] == [t for t, _ in ref]
+
+        def repeats(trajectory):
+            return [p is q for (_, p), (_, q) in zip(trajectory, trajectory[1:])]
+
+        assert repeats(traj) == repeats(ref)
+        assert any(repeats(traj))
+        window = np.timedelta64(int(window_hours * 3600), "s")
+        day = irr > 5.0
+        for (end, fitted), (_, expected) in zip(traj, ref):
+            sel = day & (weather.timestamps >= end - window) & (weather.timestamps <= end)
+            gap = (pvusa_eval(fitted, irr[sel], tmp[sel])
+                   - pvusa_eval(expected, irr[sel], tmp[sel]))
+            assert np.max(np.abs(gap)) <= 1e-8
+
+        again = fit_pvusa(power, weather, window_hours, step_hours)
+        assert [(t, p.as_array().tobytes()) for t, p in again] \
+            == [(t, p.as_array().tobytes()) for t, p in traj]
+
+    def test_window_ending_at_last_timestamp_counts(self):
+        # 8 hours of samples: 3-hour windows end at 3, 4, ..., 8 hours, and
+        # the last one ends exactly at the last timestamp
+        weather = _daylight_weather(4 * 8 + 1)
+        power = pvusa_eval(REFERENCE_PARAMS, weather.irradiance_wm2,
+                           weather.temperature_c)
+        traj = fit_pvusa(power, weather, window_hours=3.0, step_hours=1.0)
+        assert len(traj) == 6
+        assert traj[-1][0] == weather.timestamps[-1]
+        shorter = fit_pvusa(power[:-1], _daylight_weather(4 * 8),
+                            window_hours=3.0, step_hours=1.0)
+        assert len(shorter) == 5
+        # a window ending less than one second after the last timestamp
+        # counts as well
+        for early_ms, windows in ((500, 6), (1500, 5)):
+            ts = weather.timestamps.copy()
+            ts[-1] -= np.timedelta64(early_ms, "ms")
+            moved = WeatherSeries(ts, weather.irradiance_wm2, weather.temperature_c)
+            traj = fit_pvusa(power, moved, window_hours=3.0, step_hours=1.0)
+            assert len(traj) == windows
+
+    def test_series_shorter_than_a_window_gives_no_estimate(self):
+        weather = _daylight_weather(4 * 3)
+        power = pvusa_eval(REFERENCE_PARAMS, weather.irradiance_wm2,
+                           weather.temperature_c)
+        assert fit_pvusa(power, weather, window_hours=3.0, step_hours=1.0) == []
+        empty = WeatherSeries(np.array([], dtype="datetime64[ns]"), [], [])
+        assert fit_pvusa([], empty) == []
+
+    @pytest.mark.parametrize("samples", [12, 13, 33, 34, 50, 97])
+    @pytest.mark.parametrize("window_hours, step_hours",
+                             [(3.0, 1.0), (3.0, 0.75), (2.5, 0.5)])
+    def test_window_count_matches_while_loop(self, samples, window_hours, step_hours):
+        weather = _daylight_weather(samples)
+        power = pvusa_eval(REFERENCE_PARAMS, weather.irradiance_wm2,
+                           weather.temperature_c)
+        traj = fit_pvusa(power, weather, window_hours, step_hours)
+        ref, windows = fit_pvusa_per_window(power, weather, window_hours, step_hours)
+        assert len(traj) == windows
+        assert [t for t, _ in traj] == [t for t, _ in ref]
+
+    @pytest.mark.parametrize("window_hours, step_hours",
+                             [(12.0, 1e-4), (12.0, 0.0), (12.0, -1.0),
+                              (0.0, 1.0), (-3.0, 1.0)])
+    def test_degenerate_window_or_step_rejected(self, window_hours, step_hours):
+        # a step that rounds to 0 s or below never advances the window
+        weather = _solar_weather(days=2)
+        power = pvusa_eval(REFERENCE_PARAMS, weather.irradiance_wm2,
+                           weather.temperature_c)
+        with pytest.raises(ValueError):
+            fit_pvusa(power, weather, window_hours, step_hours)
 
 
 class TestClearSky:
