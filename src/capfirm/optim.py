@@ -187,38 +187,39 @@ class QpSolution:
 # equality rows
 # ---------------------------------------------------------------------------
 
+def _with_unit_rows(mat: sp.csr_matrix, cols: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:
+    """``mat`` with one more row per entry of ``cols``: ``vals[k]`` at ``cols[k]``."""
+    if not cols.size:
+        return mat
+    nnz = mat.indptr[-1]
+    indptr = np.concatenate([mat.indptr, nnz + np.arange(1, cols.size + 1)])
+    indices = np.concatenate([mat.indices[:nnz], cols])
+    data = np.concatenate([mat.data[:nnz], vals])
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(mat.shape[0] + cols.size, mat.shape[1]))
+
+
+def _transpose(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """``mat.T`` in CSR form: the arrays of ``mat`` in CSC read as CSR."""
+    csc = mat.tocsc()
+    return sp.csr_matrix((csc.data, csc.indices, csc.indptr), shape=mat.shape[::-1])
+
+
 def _standard_form(prob: QpProblem):
-    n = prob.n_var
+    """``A x <= b``, ``G x = h``: ``a_ub`` then the rows ``x_j <= ub_j`` and
+    ``-x_j <= -lb_j`` of the finite bounds of the variables that are not
+    fixed, and ``a_eq`` then the rows ``x_j = ub_j`` of the fixed ones."""
     fixed = (np.isfinite(prob.ub) & np.isfinite(prob.lb)
              & (prob.ub - prob.lb <= 1e-14 * np.maximum(1.0, np.abs(prob.ub))))
     free_ub = np.flatnonzero(np.isfinite(prob.ub) & ~fixed)
     free_lb = np.flatnonzero(np.isfinite(prob.lb) & ~fixed)
     fix_idx = np.flatnonzero(fixed)
 
-    rows = [prob.a_ub]
-    rhs = [prob.b_ub]
-    if free_ub.size:
-        rows.append(sp.csr_matrix(
-            (np.ones(free_ub.size), (np.arange(free_ub.size), free_ub)),
-            shape=(free_ub.size, n)))
-        rhs.append(prob.ub[free_ub])
-    if free_lb.size:
-        rows.append(sp.csr_matrix(
-            (-np.ones(free_lb.size), (np.arange(free_lb.size), free_lb)),
-            shape=(free_lb.size, n)))
-        rhs.append(-prob.lb[free_lb])
-    a_all = sp.vstack(rows, format="csr") if len(rows) > 1 else rows[0]
-    b_all = np.concatenate(rhs)
-
-    eq_rows = [prob.a_eq]
-    eq_rhs = [prob.b_eq]
-    if fix_idx.size:
-        eq_rows.append(sp.csr_matrix(
-            (np.ones(fix_idx.size), (np.arange(fix_idx.size), fix_idx)),
-            shape=(fix_idx.size, n)))
-        eq_rhs.append(prob.ub[fix_idx])
-    g_all = sp.vstack(eq_rows, format="csr") if len(eq_rows) > 1 else eq_rows[0]
-    h_all = np.concatenate(eq_rhs)
+    a_all = _with_unit_rows(prob.a_ub, np.concatenate([free_ub, free_lb]),
+                            np.repeat([1.0, -1.0], [free_ub.size, free_lb.size]))
+    b_all = np.concatenate([prob.b_ub, prob.ub[free_ub], -prob.lb[free_lb]])
+    g_all = _with_unit_rows(prob.a_eq, fix_idx, np.ones(fix_idx.size))
+    h_all = np.concatenate([prob.b_eq, prob.ub[fix_idx]])
     return a_all, b_all, g_all, h_all
 
 
@@ -244,13 +245,17 @@ def _primal_violation(prob: QpProblem, x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
-    """Fraction-to-boundary step keeping v + step * dv positive."""
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
+    """Fraction-to-boundary step keeping ``v > 0`` positive along ``v + step * dv``.
+
+    With ``t = min(dv / v)``, the boundary lies at step ``-1 / t`` when
+    ``t < 0``, so the step is ``min(1, -_STEP_FRACTION / t)``; it is 1 when
+    no entry decreases. One division and one reduction, without masking the
+    decreasing entries. A ratio that overflows reads ``-inf`` and gives a
+    zero step: the caller traps overflow, so it is ignored here.
+    """
     with np.errstate(over="ignore", divide="ignore"):
-        ratio = float(np.min(-v[neg] / dv[neg]))
-    return min(1.0, _STEP_FRACTION * ratio)
+        t = float((dv / v).min(initial=0.0))
+    return 1.0 if t >= 0.0 else min(1.0, -_STEP_FRACTION / t)
 
 
 def _csc_pattern(keys: np.ndarray, dim: int) -> sp.csc_matrix:
@@ -414,10 +419,15 @@ def _ipm(prob: QpProblem):
     *suspected* (never certified) here; the caller confirms with an elastic
     problem. Without inequality rows (m = 0) the first Newton step solves the
     equality-constrained QP and the second iteration accepts it.
+
+    The per-solve set-up is kept to array operations: the standard form's
+    bound and fixed-variable unit rows are appended to the raw CSR arrays of
+    ``a_ub`` and ``a_eq``, and each transpose is one CSC conversion read as
+    CSR.
     """
     a_all, b_all, g_all, h_all = _standard_form(prob)
-    a_t = a_all.T.tocsr()
-    g_t = g_all.T.tocsr()
+    a_t = _transpose(a_all)
+    g_t = _transpose(g_all)
     m = a_all.shape[0]
     p = g_all.shape[0]
     hdiag = 2.0 * prob.q
@@ -451,15 +461,15 @@ def _ipm(prob: QpProblem):
         mu = float(s @ z) / m_mean
         obj = prob.objective(x)
 
-        rp_norm = float(np.max(np.abs(r_p), initial=0.0)) / b_scale
-        re_norm = float(np.max(np.abs(r_e), initial=0.0)) / h_scale
-        rd_norm = float(np.max(np.abs(r_d))) / (c_scale + float(np.max(np.abs(hdiag * x))))
+        rp_norm = float(np.abs(r_p).max(initial=0.0)) / b_scale
+        re_norm = float(np.abs(r_e).max(initial=0.0)) / h_scale
+        rd_norm = float(np.abs(r_d).max()) / (c_scale + float(np.abs(hdiag * x).max()))
         gap_rel = mu / (1.0 + abs(obj))
 
         if rp_norm <= _TOL and re_norm <= _TOL and rd_norm <= _TOL and gap_rel <= _TOL:
             status = SolveStatus.OPTIMAL
             break
-        if np.max(z, initial=0.0) > 1e13 or np.max(s, initial=0.0) > 1e16:
+        if z.max(initial=0.0) > 1e13 or s.max(initial=0.0) > 1e16:
             break  # suspected infeasible; certified by the caller
 
         pivoted = False

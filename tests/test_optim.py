@@ -1,12 +1,14 @@
 """QP interior point, complementarity branch-and-bound, and the flow repair."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from capfirm import optim
+from capfirm.domain import TimeGrid
 from capfirm.optim import (
     QpProblem,
     SocChainHints,
@@ -28,6 +30,8 @@ from oracles import (
     random_storage_miqp,
 )
 from toys import toy_grid, toy_policy, toy_system
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestQpProblem:
@@ -100,6 +104,22 @@ class TestSolveQpBasics:
         s2 = solve_qp(prob)
         assert np.array_equal(s1.x, s2.x)
         assert s1.objective == s2.objective
+
+    def test_determinism_bitwise_paper_scale_plan(self):
+        # the S=20 planning relaxation of a stored day (T=96): the
+        # benchmark's repeatability check compares objectives of repeated ops
+        with np.load(DATA / "s20_season4_day132.npz") as data:
+            scen = ScenarioSet(data["values_kw"], data["weights"])
+        grid = TimeGrid.daily()
+        prob, _, _ = build_planning_qp(PlanningInstance(
+            grid, toy_policy(grid, pv_capacity=466.4),
+            toy_system(pv_capacity=466.4, capacity_kwh=233.2), scen, "S"))
+        s1 = solve_qp(prob)
+        s2 = solve_qp(prob)
+        assert s1.status is SolveStatus.OPTIMAL
+        assert np.array_equal(s1.x, s2.x)
+        assert s1.objective == s2.objective
+        assert s1.iterations == s2.iterations
 
     def test_objective_scaling_leaves_argmin(self):
         rng = np.random.default_rng(7)
@@ -225,7 +245,7 @@ def _kkt_parts(prob):
     a_all, _, g_all, _ = optim._standard_form(prob)
     hdiag = 2.0 * prob.q
     reg = optim._REG * max(1.0, float(np.max(hdiag, initial=0.0)))
-    return a_all, g_all.T.tocsr(), hdiag + reg, reg
+    return a_all, optim._transpose(g_all), hdiag + reg, reg
 
 
 def _reference_kkt(a_all, g_t, d, reg, w):
@@ -359,6 +379,85 @@ class TestKktAssembly:
         ref = fresh.solve(b)
         got = reused.solve(b[inv])[perm]
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def _dense_standard_form(prob):
+    """(A, b, G, h) of _standard_form from dense unit rows, bound by bound."""
+    n = prob.n_var
+    fixed = np.isfinite(prob.lb) & (prob.lb == prob.ub)
+    upper = [j for j in range(n) if np.isfinite(prob.ub[j]) and not fixed[j]]
+    lower = [j for j in range(n) if np.isfinite(prob.lb[j]) and not fixed[j]]
+    fix = [j for j in range(n) if fixed[j]]
+    unit = np.eye(n)
+    a = np.vstack([prob.a_ub.toarray(), unit[upper], -unit[lower]])
+    b = np.concatenate([prob.b_ub, prob.ub[upper], -prob.lb[lower]])
+    g = np.vstack([prob.a_eq.toarray(), unit[fix]])
+    h = np.concatenate([prob.b_eq, prob.ub[fix]])
+    return a, b, g, h
+
+
+def _masked_step_len(v, dv):
+    """Fraction-to-boundary step over the decreasing entries only."""
+    neg = dv < 0
+    if not np.any(neg):
+        return 1.0
+    return min(1.0, optim._STEP_FRACTION * float(np.min(-v[neg] / dv[neg])))
+
+
+class TestStandardFormAndStep:
+    # fixed at 2, fixed at 0, free, lower only, upper only, two-sided (twice)
+    LB = np.array([2.0, 0.0, -np.inf, 0.0, -np.inf, -1.0, 0.5])
+    UB = np.array([2.0, 0.0, np.inf, np.inf, 3.0, 4.0, 0.75])
+
+    @pytest.mark.parametrize("has_ub, has_eq", [(True, True), (False, True), (True, False),
+                                                (False, False)],
+                             ids=["both", "no_a_ub", "no_a_eq", "bounds_only"])
+    def test_matches_dense_unit_rows(self, has_ub, has_eq):
+        rng = np.random.default_rng(31)
+        n = self.LB.size
+        rows = dict(c=rng.standard_normal(n), q=rng.uniform(0.0, 1.0, n),
+                    lb=self.LB, ub=self.UB)
+        if has_ub:
+            rows.update(a_ub=sp.random(3, n, density=0.5, random_state=1, format="csr"),
+                        b_ub=rng.standard_normal(3))
+        if has_eq:
+            rows.update(a_eq=sp.random(2, n, density=0.5, random_state=2, format="csr"),
+                        b_eq=rng.standard_normal(2))
+        prob = QpProblem(**rows)
+        a_all, b_all, g_all, h_all = optim._standard_form(prob)
+        a, b, g, h = _dense_standard_form(prob)
+        assert a_all.format == g_all.format == "csr"
+        assert a_all.shape == a.shape == (3 * has_ub + 6, n)
+        assert g_all.shape == g.shape == (2 * has_eq + 2, n)
+        assert np.array_equal(a_all.toarray(), a) and np.array_equal(b_all, b)
+        assert np.array_equal(g_all.toarray(), g) and np.array_equal(h_all, h)
+        for mat, dense in ((a_all, a), (g_all, g)):
+            t = optim._transpose(mat)
+            assert t.format == "csr"
+            assert np.array_equal(t.toarray(), dense.T)
+
+    def test_step_matches_the_masked_rule(self):
+        rng = np.random.default_rng(37)
+        for m in (1, 8, 1506):
+            for _ in range(25):
+                v = np.exp(rng.uniform(-20.0, 20.0, m))
+                dv = rng.standard_normal(m) * np.exp(rng.uniform(-20.0, 20.0, m))
+                got = optim._step_len(v, dv)
+                assert 0.0 <= got <= 1.0
+                assert got == pytest.approx(_masked_step_len(v, dv), rel=1e-15, abs=0.0)
+        # no entry decreases, and a decrease too small to reach the boundary
+        v = np.exp(rng.uniform(-5.0, 5.0, 50))
+        assert optim._step_len(v, np.abs(rng.standard_normal(50))) == 1.0
+        assert optim._step_len(v, np.zeros(50)) == 1.0
+        assert optim._step_len(np.zeros(0), np.zeros(0)) == 1.0
+        assert optim._step_len(v, -1e-3 * v) == 1.0
+
+    def test_overflowing_ratio_gives_a_zero_step_without_raising(self):
+        # dv / v overflows; _ipm calls _step_len with these traps set
+        v, dv = np.array([1e-300, 1.0]), np.array([-1e10, -0.5])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            step = optim._step_len(v, dv)
+        assert 0.0 <= step <= 1e-300
 
 
 class TestSolveQpAgainstOracles:
