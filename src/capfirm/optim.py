@@ -8,31 +8,37 @@ charge/discharge exclusivity of a battery, expressed without big-M binaries).
 ``solve_qp`` handles the continuous relaxation with an infeasible-start
 primal-dual interior-point method (Mehrotra predictor-corrector on the
 slack/bound standard form). Its Newton system is the augmented KKT system
-``[[H + A'WA + dI, G'], [G, -dI]]``. A variable whose rows of A are only its
-own bounds has a diagonal row in ``H + A'WA + dI``, so it is eliminated in
-closed form before factoring: with E these variables, R the others and
-``D_E`` their pivots, the factored matrix is
-``[[H_RR + A_R'WA_R + dI, G_R'], [G_R, -dI - G_E D_E^-1 G_E']]``, and
-``dx_E`` follows from ``dy`` by one division. In a planning problem E holds
-the PV used, charge, discharge and SoC series (7,680 of 11,616 variables at
-S=20). Fixed variables (equality rows of the standard form) and free ones
-have no bound row, so their pivot would be ``H_jj + d`` alone (``d`` for a
-fixed SoC), and they stay in R. The sparsity pattern is fixed for a solve:
-it is built once, and each iteration only fills in its values. The matrix
-is quasi-definite, so SuperLU factors it with a symmetric
-fill-reducing ordering and no pivoting, which keeps the fill linear in the
-number of scenarios. The ordering is computed once per solve, by the first
-factorization; later iterations fill the matrix already permuted by it and
-factor in natural order. SuperLU runs with panels one column wide. The
-static regularization ``d`` keeps the pivots clear of zero, so each Newton
-direction is one solve with that factorization, without refinement. An
-iteration is redone once with partial pivoting when its unpivoted
-factorization meets an exact zero pivot, or when its step collapses (both
-step lengths below ``_MIN_STEP``): near the end an unpivoted direction can
-blow up although no pivot is zero. Both are counted in
-``QpSolution.refactors``. A floor on the corrector's centering target keeps
-the total gap ``s.z`` at or above a tenth of the stopping tolerance, where
-the direction still meets the linearized stationarity, so it needs no
+``[[H + A'WA + dI, G'], [G, -dI]]``. Three classes of variables have a
+pivot in closed form and are eliminated before factoring (Vanderbei 1995):
+a variable whose rows of A are only its own bounds (a diagonal row of
+``H + A'WA + dI``); a slack with one row of A besides its bounds and no
+entry in G, whose row then takes a harmonic weight; and a fixed variable
+with no row of A, pivoted out together with its unit equality row when each
+of its other rows of G keeps a variable that is factored. In a planning
+problem the first class holds the PV used, charge, discharge and SoC
+series, the second the deadband slack ``underdev``, and the third the PV
+used where no PV is available, so the factored matrix has dimension
+``T + 3*T*S`` plus the terminal SoC and its unit row per scenario. The
+terminal SoC and a charge fixed at a node stay: their SoC row has no other
+factored variable, and without them it would be tied down only by
+regularization-sized terms, lost to rounding beside the ``1/D ~ 1/reg`` of
+an eliminated SoC inside its bounds (see :class:`_KktAssembler`). Each Newton
+direction is that of the whole matrix up to round-off. The sparsity pattern
+is fixed for a solve: it is built once, and each iteration only fills in
+its values. The matrix is quasi-definite, so SuperLU factors it with a
+symmetric fill-reducing ordering and no pivoting, which keeps the fill
+linear in the number of scenarios. The ordering is computed once per solve,
+by the first factorization; later iterations fill the matrix already
+permuted by it and factor in natural order. SuperLU runs with panels one
+column wide. The static regularization ``d`` keeps the pivots clear of
+zero, so each Newton direction is one solve with that factorization,
+without refinement. An iteration is redone once with partial pivoting when
+its unpivoted factorization meets an exact zero pivot, or when its step
+collapses (both step lengths below ``_MIN_STEP``): near the end an
+unpivoted direction can blow up although no pivot is zero. Both are counted
+in ``QpSolution.refactors``. A floor on the corrector's centering target
+keeps the total gap ``s.z`` at or above a tenth of the stopping tolerance,
+where the direction still meets the linearized stationarity, so it needs no
 correction step.
 
 The duals of the inequality rows start at ``max|c|`` (1 when ``c = 0``),
@@ -279,96 +285,257 @@ def _row_pairs(indptr: np.ndarray, counts: np.ndarray):
     return row, start + j // counts[row], start + j % counts[row]
 
 
+def _csr_maps(blocks):
+    """CSR matrices of the entries ``base * scale[k]`` at (out, src).
+
+    ``blocks`` holds one (shape, parts) per matrix, and each part is an
+    (out, src, base, k) tuple of arrays, where a base of None is 1 and a k
+    of None is 0. Returns the matrices, whose data are views of one array,
+    that array (zero), and the bases and ``k`` in its order. The entries are
+    grouped by row, which is all a product with a vector needs.
+    """
+    outs, srcs, bases, ks, rows = [], [], [], [], 0
+    for shape, parts in blocks:
+        for out, src, base, k in parts:
+            outs.append(rows + out)
+            srcs.append(src)
+            bases.append(np.ones(out.size) if base is None else base)
+            ks.append(np.zeros(out.size, dtype=np.intp) if k is None else k)
+        rows += shape[0]
+    out = np.concatenate(outs)
+    # stable, and a radix sort while the row numbers fit in 16 bits
+    order = np.argsort(out.astype(np.min_scalar_type(rows)), kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(out, minlength=rows))])
+    indptr = indptr.astype(np.intc)
+    indices = np.concatenate(srcs)[order].astype(np.intc)
+    data = np.zeros(out.size)
+    mats, rows = [], 0
+    for shape, _ in blocks:
+        ptr = indptr[rows:rows + shape[0] + 1]
+        lo, hi = ptr[0], ptr[-1]
+        mat = sp.csr_matrix((data[lo:hi], indices[lo:hi], ptr - lo), shape=shape)
+        mat.data = data[lo:hi]      # the constructor copies a small view
+        mats.append(mat)
+        rows += shape[0]
+    return mats, data, np.concatenate(bases)[order], np.concatenate(ks)[order]
+
+
 class _KktAssembler:
     """Fixed CSC pattern of the condensed KKT matrix of ``_ipm``.
 
     The Newton system is ``K [dx; dy] = [r1; r2]`` with
-    ``K = [[diag(d) + A'WA, G'], [G, -reg I]]``. A variable that has at least
-    one row of A and is the only entry of each of them (its bound rows) meets
-    the rest of K only in G, and its pivot ``D_j = d_j + sum_k w_k a_kj^2``
-    is known in closed form. These variables, E, are eliminated; with R the
-    others, the factored matrix is the Schur complement of their diagonal
-    block, ``[[diag(d_R) + A_R'WA_R, G_R'], [G_R, -reg I - G_E D_E^-1 G_E']]``,
-    which is K itself when no variable qualifies. A fixed variable (an
-    equality row of the standard form) and a free one have no bound row, so
-    they stay in R: their pivot would be ``d_j`` alone, as small as ``reg``.
+    ``K = [[diag(d) + A'WA, G'], [G, -reg I]]``. Three classes of variables
+    have a pivot known in closed form and are eliminated (E); the others (R)
+    and the rows of G that do not leave with a variable are factored.
+
+    - *Bound-only*: at least one row of A, and the only entry of each (its
+      bound rows). It meets the rest of K only in G; its pivot is
+      ``D_j = d_j + sum_k w_k a_kj^2``.
+    - *Single-row slack*: exactly one row k of A with other entries, any
+      bound rows, and no entry in G (the deadband slack). With
+      ``b = d_u + sum_bound w a^2`` its pivot is ``D_u = b + w_k a_ku^2``,
+      and row k's products of the other variables take the harmonic weight
+      ``w_k b / D_u`` in place of ``w_k``, with the same fill. At most one
+      per row: the first.
+    - *Pinned*: no row of A, and a row u of G of which it is the only entry
+      ``a`` (a fixed variable and its unit row of the standard form).
+      Pivoting on the block ``[[d_j, a], [a, -reg]]`` leaves a bound-only
+      variable with ``D_j = d_j + a^2/reg`` and ``r1_j + a r2_u / reg``;
+      row u leaves the factored matrix, and the products ``-g g'/D_j`` of
+      the variable's other rows of G are constants. This is done only when
+      each of those rows keeps a variable that is neither bound-only nor
+      pinned. A row without one is tied down by ``-reg`` and these
+      products alone, and both are lost to rounding beside the ``1/D`` of a
+      bound-only neighbour whose pivot is near ``reg``: the condensed
+      matrix is then singular where K is not (an SoC row whose terminal SoC
+      or charge is fixed, with the SoC inside its bounds).
+
+    The factored matrix is the Schur complement of E's block,
+    ``[[diag(d_R) + A_R'W'A_R, G_R'], [G_R, -reg I - G_E D_E^-1 G_E']]`` on
+    the remaining rows of G, with W' the harmonic weights; it is K itself,
+    slot for slot, when nothing qualifies. E meets the factored system
+    through a border B: ``w_k a_kl a_ku`` for a slack u of row k, and G on E.
 
     Calling it with the row weights ``w`` fills the matrix with one
     ``np.bincount``: every contribution (the diagonal ``d_R``, each product
     ``a_ki a_kl`` of a row of A, each product ``g_ri g_si`` of a column of G
     on E, the entries of G_R and G_R', and ``-reg``) has a precomputed slot
-    in the pattern; the products of A are scaled by ``w``, those of G by
+    in the pattern; the products of A are scaled by ``W'``, those of G by
     ``-1/D``. Every call returns the same matrix object with new values,
     until :meth:`permute` moves the slots. :meth:`condense` and
     :meth:`expand` take a right-hand side to the condensed system and its
-    solution back to ``(dx, dy)``, with the pivots of the last call.
+    solution back to ``(dx, dy)``, with the pivots of the last call. Each is
+    one sparse product whose entries are a constant times ``1``, ``1/D_j``
+    or ``w_k/D_u``; the call refreshes them.
     """
 
     def __init__(self, a_all: sp.csr_matrix, g_t: sp.csr_matrix, d: np.ndarray,
                  reg: float):
         n, p = g_t.shape
+        m = a_all.shape[0]
         counts = np.diff(a_all.indptr)
-        alone = np.repeat(counts == 1, counts)     # the only entry of its row
-        elim = np.zeros(n, dtype=bool)
-        elim[a_all.indices[alone]] = True
-        elim[a_all.indices[~alone]] = False
-        self.keep = np.flatnonzero(~elim)
-        self._n_r = n_r = self.keep.size
-        col = np.cumsum(~elim) - 1      # column of a retained variable
-        self._dim = dim = n_r + p
-        self._g_t, self._g = g_t, g_t.T
-        self._d = d
-        self._e_mask = elim.astype(float)
-
-        # the rows of A on an eliminated variable add to its pivot only
-        on_e = elim[a_all.indices]
-        self._e_var = a_all.indices[on_e]
-        self._e_row = np.repeat(np.arange(counts.size), counts)[on_e]
-        self._e_sq = a_all.data[on_e] ** 2
-        pair_counts = counts.copy()
-        pair_counts[self._e_row] = 0
-        self._pair_row, e1, e2 = _row_pairs(a_all.indptr, pair_counts)
-        self._a_prod = a_all.data[e1] * a_all.data[e2]
+        a_row = np.repeat(np.arange(m), counts)
+        a_var, a_val = a_all.indices, a_all.data
+        alone = counts[a_row] == 1     # the only entry of its row: a bound row
+        n_rows = np.bincount(a_var, minlength=n)
+        n_shared = np.bincount(a_var[~alone], minlength=n)
         g_counts = np.diff(g_t.indptr)
-        self._g_pair_var, f1, f2 = _row_pairs(g_t.indptr, g_counts * elim)
-        self._g_prod = g_t.data[f1] * g_t.data[f2]
+        g_var, g_row, g_val = np.repeat(np.arange(n), g_counts), g_t.indices, g_t.data
+        bound_only = (n_rows > 0) & (n_shared == 0)
 
-        g_var = np.repeat(np.arange(n), g_counts)
-        on_r = ~elim[g_var]
-        g_row, g_col, g_val = n_r + g_t.indices[on_r], col[g_var[on_r]], g_t.data[on_r]
+        # single-row slacks, the first candidate of each row
+        s_ent = np.flatnonzero(~alone & ((n_shared == 1) & (g_counts == 0))[a_var])
+        s_row, first = np.unique(a_row[s_ent], return_index=True)
+        s_ent = s_ent[first]
+        s_var, n_s = a_var[s_ent], s_ent.size
+        # pinned candidates, each with its first row of G that holds it alone
+        f_ent = np.flatnonzero((np.bincount(g_row, minlength=p)[g_row] == 1)
+                               & (n_rows == 0)[g_var])
+        f_ent = f_ent[np.unique(g_var[f_ent], return_index=True)[1]]
+        # a candidate is pinned when none of its other rows of G lacks a
+        # variable of the core (neither bound-only nor a candidate)
+        core = ~bound_only
+        core[g_var[f_ent]] = False
+        loose = (np.bincount(g_row, weights=core[g_var], minlength=p) == 0)[g_row]
+        loose[f_ent] = False
+        f_ent = f_ent[np.bincount(g_var[loose], minlength=n)[g_var[f_ent]] == 0]
+        f_var, f_row, f_a = g_var[f_ent], g_row[f_ent], g_val[f_ent]
+
+        slack = np.zeros(n, dtype=bool)
+        slack[s_var] = True
+        pinned = np.zeros(n, dtype=bool)
+        pinned[f_var] = True
+        elim = bound_only | slack | pinned
+        e_var = np.concatenate([s_var, np.flatnonzero(elim & ~slack)])   # slacks first
+        self.keep = np.flatnonzero(~elim)
+        n_r = self.keep.size
+        pos = np.zeros(n, dtype=np.intp)        # position in E, or in R
+        pos[e_var] = np.arange(e_var.size)
+        pos[self.keep] = np.arange(n_r)
+        row_out = np.zeros(p, dtype=bool)
+        row_out[f_row] = True
+        self._p_keep = np.flatnonzero(~row_out)
+        self._dim = dim = n_r + self._p_keep.size
+        g_col = n_r + np.cumsum(~row_out) - 1       # column of a retained row of G
+
+        # pivots: d, a^2/reg for a pinned variable, and the bound rows' w a^2
+        self._d_e = d[e_var]
+        self._d_e[pos[f_var]] += f_a ** 2 / reg
+        on_e = elim[a_var] & alone
+        self._bound_pos, self._bound_row = pos[a_var[on_e]], a_row[on_e]
+        self._bound_sq = a_val[on_e] ** 2
+        self._s_row, self._s_sq = s_row, a_val[s_ent] ** 2
+
+        # products of a row of A between retained variables, weighted by w,
+        # or by the harmonic weight of a slack's row, at m + its index
+        r_ent = np.flatnonzero(~elim[a_var])
+        r_counts = np.bincount(a_row[r_ent], minlength=m)
+        pair_row, e1, e2 = _row_pairs(np.concatenate([[0], np.cumsum(r_counts)]), r_counts)
+        e1, e2 = r_ent[e1], r_ent[e2]
+        weight_of = np.arange(m)
+        weight_of[s_row] = m + np.arange(n_s)
+        self._pair_w = weight_of[pair_row]
+        self._a_prod = a_val[e1] * a_val[e2]
+
+        # G without the pinned rows, and the products of its columns on E
+        kept = np.ones(g_row.size, dtype=bool)
+        kept[f_ent] = False
+        gk_var, gk_row, gk_val = g_var[kept], g_col[g_row[kept]], g_val[kept]
+        gk_counts = np.bincount(gk_var, minlength=n)
+        pair_var, f1, f2 = _row_pairs(np.concatenate([[0], np.cumsum(gk_counts)]),
+                                      gk_counts * elim)
+        fix = pinned[pair_var]
+        g_prod = gk_val[f1] * gk_val[f2]
+        self._gp_pos, self._g_prod = pos[pair_var[~fix]], -g_prod[~fix]
+
+        # condense maps [r1; r2] to r1_R, r2 of the retained rows, minus
+        # B D_E^-1 (r1_E + a r2_u / reg on a pinned variable); expand maps
+        # [r1; r2; sol] to dx_E = D_E^-1 (r1_E - B' sol) (+ a r2_u /
+        # (reg d + a^2) when pinned), dx_R and dy of the retained rows from
+        # sol, and dy_u = (a (r1_j - g_j' dy) - d_j r2_u) / (reg d_j + a^2).
+        # An entry is base * scale[k], scale = [1, 1/D_E, w_k/D_u of slacks].
+        o_ent = np.flatnonzero((weight_of[a_row] >= m) & ~slack[a_var])
+        o_slack = weight_of[a_row[o_ent]] - m
+        o_row, o_col = pos[a_var[o_ent]], s_var[o_slack]
+        o_base, o_k = -a_val[o_ent] * a_val[s_ent][o_slack], 1 + e_var.size + o_slack
+        on_e_g = elim[gk_var]
+        b_row, b_col, b_base = gk_row[on_e_g], gk_var[on_e_g], -gk_val[on_e_g]
+        b_k = 1 + pos[b_col]
+        den = reg * d[f_var] + f_a ** 2
+        gain = np.zeros(n)
+        gain[f_var] = f_a / den
+        f_u = np.zeros(n, dtype=np.intp)
+        f_u[f_var] = n + f_row
+        on_f = pinned[b_col]
+        fb_row, fb_u, fb_base = b_row[on_f], f_u[b_col[on_f]], (b_base * gain[b_col])[on_f]
+        retained = np.concatenate([self.keep, n + self._p_keep])
+        sol = n + p
+        f_u = f_u[f_var]
+        condense = ((dim, n + p), (
+            (np.arange(dim), retained, None, None),
+            (b_row, b_col, b_base, b_k),
+            (o_row, o_col, o_base, o_k),
+            (fb_row, fb_u, fb_base, None)))
+        expand = ((n + p, sol + dim), (
+            (e_var, e_var, None, 1 + np.arange(e_var.size)),
+            (b_col, sol + b_row, b_base, b_k),
+            (o_col, sol + o_row, o_base, o_k),
+            (retained, sol + np.arange(dim), None, None),
+            (f_var, f_u, gain[f_var], None),
+            (f_u, f_var, gain[f_var], None),
+            (fb_u, sol + fb_row, fb_base, None),
+            (f_u, f_u, -d[f_var] / den, None)))
+        (self._condense, self._expand), self._map_data, self._map_base, self._map_k = \
+            _csr_maps((condense, expand))
+        self._scale = np.ones(1 + e_var.size + n_s)
+
+        on_r = ~elim[gk_var]
+        r_row, r_col, r_val = gk_row[on_r], pos[gk_var[on_r]], gk_val[on_r]
         r_rng, p_rng = np.arange(n_r), np.arange(n_r, dim)
-        rows = np.concatenate([r_rng, g_row, g_col, p_rng, col[a_all.indices[e1]],
-                               n_r + g_t.indices[f1]])
-        cols = np.concatenate([r_rng, g_col, g_row, p_rng, col[a_all.indices[e2]],
-                               n_r + g_t.indices[f2]])
+        rows = np.concatenate([r_rng, r_row, r_col, p_rng, gk_row[f1[fix]],
+                               pos[a_var[e1]], gk_row[f1[~fix]]])
+        cols = np.concatenate([r_rng, r_col, r_row, p_rng, gk_row[f2[fix]],
+                               pos[a_var[e2]], gk_row[f2[~fix]]])
         keys, self._slot = np.unique(cols.astype(np.int64) * dim + rows,
                                      return_inverse=True)
-        self._n_fixed = n_r + 2 * g_val.size + p
-        self._values = np.concatenate([d[self.keep], g_val, g_val, np.full(p, -reg),
-                                       self._a_prod, self._g_prod])
+        self._values = np.concatenate([
+            d[self.keep], r_val, r_val, np.full(dim - n_r, -reg),
+            -g_prod[fix] / self._d_e[pos[pair_var[fix]]], self._a_prod, self._g_prod])
+        self._n_fixed = self._values.size - self._a_prod.size - self._g_prod.size
         self._kkt = _csc_pattern(keys, dim)
 
     def __call__(self, w: np.ndarray) -> sp.csc_matrix:
-        # 1/D on E and 0 on R
-        self._inv = self._e_mask / (self._d + np.bincount(
-            self._e_var, weights=w[self._e_row] * self._e_sq, minlength=self._d.size))
+        n_s = self._s_row.size
+        piv = self._d_e + np.bincount(self._bound_pos,
+                                      weights=w[self._bound_row] * self._bound_sq,
+                                      minlength=self._d_e.size)
+        w_k = w[self._s_row]
+        base = piv[:n_s]
+        total = base + w_k * self._s_sq
+        harmonic = w_k * (base / total)
+        piv[:n_s] = total
+        inv = np.divide(1.0, piv, out=self._scale[1:piv.size + 1])
+        np.multiply(w_k, inv[:n_s], out=self._scale[piv.size + 1:])
+        np.multiply(self._map_base, self._scale[self._map_k], out=self._map_data)
         k = self._n_fixed + self._a_prod.size
-        np.multiply(w[self._pair_row], self._a_prod, out=self._values[self._n_fixed:k])
-        np.multiply(-self._inv[self._g_pair_var], self._g_prod, out=self._values[k:])
+        np.multiply(np.concatenate([w, harmonic])[self._pair_w], self._a_prod,
+                    out=self._values[self._n_fixed:k])
+        np.multiply(inv[self._gp_pos], self._g_prod, out=self._values[k:])
         self._kkt.data = np.bincount(self._slot, weights=self._values,
                                     minlength=self._kkt.nnz)
         return self._kkt
 
     def condense(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        """Right-hand side ``[r1_R; r2 - G_E (r1_E / D_E)]`` of the condensed system."""
-        return np.concatenate([r1[self.keep], r2 - self._g @ (self._inv * r1)])
+        """Right-hand side ``[r1_R; r2_kept] - B D_E^-1 r1_E`` of the condensed
+        system, with ``r1_j + a r2_u / reg`` for a pinned variable."""
+        return self._condense @ np.concatenate([r1, r2])
 
-    def expand(self, sol: np.ndarray, r1: np.ndarray):
-        """``(dx, dy)`` of the whole system, ``dx_E = (r1_E - G_E' dy) / D_E``."""
-        dy = sol[self._n_r:]
-        dx = self._inv * (r1 - self._g_t @ dy)
-        dx[self.keep] = sol[:self._n_r]
-        return dx, dy
+    def expand(self, sol: np.ndarray, r1: np.ndarray, r2: np.ndarray):
+        """``(dx, dy)`` of the whole system: ``dx_E = D_E^-1 (r1_E - B' sol)``,
+        and ``dy_u = (a (r1_j - g_j' dy) - d_j r2_u) / (reg d_j + a^2)`` for the
+        row u of a pinned variable j."""
+        out = self._expand @ np.concatenate([r1, r2, sol])
+        return out[:r1.size], out[r1.size:]
 
     def permute(self, perm: np.ndarray) -> None:
         """Move entry (r, c) to (perm[r], perm[c]) in every later call.
@@ -409,9 +576,9 @@ def _ipm(prob: QpProblem):
     """Mehrotra predictor-corrector on the slack standard form.
 
     Each Newton direction is one solve with the condensed KKT matrix of
-    :class:`_KktAssembler`: the variables whose only rows of A are their
-    bounds are eliminated in closed form, and fixed and free variables,
-    which have no bound row and so no pivot but the regularization, are not.
+    :class:`_KktAssembler`: bound-only variables, single-row slacks and
+    fixed variables whose other rows of G keep a factored variable are
+    eliminated in closed form, the last with their unit equality rows.
     Returns (x, status, residuals, iterations, refactors), where
     ``refactors`` counts the iterations redone with partial pivoting: their
     symmetric factorization met an exact zero pivot, or their step stalled.
@@ -492,7 +659,7 @@ def _ipm(prob: QpProblem):
                     # every later comparison unnoticed
                     if not np.isfinite(sol).all():
                         raise FloatingPointError("non-finite Newton direction")
-                    dx, dy = assemble.expand(sol, r1)
+                    dx, dy = assemble.expand(sol, r1, -r_e)
                     ds = -r_p - a_all @ dx
                     return dx, dy, ds, (r_c - z * ds) / s
 

@@ -19,7 +19,12 @@ from capfirm.optim import (
     solve_miqp,
     solve_qp,
 )
-from capfirm.planner import PlanningInstance, build_planning_qp, dispatch_block
+from capfirm.planner import (
+    PlanningInstance,
+    build_planning_qp,
+    dispatch_block,
+    dispatch_index,
+)
 from capfirm.scenarios import ScenarioSet
 
 from oracles import (
@@ -257,27 +262,76 @@ def _reference_kkt(a_all, g_t, d, reg, w):
     return sp.bmat([[top, g_t], [g_t.T, -reg * sp.eye(p)]], format="csc")
 
 
-def _reference_condensed_kkt(keep, a_all, g_t, d, reg, w):
-    """Schur complement of the eliminated variables' block of the whole matrix.
+def _reference_condensed_kkt(assemble, a_all, g_t, d, reg, w):
+    """Dense Schur complement of what the assembler eliminates, in the whole matrix.
 
-    That block must be diagonal and meet the retained variables nowhere.
+    The eliminated variables and the rows of G that leave with them form
+    the block that is pivoted out; the rest is what is factored.
     """
-    full = _reference_kkt(a_all, g_t, d, reg, w)
-    n = a_all.shape[1]
-    elim = np.setdiff1d(np.arange(n), keep)
-    rest = np.concatenate([keep, np.arange(n, full.shape[0])])
-    block = full[elim][:, elim]
-    assert (block - sp.diags(block.diagonal())).nnz == 0
-    assert full[keep][:, elim].nnz == 0
-    border = full[rest][:, elim]
-    return (full[rest][:, rest] - border @ sp.diags(1.0 / block.diagonal()) @ border.T).tocsc()
+    full = _reference_kkt(a_all, g_t, d, reg, w).toarray()
+    rest = np.concatenate([assemble.keep, a_all.shape[1] + assemble._p_keep])
+    out = np.setdiff1d(np.arange(full.shape[0]), rest)
+    border = full[np.ix_(rest, out)]
+    return full[np.ix_(rest, rest)] - border @ np.linalg.solve(full[np.ix_(out, out)],
+                                                               border.T)
+
+
+def _eliminated_classes(prob, assemble):
+    """Counts of the eliminated bound-only, single-row slack and pinned variables."""
+    a_all, _, g_all, _ = optim._standard_form(prob)
+    a = abs(a_all.toarray()) > 0
+    g = abs(g_all.toarray()) > 0
+    shared = a[a.sum(axis=1) > 1]
+    out = np.setdiff1d(np.arange(prob.n_var), assemble.keep)
+    bound_only = a.any(axis=0) & ~shared.any(axis=0)
+    slack = (shared.sum(axis=0) == 1) & ~g.any(axis=0)
+    pinned = ~a.any(axis=0) & g[g.sum(axis=1) == 1].any(axis=0)
+    return tuple(int(cls[out].sum()) for cls in (bound_only, slack, pinned))
+
+
+def _mixed_qp():
+    """Six variables, one of each kind the assembler tells apart.
+
+    x0, x1 share a row of A and have no row of G: both are single-row slack
+    candidates; x2 has bounds only; x3 has a one-entry row of A and no
+    bounds; x4 is fixed, with a quadratic cost; x5 is free and appears only
+    in a two-entry equality row.
+    """
+    return QpProblem(q=[1.0, 0.0, 0.5, 0.0, 1.0, 2.0], c=[1.0, 1.0, 1.0, -1.0, 1.0, 1.0],
+                     a_ub=[[1.0, -1.0, 0, 0, 0, 0], [0, 0, 0, 2.0, 0, 0]],
+                     b_ub=[1.0, 3.0],
+                     a_eq=[[0, 0, 1.0, 0, 0, 1.0]], b_eq=[0.5],
+                     lb=[0.0, -np.inf, -1.0, -np.inf, 2.0, -np.inf],
+                     ub=[4.0, 5.0, 1.0, np.inf, 2.0, np.inf])
+
+
+def _kkt_case(case):
+    """A planning relaxation, a node with its charges fixed at 0, a node
+    whose SoC row of scenario 0, period 4 holds only fixed variables, and
+    :func:`_mixed_qp`, whose fixed variable has a quadratic cost."""
+    if case == "mixed":
+        return _mixed_qp()
+    prob = _noisy_planning_qp(n_periods=8, n_scen=3)
+    if case == "relaxation":
+        return prob
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    if case == "node":
+        ub[prob.comp_pairs[:, 0]] = 0.0
+    else:
+        idx = dispatch_index(8, 3, 8)
+        soc = idx.soc[0, 3:5]
+        lb[soc] = ub[soc] = 0.5 * (lb[soc[0]] + ub[soc[0]])
+        ub[[idx.charge[0, 4], idx.discharge[0, 4]]] = 0.0
+    return replace(prob, lb=lb, ub=ub)
 
 
 class TestKktAssembly:
     @pytest.mark.parametrize("case, has_rows, has_eq", [
         pytest.param("planning", True, True, id="planning"),
         pytest.param("bounds_only", True, False, id="bounds_only"),
-        pytest.param("equality_only", False, True, id="equality_only")])
+        pytest.param("equality_only", False, True, id="equality_only"),
+        pytest.param("node", True, True, id="node"),
+        pytest.param("pinned_row", True, True, id="pinned_row")])
     def test_fixed_pattern_matches_whole_matrix_assembly(self, case, has_rows, has_eq):
         rng = np.random.default_rng(17)
         if case == "planning":
@@ -287,62 +341,110 @@ class TestKktAssembly:
             q, c, _, _, lb, ub = random_box_qp(rng, 7)
             lb[3], ub[3] = -np.inf, np.inf
             prob = QpProblem(q=q, c=c, lb=lb, ub=ub)
-        else:
+        elif case == "equality_only":
             prob = QpProblem(q=[1.0, 0.0, 2.0], c=[0.0, 1.0, -1.0],
                              a_eq=[[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], b_eq=[2.0, 0.5])
+        else:
+            prob = _kkt_case(case)
         parts = _kkt_parts(prob)
         m, p = parts[0].shape[0], parts[1].shape[1]
         assert (m > 0, p > 0) == (has_rows, has_eq)
         assemble = optim._KktAssembler(*parts)
+        if has_rows and has_eq:
+            assert min(_eliminated_classes(prob, assemble)) > 0
         for _ in range(2 if m else 1):
             w = np.exp(rng.uniform(-8.0, 8.0, m))
             got = assemble(w).toarray()
-            ref = _reference_condensed_kkt(assemble.keep, *parts, w).toarray()
-            assert got.shape == ref.shape == (assemble.keep.size + p,) * 2
+            ref = _reference_condensed_kkt(assemble, *parts, w)
+            dim = assemble.keep.size + assemble._p_keep.size
+            assert got.shape == ref.shape == (dim, dim)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("charges_fixed", [False, True], ids=["relaxation", "node"])
-    def test_back_substituted_direction_solves_the_whole_system(self, charges_fixed):
-        # the condensed solve plus dx_E = (r1_E - G_E' dy) / D_E must solve
-        # the whole KKT system, also at a branch-and-bound node whose fixed
-        # charges stay in the factored core as equality rows
-        prob = _noisy_planning_qp(n_periods=8, n_scen=3)
-        if charges_fixed:
-            ub = prob.ub.copy()
-            ub[[i for i, _ in prob.comp_pairs]] = 0.0
-            prob = replace(prob, ub=ub)
+    @pytest.mark.parametrize("case", ["relaxation", "node", "pinned_row", "mixed"])
+    def test_back_substituted_direction_solves_the_whole_system(self, case):
+        # the condensed solve plus the closed-form pivots must solve the
+        # whole KKT system: dx of every eliminated variable, and dy of every
+        # row of G that leaves with a fixed variable, also at a node whose
+        # charges are fixed, where a row of G holds only fixed variables,
+        # and for a fixed variable whose pivot d_j is not near reg
+        prob = _kkt_case(case)
         parts = _kkt_parts(prob)
         a_all, g_t = parts[:2]
         rng = np.random.default_rng(41)
         assemble = optim._KktAssembler(*parts)
+        assert min(_eliminated_classes(prob, assemble)) > 0
         w = np.exp(rng.uniform(-8.0, 8.0, a_all.shape[0]))
         lu = optim._splu_symmetric(assemble(w))
         r1 = rng.standard_normal(prob.n_var)
         r2 = rng.standard_normal(g_t.shape[1])
-        dx, dy = assemble.expand(lu.solve(assemble.condense(r1, r2)), r1)
+        dx, dy = assemble.expand(lu.solve(assemble.condense(r1, r2)), r1, r2)
         full = _reference_kkt(*parts, w)
         sol = np.concatenate([dx, dy])
         ref = sp.linalg.spsolve(full, np.concatenate([r1, r2]))
         assert np.max(np.abs(sol - ref)) <= 1e-9 * np.max(np.abs(ref))
 
-    def test_exactly_the_bound_only_variables_are_eliminated(self):
-        # x0, x1 share a row of A (coupled); x2 has bounds only; x3 has a
-        # one-entry row of A and no bounds; x4 is fixed, an equality row of
-        # the standard form; x5 is free and appears only in an equality row
-        prob = QpProblem(q=[1.0, 0.0, 0.5, 0.0, 1.0, 2.0], c=[1.0, 1.0, 1.0, -1.0, 1.0, 1.0],
-                         a_ub=[[1.0, -1.0, 0, 0, 0, 0], [0, 0, 0, 2.0, 0, 0]],
-                         b_ub=[1.0, 3.0],
-                         a_eq=[[0, 0, 1.0, 0, 0, 1.0]], b_eq=[0.5],
-                         lb=[0.0, -np.inf, -1.0, -np.inf, 2.0, -np.inf],
-                         ub=[4.0, 5.0, 1.0, np.inf, 2.0, np.inf])
+    def test_row_of_fixed_variables_stays_regular(self):
+        # the SoC row of scenario 0, period 4 holds only fixed variables. A
+        # fixed variable leaves with its unit row only when each of its other
+        # rows of G keeps a variable of the core, so these four stay, as
+        # does the row, and the solve factors without pivoting. (A presolve
+        # that dropped fixed variables left such rows exactly singular at
+        # two nodes of the random storage instances.)
+        prob = _kkt_case("pinned_row")
         parts = _kkt_parts(prob)
         assemble = optim._KktAssembler(*parts)
-        assert assemble.keep.tolist() == [0, 1, 4, 5]
+        idx = dispatch_index(8, 3, 8)
+        row = 2 * 4 + 1
+        held = parts[1].T.tocsr()[row].indices
+        assert set(held) == {idx.soc[0, 3], idx.soc[0, 4], idx.charge[0, 4],
+                             idx.discharge[0, 4]}
+        assert np.isin(held, assemble.keep).all()
+        assert row in assemble._p_keep
+        sol = solve_qp(prob)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.refactors == 0
+        assert sol.x[idx.soc[0, 4]] == pytest.approx(prob.ub[idx.soc[0, 3]], abs=1e-9)
+
+    def test_exactly_the_bound_only_variables_are_eliminated(self):
+        # of the slack candidates x0 and x1 only the first of their row, x0,
+        # is eliminated; x2 and x3 are bound-only; x4 is eliminated with its
+        # unit row of the standard form; x5 stays
+        prob = _mixed_qp()
+        parts = _kkt_parts(prob)
+        assemble = optim._KktAssembler(*parts)
+        assert assemble.keep.tolist() == [1, 5]
         kkt = assemble(np.ones(parts[0].shape[0]))
-        assert kkt.shape == (4 + 2, 4 + 2)    # two equality rows: a_eq and x4
+        assert kkt.shape == (2 + 1, 2 + 1)    # the a_eq row; x4's unit row is out
         sol = solve_qp(prob)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.x[4] == pytest.approx(2.0, abs=1e-9)
+
+    def test_one_slack_per_row_of_the_elastic_problem(self, monkeypatch):
+        # the elastic problem of the certificate adds a nonnegative variable
+        # to every inequality row. A deadband row then has two single-row
+        # slack candidates, underdev and its elastic variable, and exactly
+        # one of them is eliminated; every other row's elastic variable is
+        # its only candidate and is eliminated. The certificate still fires.
+        prob = _unreachable_floor_node()
+        built = []
+
+        class Recorded(optim._KktAssembler):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(optim, "_KktAssembler", Recorded)
+        infeasible, mass = optim._certify_infeasible(prob)
+        assert infeasible and mass > 0
+        keep = set(built[-1].keep.tolist())
+        n, t_n = prob.n_var, 5
+        elastic = n + np.arange(prob.b_ub.size)
+        idx = dispatch_index(t_n, 1, t_n)
+        dead = 2 * (t_n - 1) + 2 * np.arange(t_n)
+        for t, k in enumerate(dead):
+            assert (idx.underdev[0, t] in keep) + (elastic[k] in keep) == 1
+        others = np.setdiff1d(np.arange(prob.b_ub.size), dead)
+        assert not keep & set(elastic[others].tolist())
 
     def test_symmetric_fill_grows_linearly_in_scenarios(self):
         # without pivoting the fill does not depend on the values. The

@@ -1,12 +1,13 @@
 """Day-ahead planning: problem build, optimality, plan invariants."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capfirm import optim
-from capfirm.controller import oracle_control
+from capfirm.controller import build_control_qp, oracle_control
 from capfirm.domain import TimeGrid, check_engagement
 from capfirm.planner import (
     PlanningError,
@@ -317,20 +318,21 @@ def _perfect_foresight_day(season, day, ratio, price):
 class TestPaperScaleDay:
     def test_bound_only_dispatch_is_eliminated_before_factoring(self, monkeypatch):
         # pv_used, charge, discharge and soc appear in no inequality row but
-        # their bounds, so the IPM eliminates them in closed form, except the
-        # fixed ones (terminal SoC, PV-free periods), which stay as variables
-        # and as equality rows. The matrix handed to the first factorization
-        # is then T engagement columns, 2ST production and underdev columns,
-        # 2ST equality rows and twice the fixed variables.
+        # their bounds, so the IPM eliminates them in closed form; a fixed
+        # pv_used (no PV) goes with its unit equality row, as its power
+        # balance row keeps the production column, and the deadband slack
+        # underdev is eliminated from its one deadband row. The terminal SoC
+        # is fixed too, but its SoC row keeps no other variable, so it stays
+        # with its unit row. The matrix handed to the first factorization is
+        # then T engagement columns, ST production columns, 2ST equality
+        # rows and S terminal SoC columns and unit rows, whatever the number
+        # of PV-free periods.
         with np.load(DATA / "s20_season4_day132.npz") as data:
             scen = ScenarioSet(data["values_kw"], data["weights"])
         grid = TimeGrid.daily()
         policy = toy_policy(grid, pv_capacity=466.4)
         system = toy_system(pv_capacity=466.4, capacity_kwh=233.2)
         problem, _, _ = build_planning_qp(PlanningInstance(grid, policy, system, scen, "S"))
-        lb, ub = problem.lb, problem.ub
-        n_fixed = int(np.sum(np.isfinite(lb) & np.isfinite(ub)
-                             & (ub - lb <= 1e-14 * np.maximum(1.0, np.abs(ub)))))
         t_n, s_n = grid.n_periods, scen.n_scenarios
         dims = []
 
@@ -344,7 +346,42 @@ class TestPaperScaleDay:
         monkeypatch.setattr(optim, "_splu_symmetric", record)
         with pytest.raises(FirstFactor):
             optim.solve_qp(problem)
-        assert dims == [t_n + 4 * s_n * t_n + 2 * n_fixed]
+        assert dims == [t_n + 3 * s_n * t_n + 2 * s_n]
+
+    def test_factored_dimension_of_a_d_plan_its_nodes_and_control(self, monkeypatch):
+        # a D plan factors T engagement and T production columns, 2T
+        # equality rows and the terminal SoC with its unit row; a node adds
+        # each charge it fixes, with its unit row, as that charge's SoC row
+        # keeps no other factored variable; control has no engagement
+        # columns. Fixed pv_used (no PV) never adds to the dimension.
+        with np.load(DATA / "d_season5_day77.npz") as data:
+            forecast, realized = data["forecast_kw"], data["power_kw"]
+        grid = TimeGrid.daily()
+        policy = toy_policy(grid, 100.0, 200.0, 466.4)
+        system = toy_system(466.4, 0.5 * 466.4)
+        t_n = grid.n_periods
+        problem, _, _ = build_planning_qp(PlanningInstance(
+            grid, policy, system, ScenarioSet.single(np.clip(forecast, 0.0, None)), "D"))
+        ub = problem.ub.copy()
+        ub[problem.comp_pairs[:40:4, 0]] = 0.0
+        node = replace(problem, ub=ub)
+        res = plan(PlanningInstance(grid, policy, system, ScenarioSet.single(forecast), "D"))
+        control, _, _ = build_control_qp(res.engagement, realized, policy, system, grid)
+        assert np.sum(np.clip(forecast, 0.0, None) == 0.0) > 0
+        dims = []
+
+        class FirstFactor(Exception):
+            pass
+
+        def record(kkt, *args):
+            dims.append(kkt.shape[0])
+            raise FirstFactor
+
+        monkeypatch.setattr(optim, "_splu_symmetric", record)
+        for prob in (problem, node, control):
+            with pytest.raises(FirstFactor):
+                optim.solve_qp(prob)
+        assert dims == [4 * t_n + 2, 4 * t_n + 2 + 2 * 10, 3 * t_n + 2]
 
     @pytest.fixture(scope="class")
     def solved_day(self):
