@@ -76,6 +76,8 @@ class TimeGrid:
         peak_end_hour: float = PEAK_END_HOUR,
     ) -> "TimeGrid":
         """Build a 24 h grid; peak periods are those starting in [start, end)."""
+        if not delta_t_hours > 0:
+            raise InvalidConfigError("delta_t_hours must be > 0")
         n = int(round(24.0 / delta_t_hours))
         if abs(n * delta_t_hours - 24.0) > 1e-9:
             raise InvalidConfigError("delta_t_hours must divide 24 h")

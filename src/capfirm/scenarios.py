@@ -3,10 +3,12 @@
 The dependence model couples per-lead-time empirical error distributions
 (error = measurement - forecast, in kW) through a multivariate normal
 correlation structure estimated from normal scores of the historical errors.
-Sampling draws correlated normals through the Cholesky factor, pushes them
-through the standard normal CDF and maps each coordinate through the inverse
-empirical marginal; adding the sampled errors to the forecast and clipping to
-the plant's feasible range yields one scenario.
+The marginals are one (days x T) matrix of column-sorted errors, so every
+step runs on all lead times at once. Sampling draws correlated normals
+through the Cholesky factor, pushes them through the standard normal CDF and
+maps each coordinate through the inverse empirical marginal; adding the
+sampled errors to the forecast and clipping to the plant's feasible range
+yields one scenario.
 
 Reproducibility: sampling derives one independent substream per scenario
 index by spawning children of ``numpy.random.SeedSequence(seed)``, so results
@@ -30,41 +32,38 @@ class EstimationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ErrorMarginal:
-    """Sorted historical forecast errors of one lead time."""
-
-    lead_time: int
-    sorted_errors_kw: np.ndarray
-    degenerate: bool
-
-    def __post_init__(self):
-        arr = np.asarray(self.sorted_errors_kw, dtype=float).copy()
-        if np.any(np.diff(arr) < 0):
-            raise ValueError("marginal errors must be sorted ascending")
-        arr.setflags(write=False)
-        object.__setattr__(self, "sorted_errors_kw", arr)
-
-    def inverse_cdf(self, u):
-        """Linear interpolation between order statistics, flat at the tails."""
-        z = self.sorted_errors_kw
-        m = z.shape[0]
-        grid = (np.arange(1, m + 1) - 0.5) / m
-        return np.interp(u, grid, z)
-
-
-@dataclass(frozen=True)
 class CopulaModel:
-    """Per-lead-time marginals plus the normal-score correlation structure."""
+    """Empirical error marginals coupled by a normal-score correlation.
 
-    marginals: tuple[ErrorMarginal, ...]
+    ``sorted_errors_kw`` is the (days x T) error history with each column
+    sorted ascending: column k is the empirical marginal of lead time k, read
+    at the plotting positions ``(i - 0.5)/days`` that all columns share.
+    ``degenerate`` (T,) flags the lead times that emit exactly zero error.
+    ``correlation`` and its lower Cholesky factor are T x T.
+    """
+
+    sorted_errors_kw: np.ndarray
+    degenerate: np.ndarray
     correlation: np.ndarray
     cholesky_factor: np.ndarray
 
     def __post_init__(self):
+        z = np.asarray(self.sorted_errors_kw, dtype=float).copy()
+        if z.ndim != 2 or z.shape[0] < 2:
+            raise ValueError("sorted errors must be (days x T) with at least 2 days")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("sorted errors must be finite")
+        if np.any(np.diff(z, axis=0) < 0):
+            raise ValueError("each column of errors must be sorted ascending")
+        t_n = z.shape[1]
+        flags = np.asarray(self.degenerate, dtype=bool).copy()
+        if flags.shape != (t_n,):
+            raise ValueError("degenerate must have one flag per lead time")
         r = np.asarray(self.correlation, dtype=float).copy()
-        t_n = len(self.marginals)
         if r.shape != (t_n, t_n):
             raise ValueError("correlation must be T x T")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("correlation must be finite")
         if np.max(np.abs(r - r.T)) > 1e-10:
             raise ValueError("correlation must be symmetric")
         if np.max(np.abs(np.diag(r) - 1.0)) > 1e-10:
@@ -72,14 +71,12 @@ class CopulaModel:
         if np.max(np.abs(r)) > 1.0 + 1e-10:
             raise ValueError("correlation entries must lie in [-1, 1]")
         low = np.asarray(self.cholesky_factor, dtype=float).copy()
-        r.setflags(write=False)
-        low.setflags(write=False)
-        object.__setattr__(self, "correlation", r)
-        object.__setattr__(self, "cholesky_factor", low)
-
-    @property
-    def n_lead_times(self) -> int:
-        return len(self.marginals)
+        if low.shape != (t_n, t_n) or not np.all(np.isfinite(low)):
+            raise ValueError("Cholesky factor must be a finite T x T matrix")
+        for name, arr in (("sorted_errors_kw", z), ("degenerate", flags),
+                          ("correlation", r), ("cholesky_factor", low)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -94,6 +91,8 @@ class ScenarioSet:
         w = np.asarray(self.weights, dtype=float).copy()
         if vals.ndim != 2 or w.shape != (vals.shape[0],):
             raise ValueError("values must be (n, T) with one weight per scenario")
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(w))):
+            raise ValueError("scenario values and weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be >= 0")
         if abs(float(np.sum(w)) - 1.0) > 1e-9:
@@ -135,14 +134,16 @@ def _repair_positive_definite(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _average_ranks(sorted_sample: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``values`` in their own sorted copy ``sorted_sample``.
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of each column of ``values`` within that column.
 
     Tied values share the mean of their positions, as
-    ``scipy.stats.rankdata(values, method="average")`` ranks them.
+    ``scipy.stats.rankdata(values, axis=0, method="average")`` ranks them:
+    ``(#{v_j < v_i} + #{v_j <= v_i} + 1) / 2``, where ``#{v_j <= v_i}`` is
+    ``days - #{v_j > v_i}``, read from the same comparison.
     """
-    return (np.searchsorted(sorted_sample, values, "left")
-            + np.searchsorted(sorted_sample, values, "right") + 1) / 2.0
+    below = values[None, :, :] < values[:, None, :]    # [i, j, k]: v_jk < v_ik
+    return (below.sum(axis=1) + values.shape[0] - below.sum(axis=0) + 1) / 2.0
 
 
 def fit_copula(errors_kw, pv_capacity_kw: float) -> CopulaModel:
@@ -167,31 +168,18 @@ def fit_copula(errors_kw, pv_capacity_kw: float) -> CopulaModel:
         raise EstimationError("error history contains non-finite values")
 
     degenerate = errors.std(axis=0, ddof=0) < 1e-9 * pv_capacity_kw
-    marginals = tuple(
-        ErrorMarginal(lead_time=k,
-                      sorted_errors_kw=np.sort(errors[:, k]),
-                      degenerate=bool(degenerate[k]))
-        for k in range(t_n))
-
-    scores = np.zeros_like(errors)
     active = np.flatnonzero(~degenerate)
-    for k in active:
-        rank = _average_ranks(marginals[k].sorted_errors_kw, errors[:, k])
-        scores[:, k] = special.ndtri((rank - 0.5) / days)
+    scores = special.ndtri((_average_ranks(errors[:, active]) - 0.5) / days)
     corr = np.eye(t_n)
     if active.size >= 2:
-        sub = np.corrcoef(scores[:, active], rowvar=False)
-        corr[np.ix_(active, active)] = sub
+        corr[np.ix_(active, active)] = np.corrcoef(scores, rowvar=False)
     corr = np.clip(corr, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    corr[np.ix_(np.flatnonzero(degenerate), np.arange(t_n))] = 0.0
-    corr[np.ix_(np.arange(t_n), np.flatnonzero(degenerate))] = 0.0
     np.fill_diagonal(corr, 1.0)
 
     repaired = _repair_positive_definite(corr)
-    low = np.linalg.cholesky(repaired)
-    return CopulaModel(marginals=marginals, correlation=repaired,
-                       cholesky_factor=low)
+    return CopulaModel(sorted_errors_kw=np.sort(errors, axis=0),
+                       degenerate=degenerate, correlation=repaired,
+                       cholesky_factor=np.linalg.cholesky(repaired))
 
 
 def sample_scenarios(
@@ -212,7 +200,8 @@ def sample_scenarios(
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
     forecast = np.asarray(forecast_kw, dtype=float)
-    t_n = model.n_lead_times
+    z = model.sorted_errors_kw
+    days, t_n = z.shape
     if forecast.shape != (t_n,):
         raise ValueError(f"forecast must have length {t_n}")
 
@@ -220,11 +209,15 @@ def sample_scenarios(
     rngs = (np.random.Generator(np.random.PCG64(child)) for child in children)
     u = special.ndtr(np.array([model.cholesky_factor @ rng.standard_normal(t_n)
                                for rng in rngs]))
-    z = np.zeros((n_scenarios, t_n))
-    for k, marginal in enumerate(model.marginals):
-        if not marginal.degenerate:
-            z[:, k] = marginal.inverse_cdf(u[:, k])
-    values = np.clip(forecast + z, 0.0, pv_capacity_kw)
+    # Inverse marginals as np.interp evaluates them: the order statistics
+    # joined linearly between plotting positions, flat beyond the ends.
+    grid = (np.arange(1, days + 1) - 0.5) / days
+    j = np.clip(np.searchsorted(grid, u, "right") - 1, 0, days - 2)
+    lo, hi = np.take_along_axis(z, j, 0), np.take_along_axis(z, j + 1, 0)
+    inside = (hi - lo) / (grid[j + 1] - grid[j]) * (u - grid[j]) + lo
+    err = np.where(u < grid[0], z[0], np.where(u >= grid[-1], z[-1], inside))
+    err[:, model.degenerate] = 0.0
+    values = np.clip(forecast + err, 0.0, pv_capacity_kw)
     weights = np.full(n_scenarios, 1.0 / n_scenarios)
     weights /= weights.sum()
     return ScenarioSet(values_kw=values, weights=weights)

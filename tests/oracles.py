@@ -3,16 +3,18 @@
 These deliberately avoid the production solve path: projected descent with
 Dykstra projections for convex QPs, multi-resolution dense grids for very
 small problems, exhaustive binary enumeration for complementarity
-problems (each fixed pattern is a plain convex QP), and a one-window-at-a-time
-PVUSA fit with an active-set enumeration of plain least-squares solves.
+problems (each fixed pattern is a plain convex QP), a one-window-at-a-time
+PVUSA fit with an active-set enumeration of plain least-squares solves, and a
+Gaussian copula that ranks, correlates and inverts one lead time at a time.
 """
 
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
+from scipy import special
 
-from capfirm import pvusa
+from capfirm import pvusa, scenarios
 from capfirm.optim import QpProblem, SolveStatus, solve_qp
 
 
@@ -237,3 +239,60 @@ def fit_pvusa_per_window(power, weather, window_hours, step_hours):
             continue
         trajectory.append((end, previous))
     return trajectory, windows
+
+
+def copula_fit_reference(errors_kw, pv_capacity_kw):
+    """Copula fit lead time by lead time.
+
+    Returns the column-sorted errors, the degenerate flags, the repaired
+    correlation and its Cholesky factor. Each active lead time is ranked by
+    two ``searchsorted`` calls on its own sorted copy, and the degenerate
+    rows and columns of the correlation are zeroed explicitly.
+    """
+    errors = np.asarray(errors_kw, dtype=float)
+    days, t_n = errors.shape
+    degenerate = errors.std(axis=0, ddof=0) < 1e-9 * pv_capacity_kw
+    sorted_errors = np.empty_like(errors)
+    scores = np.zeros_like(errors)
+    for k in range(t_n):
+        sorted_errors[:, k] = np.sort(errors[:, k])
+        if not degenerate[k]:
+            rank = (np.searchsorted(sorted_errors[:, k], errors[:, k], "left")
+                    + np.searchsorted(sorted_errors[:, k], errors[:, k], "right")
+                    + 1) / 2.0
+            scores[:, k] = special.ndtri((rank - 0.5) / days)
+    active = np.flatnonzero(~degenerate)
+    corr = np.eye(t_n)
+    if active.size >= 2:
+        corr[np.ix_(active, active)] = np.corrcoef(scores[:, active], rowvar=False)
+    corr = np.clip(corr, -1.0, 1.0)
+    corr[degenerate, :] = 0.0
+    corr[:, degenerate] = 0.0
+    np.fill_diagonal(corr, 1.0)
+    repaired = scenarios._repair_positive_definite(corr)
+    return sorted_errors, degenerate, repaired, np.linalg.cholesky(repaired)
+
+
+def inverse_marginals_reference(sorted_errors_kw, degenerate, u):
+    """Errors at uniforms ``u`` (n x T): one ``np.interp`` per active lead time."""
+    days = sorted_errors_kw.shape[0]
+    grid = (np.arange(1, days + 1) - 0.5) / days
+    errors = np.zeros_like(u)
+    for k in np.flatnonzero(~degenerate):
+        errors[:, k] = np.interp(u[:, k], grid, sorted_errors_kw[:, k])
+    return errors
+
+
+def scenario_values_reference(model, forecast_kw, n_scenarios, seed, pv_capacity_kw):
+    """Scenario values drawn one scenario and one lead time at a time.
+
+    Scenario w takes the w-th child of ``SeedSequence(seed)``, one Cholesky
+    product and one normal CDF, then each active lead time's ``np.interp``.
+    """
+    t_n = model.correlation.shape[0]
+    u = np.empty((n_scenarios, t_n))
+    for w, child in enumerate(np.random.SeedSequence(seed).spawn(n_scenarios)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        u[w] = special.ndtr(model.cholesky_factor @ rng.standard_normal(t_n))
+    errors = inverse_marginals_reference(model.sorted_errors_kw, model.degenerate, u)
+    return np.clip(np.asarray(forecast_kw, dtype=float) + errors, 0.0, pv_capacity_kw)

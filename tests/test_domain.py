@@ -50,6 +50,9 @@ class TestTimeGrid:
             TimeGrid(0, 0.25, np.zeros(0, dtype=bool))
         with pytest.raises(ShapeError):
             TimeGrid(4, 0.25, np.zeros(3, dtype=bool))
+        for delta_t in (0.0, float("nan")):
+            with pytest.raises(InvalidConfigError):
+                TimeGrid.daily(delta_t)
 
 
 class TestBuildCrePolicy:

@@ -1,5 +1,7 @@
 """Copula estimation and scenario sampling."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -7,11 +9,15 @@ from scipy import special, stats
 from capfirm import scenarios
 from capfirm.scenarios import (
     CopulaModel,
-    ErrorMarginal,
     EstimationError,
     ScenarioSet,
     fit_copula,
     sample_scenarios,
+)
+from oracles import (
+    copula_fit_reference,
+    inverse_marginals_reference,
+    scenario_values_reference,
 )
 
 PC = 466.4
@@ -23,6 +29,37 @@ def _correlated_errors(days, t_n, rho, rng, scale=30.0):
     r_true = rho ** np.abs(base[:, None] - base[None, :])
     low = np.linalg.cholesky(r_true)
     return (rng.standard_normal((days, t_n)) @ low.T) * scale, r_true
+
+
+def _night_history(whole_kw, days=61, t_n=96):
+    """Correlated daytime errors with zero (degenerate) night lead times."""
+    errors, _ = _correlated_errors(days, t_n, 0.9, np.random.default_rng(14), scale=10.0)
+    errors[:, :24] = 0.0
+    errors[:, 80:] = 0.0
+    return np.round(errors) if whole_kw else errors
+
+
+def _model_fields(t_n=3, days=40):
+    return dict(sorted_errors_kw=np.zeros((days, t_n)),
+                degenerate=np.ones(t_n, dtype=bool),
+                correlation=np.eye(t_n), cholesky_factor=np.eye(t_n))
+
+
+class TestCopulaModel:
+    @pytest.mark.parametrize("field, value", [
+        ("correlation", np.array([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+        ("cholesky_factor", np.diag([1.0, np.nan, 1.0])),
+        ("cholesky_factor", np.eye(2)),
+        ("sorted_errors_kw", np.zeros((1, 3))),
+        ("sorted_errors_kw", np.array([[0.0, 0.0, -np.inf]] + [[0.0, 0.0, 1.0]] * 39)),
+        ("sorted_errors_kw", np.array([[0.0, 0.0, 1.0]] + [[0.0, 0.0, 0.0]] * 39)),
+        ("degenerate", np.ones(2, dtype=bool)),
+    ], ids=["nan_correlation", "nan_factor", "factor_not_t_by_t", "one_history_row",
+            "non_finite_errors", "unsorted_errors", "degenerate_flags_not_t"])
+    def test_invalid_field_rejected(self, field, value):
+        CopulaModel(**_model_fields())
+        with pytest.raises(ValueError):
+            CopulaModel(**{**_model_fields(), field: value})
 
 
 class TestFitCopula:
@@ -48,7 +85,7 @@ class TestFitCopula:
         errors = np.zeros((60, 6))
         errors[:, 2:4] = rng.standard_normal((60, 2)) * 20.0
         model = fit_copula(errors, PC)
-        flags = [m.degenerate for m in model.marginals]
+        flags = model.degenerate.tolist()
         assert flags == [True, True, False, False, True, True]
         for k in (0, 1, 4, 5):
             row = model.correlation[k].copy()
@@ -80,22 +117,76 @@ class TestFitCopula:
         # correlation, must be bit-identical to scipy's average ranks
         rng = np.random.default_rng(5)
         errors = np.round(_correlated_errors(60, 96, 0.9, rng, scale=2.0)[0])
-        for col in errors.T:
-            assert np.array_equal(scenarios._average_ranks(np.sort(col), col),
-                                  stats.rankdata(col, method="average"))
+        assert np.array_equal(scenarios._average_ranks(errors),
+                              stats.rankdata(errors, axis=0, method="average"))
         fitted = fit_copula(errors, PC)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenarios, "_average_ranks",
-                       lambda s, e: stats.rankdata(e, method="average"))
+                       lambda e: stats.rankdata(e, axis=0, method="average"))
             reference = fit_copula(errors, PC)
         assert np.array_equal(fitted.correlation, reference.correlation)
 
 
+    @pytest.mark.parametrize("whole_kw", [False, True], ids=["raw", "whole_kw"])
+    def test_matches_the_per_lead_time_reference(self, whole_kw):
+        errors = _night_history(whole_kw)
+        model = fit_copula(errors, PC)
+        sorted_errors, degenerate, corr, low = copula_fit_reference(errors, PC)
+        assert degenerate.sum() == 40
+        assert np.array_equal(model.sorted_errors_kw, sorted_errors)
+        assert np.array_equal(model.degenerate, degenerate)
+        assert np.array_equal(model.correlation, corr)
+        assert np.array_equal(model.cholesky_factor, low)
+
+
 class TestSampleScenarios:
+    @pytest.mark.parametrize("n_scenarios", [20, 100])
+    @pytest.mark.parametrize("whole_kw", [False, True], ids=["raw", "whole_kw"])
+    def test_matches_the_per_lead_time_reference(self, whole_kw, n_scenarios):
+        model = fit_copula(_night_history(whole_kw), PC)
+        forecast = 0.9 * PC * np.clip(np.sin(np.linspace(-0.6, np.pi + 0.6, 96)), 0.0, None)
+        out = sample_scenarios(model, forecast, n_scenarios, seed=21, pv_capacity_kw=PC)
+        expected = scenario_values_reference(model, forecast, n_scenarios, 21, PC)
+        assert np.array_equal(out.values_kw, expected)
+
+    def test_inverse_marginals_at_plotting_positions_and_beyond_the_ends(self):
+        # uniforms on every plotting position, one ulp either side of each,
+        # between them and beyond both ends, through the sampler's own
+        # array pass; the forecast is zero, so a value is its error clipped
+        # at 0. Column 0 is degenerate and column 5 has ties. Interpolating
+        # from -1 to the right end of (-1, 0.3] gives 0.30000000000000004,
+        # not the order statistic 0.3: that interval is inside column 3 and
+        # last in column 4
+        rng = np.random.default_rng(15)
+        errors = rng.standard_normal((31, 6)) * 10.0 + 100.0
+        errors[:, 0] = 100.0
+        errors[:, 3] = rng.permutation(np.append(-np.arange(1.0, 30.0), [0.3, 50.0]))
+        errors[:, 4] = rng.permutation(np.append(-np.arange(1.0, 31.0), 0.3))
+        errors[:, 5] = np.round(errors[:, 5] / 5.0) * 5.0
+        model = fit_copula(errors, PC)
+        grid = (np.arange(1, 32) - 0.5) / 31
+        u_col = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0),
+                                0.5 * (grid[1:] + grid[:-1]),
+                                [0.0, 0.5 * grid[0], 0.5 * (1.0 + grid[-1]), 1.0]])
+        u = np.tile(u_col[:, None], (1, 6))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenarios, "special",
+                       SimpleNamespace(ndtr=lambda _: u, ndtri=special.ndtri))
+            out = sample_scenarios(model, np.zeros(6), u.shape[0], seed=0,
+                                   pv_capacity_kw=1e9)
+        expected = inverse_marginals_reference(model.sorted_errors_kw, model.degenerate, u)
+        assert np.array_equal(out.values_kw, np.clip(expected, 0.0, 1e9))
+        order_stats = np.clip(model.sorted_errors_kw[:, 1:], 0.0, None)
+        assert np.array_equal(out.values_kw[:31, 1:], order_stats)
+        assert np.array_equal(out.values_kw[-4:-2, 1:], order_stats[[0, 0]])
+        assert np.array_equal(out.values_kw[-2:, 1:], order_stats[[-1, -1]])
+        assert np.all(out.values_kw[:, 0] == 0.0)
+
     def test_point_mass_marginals_reproduce_forecast(self):
         t_n = 5
-        marginals = tuple(ErrorMarginal(k, np.zeros(40), True) for k in range(t_n))
-        model = CopulaModel(marginals, np.eye(t_n), np.eye(t_n))
+        model = CopulaModel(sorted_errors_kw=np.zeros((40, t_n)),
+                            degenerate=np.ones(t_n, dtype=bool),
+                            correlation=np.eye(t_n), cholesky_factor=np.eye(t_n))
         forecast = np.array([0.0, 100.0, 500.0, 300.0, -20.0])
         out = sample_scenarios(model, forecast, 7, seed=3, pv_capacity_kw=PC)
         expected = np.clip(forecast, 0.0, PC)
@@ -154,8 +245,7 @@ class TestSampleScenarios:
                                pv_capacity_kw=1e9)
         dev = out.values_kw - forecast[None, :]
         scores = np.empty_like(dev)
-        for k, marg in enumerate(model.marginals):
-            zs = marg.sorted_errors_kw
+        for k, zs in enumerate(model.sorted_errors_kw.T):
             u = np.interp(dev[:, k], zs, (np.arange(1, zs.size + 1) - 0.5) / zs.size)
             scores[:, k] = special.ndtri(np.clip(u, 1e-9, 1 - 1e-9))
         r_gen = np.corrcoef(scores, rowvar=False)
@@ -170,8 +260,7 @@ class TestSampleScenarios:
                                pv_capacity_kw=1e9)
         dev = out.values_kw - forecast[None, :]
         n_bins = 20
-        for k, marg in enumerate(model.marginals):
-            zs = marg.sorted_errors_kw
+        for k, zs in enumerate(model.sorted_errors_kw.T):
             u = np.interp(dev[:, k], zs, (np.arange(1, zs.size + 1) - 0.5) / zs.size)
             counts, _ = np.histogram(u, bins=n_bins, range=(0.0, 1.0))
             expected = dev.shape[0] / n_bins
@@ -186,21 +275,24 @@ class TestSampleScenarios:
         errors, _ = _correlated_errors(60, 8, 0.6, rng)
         errors[:, 0] = 0.0
         model = fit_copula(errors, PC)
-        assert model.marginals[0].degenerate
+        assert model.degenerate[0]
         forecast = np.linspace(50.0, 400.0, 8)
         out = sample_scenarios(model, forecast, 25, seed=4, pv_capacity_kw=PC)
+        grid = (np.arange(1, 61) - 0.5) / 60
         expected = np.empty((25, 8))
         for w, child in enumerate(np.random.SeedSequence(4).spawn(25)):
             rng_w = np.random.Generator(np.random.PCG64(child))
             u = special.ndtr(model.cholesky_factor @ rng_w.standard_normal(8))
-            z = [0.0 if m.degenerate else m.inverse_cdf(u[k])
-                 for k, m in enumerate(model.marginals)]
+            z = [0.0 if model.degenerate[k]
+                 else np.interp(u[k], grid, model.sorted_errors_kw[:, k])
+                 for k in range(8)]
             expected[w] = np.clip(forecast + z, 0.0, PC)
         assert np.array_equal(out.values_kw, expected)
 
     def test_zero_scenarios_rejected(self):
-        marginals = (ErrorMarginal(0, np.zeros(40), True),)
-        model = CopulaModel(marginals, np.eye(1), np.eye(1))
+        model = CopulaModel(sorted_errors_kw=np.zeros((40, 1)),
+                            degenerate=np.ones(1, dtype=bool),
+                            correlation=np.eye(1), cholesky_factor=np.eye(1))
         with pytest.raises(ValueError):
             sample_scenarios(model, np.array([100.0]), 0, seed=0, pv_capacity_kw=PC)
 
@@ -216,3 +308,12 @@ class TestScenarioSet:
             ScenarioSet(np.ones((2, 3)), np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             ScenarioSet(-np.ones((1, 3)), np.array([1.0]))
+
+    @pytest.mark.parametrize("values, weights", [
+        (np.array([[1.0, np.nan, 3.0]]), np.array([1.0])),
+        (np.array([[1.0, np.inf, 3.0]]), np.array([1.0])),
+        (np.ones((2, 3)), np.array([np.nan, 1.0])),
+    ], ids=["nan_values", "inf_values", "nan_weights"])
+    def test_non_finite_rejected(self, values, weights):
+        with pytest.raises(ValueError):
+            ScenarioSet(values, weights)
