@@ -276,6 +276,29 @@ def build_cre_policy(
     )
 
 
+def battery_floor_scale(grid: TimeGrid, policy: TariffPolicy, system: SystemConfig) -> float:
+    """Least factor on the battery's energy and power that meets the peak
+    production floor from the battery alone, with no PV in the peak window.
+
+    The battery must then deliver ``sum_peak prod_min * dt`` at the coupling
+    point from its SoC window, which costs ``1/eta_discharge`` as much
+    energy, and the largest peak floor within its discharge power. So the
+    factor is the larger of ``sum_peak prod_min * dt / (eta_discharge *
+    (soc_max - soc_min))`` and ``max_peak prod_min / discharge_power``; a
+    negative floor asks nothing of the battery, and a positive one that a
+    closed SoC window must meet asks for an infinite factor. Every battery
+    quantity of a plan scales with the battery size, so a system scaled by
+    less than this cannot plan a day without PV in the peak window. For the reference
+    tender (a floor of 0.15 Pc for 2 h) and a 10-90 % window at 95 %
+    efficiency, a battery of ratio ``r`` gets ``0.3 / 0.76 / r``.
+    """
+    floor = np.maximum(policy.prod_min_kw[grid.peak_mask], 0.0)
+    energy = float(floor.sum()) * grid.delta_t_hours
+    window = system.eta_discharge * (system.soc_max_kwh - system.bess_min_kwh)
+    by_energy = energy / window if window > 0 else (np.inf if energy > 0 else 0.0)
+    return max(by_energy, float(floor.max(initial=0.0)) / system.discharge_power_kw)
+
+
 def check_engagement(plan: EngagementPlan, policy: TariffPolicy) -> EngagementCheck:
     """Validate an engagement against ramping limits and per-period bounds.
 

@@ -23,22 +23,34 @@ terminal SoC and a charge fixed at a node stay: their SoC row has no other
 factored variable, and without them it would be tied down only by
 regularization-sized terms, lost to rounding beside the ``1/D ~ 1/reg`` of
 an eliminated SoC inside its bounds (see :class:`_KktAssembler`). Each Newton
-direction is that of the whole matrix up to round-off. The sparsity pattern
-is fixed for a solve: it is built once, and each iteration only fills in
-its values. The matrix is quasi-definite, so SuperLU factors it with a
-symmetric fill-reducing ordering and no pivoting, which keeps the fill
-linear in the number of scenarios. The ordering is computed once per solve,
-by the first factorization; later iterations fill the matrix already
-permuted by it and factor in natural order. SuperLU runs with panels one
-column wide. The static regularization ``d`` keeps the pivots clear of
-zero, so each Newton direction is one solve with that factorization,
-without refinement. An iteration is redone once with partial pivoting when
-its unpivoted factorization meets an exact zero pivot, or when its step
-collapses (both step lengths below ``_MIN_STEP``): near the end an
-unpivoted direction can blow up although no pivot is zero. Both are counted
-in ``QpSolution.refactors``. A floor on the corrector's centering target
-keeps the total gap ``s.z`` at or above a tenth of the stopping tolerance,
-where the direction still meets the linearized stationarity, so it needs no
+direction is that of the whole matrix up to round-off.
+
+The sparsity pattern is fixed for a family of solves, not only for one. Two
+problems whose ``a_ub`` and ``a_eq`` have equal shapes, ``indptr`` and
+``indices``, and whose bounds give equal sets of bound rows and fixed
+variables, have the same standard form pattern, and so the same eliminated
+classes, KKT pattern and slots: a day's plan QPs at every battery ratio and
+selling price, or its control QPs. (Branch-and-bound nodes differ from
+their root: a variable fixed at zero moves to the equality rows.) What
+follows from the pattern alone is analyzed once (:class:`_Analysis`), and
+the analyses of the two patterns solved most recently are held and found
+again by comparing those arrays, not a hash. Each solve then reads every
+value from its own problem, and each iteration only fills in the matrix.
+The matrix is quasi-definite, so SuperLU factors it with a symmetric
+fill-reducing ordering and no pivoting, which keeps the fill linear in the
+number of scenarios. The ordering is computed by the first factorization of
+every solve; later iterations fill the matrix already permuted by it and
+factor in natural order, with the permuted slots the analysis keeps for
+that ordering. SuperLU runs with panels one column wide. The static
+regularization ``d`` keeps the pivots clear of zero, so each Newton
+direction is one solve with that factorization, without refinement. An
+iteration is redone once with partial pivoting when its unpivoted
+factorization meets an exact zero pivot, or when its step collapses (both
+step lengths below ``_MIN_STEP``): near the end an unpivoted direction can
+blow up although no pivot is zero. Both are counted in
+``QpSolution.refactors``. A floor on the corrector's centering target keeps
+the total gap ``s.z`` at or above a tenth of the stopping tolerance, where
+the direction still meets the linearized stationarity, so it needs no
 correction step.
 
 The duals of the inequality rows start at ``max|c|`` (1 when ``c = 0``),
@@ -65,12 +77,14 @@ touching the coupling-point production; a pair it cannot clear is left to
 branching.
 
 Everything is deterministic: a fixed input yields a bit-identical solution
-path.
+path, whatever was solved before it. A held analysis holds no value, and a
+solve on one does exactly the arithmetic of a solve that builds its own.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -193,40 +207,47 @@ class QpSolution:
 # equality rows
 # ---------------------------------------------------------------------------
 
-def _with_unit_rows(mat: sp.csr_matrix, cols: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:
-    """``mat`` with one more row per entry of ``cols``: ``vals[k]`` at ``cols[k]``."""
-    if not cols.size:
-        return mat
-    nnz = mat.indptr[-1]
-    indptr = np.concatenate([mat.indptr, nnz + np.arange(1, cols.size + 1)])
-    indices = np.concatenate([mat.indices[:nnz], cols])
-    data = np.concatenate([mat.data[:nnz], vals])
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(mat.shape[0] + cols.size, mat.shape[1]))
+def _pattern_key(prob: QpProblem) -> tuple:
+    """The arrays that fix the sparsity pattern of the standard form of ``prob``.
 
-
-def _transpose(mat: sp.csr_matrix) -> sp.csr_matrix:
-    """``mat.T`` in CSR form: the arrays of ``mat`` in CSC read as CSR."""
-    csc = mat.tocsc()
-    return sp.csr_matrix((csc.data, csc.indices, csc.indptr), shape=mat.shape[::-1])
-
-
-def _standard_form(prob: QpProblem):
-    """``A x <= b``, ``G x = h``: ``a_ub`` then the rows ``x_j <= ub_j`` and
+    ``A x <= b`` is ``a_ub`` then the rows ``x_j <= ub_j`` and
     ``-x_j <= -lb_j`` of the finite bounds of the variables that are not
-    fixed, and ``a_eq`` then the rows ``x_j = ub_j`` of the fixed ones."""
+    fixed, and ``G x = h`` is ``a_eq`` then the rows ``x_j = ub_j`` of the
+    fixed ones. So the pattern follows from the shape, ``indptr`` and
+    ``indices`` of ``a_ub`` and of ``a_eq`` and from those three sets of
+    variables, which are the key's last three arrays.
+    """
     fixed = (np.isfinite(prob.ub) & np.isfinite(prob.lb)
              & (prob.ub - prob.lb <= 1e-14 * np.maximum(1.0, np.abs(prob.ub))))
-    free_ub = np.flatnonzero(np.isfinite(prob.ub) & ~fixed)
-    free_lb = np.flatnonzero(np.isfinite(prob.lb) & ~fixed)
-    fix_idx = np.flatnonzero(fixed)
+    key = []
+    for mat in (prob.a_ub, prob.a_eq):
+        key += [np.array(mat.shape), mat.indptr, mat.indices[:mat.indptr[-1]]]
+    return (*key, np.flatnonzero(np.isfinite(prob.ub) & ~fixed),
+            np.flatnonzero(np.isfinite(prob.lb) & ~fixed), np.flatnonzero(fixed))
 
-    a_all = _with_unit_rows(prob.a_ub, np.concatenate([free_ub, free_lb]),
-                            np.repeat([1.0, -1.0], [free_ub.size, free_lb.size]))
-    b_all = np.concatenate([prob.b_ub, prob.ub[free_ub], -prob.lb[free_lb]])
-    g_all = _with_unit_rows(prob.a_eq, fix_idx, np.ones(fix_idx.size))
-    h_all = np.concatenate([prob.b_eq, prob.ub[fix_idx]])
-    return a_all, b_all, g_all, h_all
+
+def _with_unit_rows(indptr: np.ndarray, indices: np.ndarray, cols: np.ndarray):
+    """CSR ``(indices, indptr)`` with one more row per entry of ``cols``, at that column."""
+    indptr = np.concatenate([indptr, indptr[-1] + np.arange(1, cols.size + 1)])
+    return np.concatenate([indices, cols]).astype(np.intc), indptr.astype(np.intc)
+
+
+def _transposed(indices: np.ndarray, indptr: np.ndarray, shape: tuple):
+    """CSR ``(indices, indptr, shape)`` of the transpose, and the order of its entries.
+
+    Entry ``k`` of the transpose is entry ``order[k]`` of the matrix: the
+    CSC conversion of the entry numbers, read as CSR.
+    """
+    csc = sp.csr_matrix((np.arange(indices.size), indices, indptr), shape=shape).tocsc()
+    return (csc.indices, csc.indptr, shape[::-1]), csc.data
+
+
+def _matrix(data: np.ndarray, pattern: tuple, kind=sp.csr_matrix):
+    """A sparse matrix on a shared ``(indices, indptr, shape)`` whose data is ``data``."""
+    indices, indptr, shape = pattern
+    mat = kind((data, indices, indptr), shape=shape)
+    mat.data = data         # the constructor copies a small view
+    return mat
 
 
 def _primal_violation(prob: QpProblem, x: np.ndarray) -> float:
@@ -264,11 +285,11 @@ def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
     return 1.0 if t >= 0.0 else min(1.0, -_STEP_FRACTION / t)
 
 
-def _csc_pattern(keys: np.ndarray, dim: int) -> sp.csc_matrix:
-    """Square CSC matrix with zero values at the sorted keys ``col * dim + row``."""
+def _csc_pattern(keys: np.ndarray, dim: int) -> tuple:
+    """``(indices, indptr, shape)`` of a square CSC matrix with entries at the
+    sorted keys ``col * dim + row``."""
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // dim, minlength=dim))])
-    return sp.csc_matrix((np.zeros(keys.size), (keys % dim).astype(np.intc),
-                          indptr.astype(np.intc)), shape=(dim, dim))
+    return (keys % dim).astype(np.intc), indptr.astype(np.intc), (dim, dim)
 
 
 def _row_pairs(indptr: np.ndarray, counts: np.ndarray):
@@ -286,21 +307,24 @@ def _row_pairs(indptr: np.ndarray, counts: np.ndarray):
 
 
 def _csr_maps(blocks):
-    """CSR matrices of the entries ``base * scale[k]`` at (out, src).
+    """Patterns of CSR matrices of the entries ``base * scale[k]`` at (out, src).
 
     ``blocks`` holds one (shape, parts) per matrix, and each part is an
-    (out, src, base, k) tuple of arrays, where a base of None is 1 and a k
-    of None is 0. Returns the matrices, whose data are views of one array,
-    that array (zero), and the bases and ``k`` in its order. The entries are
-    grouped by row, which is all a product with a vector needs.
+    (out, src, base, k) tuple, where ``base`` names an array of the part's
+    size that each solve supplies (None is 1) and a k of None is 0. The
+    matrices share one data array, in block order. Returns each matrix's
+    ``(indices, indptr, shape)``, the order that takes the parts' entries,
+    concatenated, to that data array, the ``k`` in its order, and the
+    ``(base, size)`` of each part. The entries are grouped by row, which is
+    all a product with a vector needs.
     """
-    outs, srcs, bases, ks, rows = [], [], [], [], 0
-    for shape, parts in blocks:
-        for out, src, base, k in parts:
+    outs, srcs, ks, parts, rows = [], [], [], [], 0
+    for shape, block in blocks:
+        for out, src, base, k in block:
             outs.append(rows + out)
             srcs.append(src)
-            bases.append(np.ones(out.size) if base is None else base)
             ks.append(np.zeros(out.size, dtype=np.intp) if k is None else k)
+            parts.append((base, out.size))
         rows += shape[0]
     out = np.concatenate(outs)
     # stable, and a radix sort while the row numbers fit in 16 bits
@@ -308,20 +332,257 @@ def _csr_maps(blocks):
     indptr = np.concatenate([[0], np.cumsum(np.bincount(out, minlength=rows))])
     indptr = indptr.astype(np.intc)
     indices = np.concatenate(srcs)[order].astype(np.intc)
-    data = np.zeros(out.size)
-    mats, rows = [], 0
+    patterns, rows = [], 0
     for shape, _ in blocks:
         ptr = indptr[rows:rows + shape[0] + 1]
-        lo, hi = ptr[0], ptr[-1]
-        mat = sp.csr_matrix((data[lo:hi], indices[lo:hi], ptr - lo), shape=shape)
-        mat.data = data[lo:hi]      # the constructor copies a small view
-        mats.append(mat)
+        patterns.append((indices[ptr[0]:ptr[-1]], ptr - ptr[0], shape))
         rows += shape[0]
-    return mats, data, np.concatenate(bases)[order], np.concatenate(ks)[order]
+    return patterns, order, np.concatenate(ks)[order], tuple(parts)
+
+
+class _Analysis:
+    """What ``_ipm`` derives from the sparsity pattern of a problem alone.
+
+    It is built from :func:`_pattern_key` and never reads a value, so it
+    serves every problem with that pattern: a day's plan QPs at each battery
+    ratio and selling price share one, and so do its control QPs. Its arrays
+    are read-only. It holds:
+
+    - the CSR patterns of the standard form's A and G, and the entry orders
+      that transpose them (:meth:`standard_form` puts values on them);
+    - the classes of :class:`_KktAssembler` (bound-only, single-row slack,
+      pinned, kept), the CSC pattern of the condensed KKT matrix and the
+      slot of every contribution in it;
+    - the patterns of the condense and expand maps, and what each of their
+      entries is made of;
+    - the slots and pattern permuted by the ordering of the first
+      factorization, once a solve has computed it (:meth:`permuted`).
+
+    Everything else, including every value of A, G, ``d`` and ``reg``, is
+    read per solve by :class:`_KktAssembler`.
+    """
+
+    def __init__(self, key: tuple):
+        # copies: a caller may change its arrays after the solve
+        self.key = key = tuple(np.array(k) for k in key)
+        ub_shape, ub_ptr, ub_idx, eq_shape, eq_ptr, eq_idx, free_ub, free_lb, fix_idx = key
+        n = int(ub_shape[1])
+        self.free_ub, self.free_lb, self.fix_idx = free_ub, free_lb, fix_idx
+        self.nnz_ub, self.nnz_eq = ub_idx.size, eq_idx.size
+        a_var, a_ptr = _with_unit_rows(ub_ptr, ub_idx, np.concatenate([free_ub, free_lb]))
+        g_idx, g_ptr = _with_unit_rows(eq_ptr, eq_idx, fix_idx)
+        m, p = a_ptr.size - 1, g_ptr.size - 1
+        self.a = (a_var, a_ptr, (m, n))
+        self.g = (g_idx, g_ptr, (p, n))
+        self.a_t, self.a_order = _transposed(*self.a)
+        self.g_t, self.g_order = _transposed(*self.g)
+        g_row, g_t_ptr, _ = self.g_t
+
+        counts = np.diff(a_ptr)
+        a_row = np.repeat(np.arange(m), counts)
+        alone = counts[a_row] == 1     # the only entry of its row: a bound row
+        n_rows = np.bincount(a_var, minlength=n)
+        n_shared = np.bincount(a_var[~alone], minlength=n)
+        g_counts = np.diff(g_t_ptr)
+        g_var = np.repeat(np.arange(n), g_counts)
+        bound_only = (n_rows > 0) & (n_shared == 0)
+
+        # single-row slacks, the first candidate of each row
+        s_ent = np.flatnonzero(~alone & ((n_shared == 1) & (g_counts == 0))[a_var])
+        s_row, first = np.unique(a_row[s_ent], return_index=True)
+        s_ent = s_ent[first]
+        s_var, n_s = a_var[s_ent], s_ent.size
+        # pinned candidates, each with its first row of G that holds it alone
+        f_ent = np.flatnonzero((np.bincount(g_row, minlength=p)[g_row] == 1)
+                               & (n_rows == 0)[g_var])
+        f_ent = f_ent[np.unique(g_var[f_ent], return_index=True)[1]]
+        # a candidate is pinned when none of its other rows of G lacks a
+        # variable of the core (neither bound-only nor a candidate)
+        core = ~bound_only
+        core[g_var[f_ent]] = False
+        loose = (np.bincount(g_row, weights=core[g_var], minlength=p) == 0)[g_row]
+        loose[f_ent] = False
+        f_ent = f_ent[np.bincount(g_var[loose], minlength=n)[g_var[f_ent]] == 0]
+        f_var, f_row = g_var[f_ent], g_row[f_ent]
+
+        slack = np.zeros(n, dtype=bool)
+        slack[s_var] = True
+        pinned = np.zeros(n, dtype=bool)
+        pinned[f_var] = True
+        elim = bound_only | slack | pinned
+        # slacks first
+        self.e_var = e_var = np.concatenate([s_var, np.flatnonzero(elim & ~slack)])
+        self.keep = np.flatnonzero(~elim)
+        n_r = self.keep.size
+        pos = np.zeros(n, dtype=np.intp)        # position in E, or in R
+        pos[e_var] = np.arange(e_var.size)
+        pos[self.keep] = np.arange(n_r)
+        row_out = np.zeros(p, dtype=bool)
+        row_out[f_row] = True
+        self.p_keep = np.flatnonzero(~row_out)
+        self.dim = dim = n_r + self.p_keep.size
+        g_col = n_r + np.cumsum(~row_out) - 1       # column of a retained row of G
+
+        # pivots: d, a^2/reg for a pinned variable, and the bound rows' w a^2
+        self.f_var, self.f_ent, self.f_pos = f_var, f_ent, pos[f_var]
+        on_e = elim[a_var] & alone
+        self.bound_ent = np.flatnonzero(on_e)
+        self.bound_pos, self.bound_row = pos[a_var[on_e]], a_row[on_e]
+        self.s_row, self.s_ent = s_row, s_ent
+
+        # products of a row of A between retained variables, weighted by w,
+        # or by the harmonic weight of a slack's row, at m + its index
+        r_ent = np.flatnonzero(~elim[a_var])
+        r_counts = np.bincount(a_row[r_ent], minlength=m)
+        pair_row, e1, e2 = _row_pairs(np.concatenate([[0], np.cumsum(r_counts)]), r_counts)
+        self.e1, self.e2 = e1, e2 = r_ent[e1], r_ent[e2]
+        weight_of = np.arange(m)
+        weight_of[s_row] = m + np.arange(n_s)
+        self.pair_w = weight_of[pair_row]
+
+        # G without the pinned rows, and the products of its columns on E
+        kept = np.ones(g_row.size, dtype=bool)
+        kept[f_ent] = False
+        self.g_kept = np.flatnonzero(kept)
+        gk_var, gk_row = g_var[kept], g_col[g_row[kept]]
+        gk_counts = np.bincount(gk_var, minlength=n)
+        pair_var, f1, f2 = _row_pairs(np.concatenate([[0], np.cumsum(gk_counts)]),
+                                      gk_counts * elim)
+        self.f1, self.f2 = f1, f2
+        self.fix = fix = pinned[pair_var]
+        self.fix_pos, self.gp_pos = pos[pair_var[fix]], pos[pair_var[~fix]]
+
+        # condense maps [r1; r2] to r1_R, r2 of the retained rows, minus
+        # B D_E^-1 (r1_E + a r2_u / reg on a pinned variable); expand maps
+        # [r1; r2; sol] to dx_E = D_E^-1 (r1_E - B' sol) (+ a r2_u /
+        # (reg d + a^2) when pinned), dx_R and dy of the retained rows from
+        # sol, and dy_u = (a (r1_j - g_j' dy) - d_j r2_u) / (reg d_j + a^2).
+        # An entry is base * scale[k], scale = [1, 1/D_E, w_k/D_u of slacks];
+        # the bases are named after the arrays _KktAssembler computes.
+        self.o_ent = o_ent = np.flatnonzero((weight_of[a_row] >= m) & ~slack[a_var])
+        self.o_slack = o_slack = weight_of[a_row[o_ent]] - m
+        o_row, o_col = pos[a_var[o_ent]], s_var[o_slack]
+        o_k = 1 + e_var.size + o_slack
+        self.on_e_g = on_e_g = elim[gk_var]
+        b_row, b_col = gk_row[on_e_g], gk_var[on_e_g]
+        b_k = 1 + pos[b_col]
+        f_u = np.zeros(n, dtype=np.intp)
+        f_u[f_var] = n + f_row
+        self.on_f = on_f = pinned[b_col]
+        f_of = np.zeros(n, dtype=np.intp)       # position among the pinned
+        f_of[f_var] = np.arange(f_var.size)
+        self.fb_f = f_of[b_col[on_f]]
+        fb_row, fb_u = b_row[on_f], f_u[b_col[on_f]]
+        retained = np.concatenate([self.keep, n + self.p_keep])
+        sol = n + p
+        f_u = f_u[f_var]
+        condense = ((dim, n + p), (
+            (np.arange(dim), retained, None, None),
+            (b_row, b_col, "b", b_k),
+            (o_row, o_col, "o", o_k),
+            (fb_row, fb_u, "fb", None)))
+        expand = ((n + p, sol + dim), (
+            (e_var, e_var, None, 1 + np.arange(e_var.size)),
+            (b_col, sol + b_row, "b", b_k),
+            (o_col, sol + o_row, "o", o_k),
+            (retained, sol + np.arange(dim), None, None),
+            (f_var, f_u, "gain", None),
+            (f_u, f_var, "gain", None),
+            (fb_u, sol + fb_row, "fb", None),
+            (f_u, f_u, "pin", None)))
+        (self.condense, self.expand), self.map_order, self.map_k, self.map_parts = \
+            _csr_maps((condense, expand))
+        self.n_scale = 1 + e_var.size + n_s
+
+        self.on_r = on_r = ~elim[gk_var]
+        r_row, r_col = gk_row[on_r], pos[gk_var[on_r]]
+        r_rng, p_rng = np.arange(n_r), np.arange(n_r, dim)
+        rows = np.concatenate([r_rng, r_row, r_col, p_rng, gk_row[f1[fix]],
+                               pos[a_var[e1]], gk_row[f1[~fix]]])
+        cols = np.concatenate([r_rng, r_col, r_row, p_rng, gk_row[f2[fix]],
+                               pos[a_var[e2]], gk_row[f2[~fix]]])
+        keys, self.slot = np.unique(cols.astype(np.int64) * dim + rows,
+                                    return_inverse=True)
+        self.n_fixed = rows.size - e1.size - self.gp_pos.size
+        self.kkt = _csc_pattern(keys, dim)
+        self._permuted = None
+        # the indices each solve reads once, not in every iteration, are
+        # held in 32 bits: half the memory, at the price of a cast per gather
+        for name in ("e_var", "f_ent", "f_pos", "bound_ent", "s_ent", "e1", "e2",
+                     "g_kept", "f1", "f2", "fix_pos", "o_ent", "o_slack", "fb_f",
+                     "a_order", "g_order", "map_order"):
+            setattr(self, name, getattr(self, name).astype(np.intc))
+        for value in vars(self).values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+
+    def standard_form(self, prob: QpProblem):
+        """``(A, b, G, h, A', G')`` of ``prob``, whose pattern this is.
+
+        The matrices are CSR, with the values of ``prob`` on the index
+        arrays of the analysis.
+        """
+        a_data = np.concatenate([prob.a_ub.data[:self.nnz_ub], np.ones(self.free_ub.size),
+                                 np.full(self.free_lb.size, -1.0)])
+        g_data = np.concatenate([prob.a_eq.data[:self.nnz_eq], np.ones(self.fix_idx.size)])
+        b_all = np.concatenate([prob.b_ub, prob.ub[self.free_ub], -prob.lb[self.free_lb]])
+        h_all = np.concatenate([prob.b_eq, prob.ub[self.fix_idx]])
+        return (_matrix(a_data, self.a), b_all, _matrix(g_data, self.g), h_all,
+                _matrix(a_data[self.a_order], self.a_t),
+                _matrix(g_data[self.g_order], self.g_t))
+
+    def permuted(self, perm: np.ndarray):
+        """Slots and CSC pattern of ``P K P'``, where entry (r, c) of K moves
+        to (perm[r], perm[c]).
+
+        Those of the first ordering asked for are kept and handed to every
+        later call with an equal ``perm``; another ordering gets its own.
+        """
+        if self._permuted is not None and np.array_equal(self._permuted[0], perm):
+            return self._permuted[1:]
+        dim = self.dim
+        indices, indptr, _ = self.kkt
+        cols = np.repeat(perm.astype(np.int64), np.diff(indptr))
+        keys = cols * dim + perm[indices]
+        order = np.argsort(keys)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        slot, pattern = rank[self.slot], _csc_pattern(keys[order], dim)
+        if self._permuted is None:
+            self._permuted = (np.array(perm), slot, pattern)
+            for arr in (self._permuted[0], slot, *pattern[:2]):
+                arr.setflags(write=False)
+        return slot, pattern
+
+
+# the analyses of the two patterns solved most recently, the newest last;
+# shared by every solve in the process, so each lookup holds the lock
+_RECENT: list[_Analysis] = []
+_RECENT_LOCK = threading.Lock()
+
+
+def _analyze(prob: QpProblem) -> _Analysis:
+    """The analysis of the pattern of ``prob``.
+
+    A recent analysis serves when each array of its key equals that of
+    ``prob``. Otherwise the least recent of two is dropped before a new one
+    is built, so no more than two are held at any time.
+    """
+    key = _pattern_key(prob)
+    with _RECENT_LOCK:
+        for i, analysis in enumerate(_RECENT):
+            if all(map(np.array_equal, key, analysis.key)):
+                _RECENT.append(_RECENT.pop(i))
+                return analysis
+        if len(_RECENT) == 2:
+            del _RECENT[0]
+        _RECENT.append(_Analysis(key))
+        return _RECENT[-1]
 
 
 class _KktAssembler:
-    """Fixed CSC pattern of the condensed KKT matrix of ``_ipm``.
+    """The condensed KKT matrix of one ``_ipm`` solve, on a shared pattern.
 
     The Newton system is ``K [dx; dy] = [r1; r2]`` with
     ``K = [[diag(d) + A'WA, G'], [G, -reg I]]``. Three classes of variables
@@ -356,6 +617,12 @@ class _KktAssembler:
     slot for slot, when nothing qualifies. E meets the factored system
     through a border B: ``w_k a_kl a_ku`` for a slack u of row k, and G on E.
 
+    The classes, the pattern and the slots depend only on the pattern of A
+    and G, and come from the shared :class:`_Analysis`. Construction reads
+    every value (the entries of A and G, ``d``, ``reg``) and computes from
+    them the fixed pivots and products and the bases of the maps, so an
+    assembler on a shared analysis does the arithmetic of one on a new one.
+
     Calling it with the row weights ``w`` fills the matrix with one
     ``np.bincount``: every contribution (the diagonal ``d_R``, each product
     ``a_ki a_kl`` of a row of A, each product ``g_ri g_si`` of a column of G
@@ -369,158 +636,60 @@ class _KktAssembler:
     or ``w_k/D_u``; the call refreshes them.
     """
 
-    def __init__(self, a_all: sp.csr_matrix, g_t: sp.csr_matrix, d: np.ndarray,
-                 reg: float):
-        n, p = g_t.shape
-        m = a_all.shape[0]
-        counts = np.diff(a_all.indptr)
-        a_row = np.repeat(np.arange(m), counts)
-        a_var, a_val = a_all.indices, a_all.data
-        alone = counts[a_row] == 1     # the only entry of its row: a bound row
-        n_rows = np.bincount(a_var, minlength=n)
-        n_shared = np.bincount(a_var[~alone], minlength=n)
-        g_counts = np.diff(g_t.indptr)
-        g_var, g_row, g_val = np.repeat(np.arange(n), g_counts), g_t.indices, g_t.data
-        bound_only = (n_rows > 0) & (n_shared == 0)
+    def __init__(self, analysis: _Analysis, a_all: sp.csr_matrix, g_t: sp.csr_matrix,
+                 d: np.ndarray, reg: float):
+        an = self._an = analysis
+        self.keep, self._p_keep = an.keep, an.p_keep
+        a_val, g_val = a_all.data, g_t.data
+        f_a = g_val[an.f_ent]
+        self._d_e = d[an.e_var]
+        self._d_e[an.f_pos] += f_a ** 2 / reg
+        self._bound_sq = a_val[an.bound_ent] ** 2
+        self._s_sq = a_val[an.s_ent] ** 2
+        self._a_prod = a_val[an.e1] * a_val[an.e2]
+        gk_val = g_val[an.g_kept]
+        g_prod = gk_val[an.f1] * gk_val[an.f2]
+        self._g_prod = -g_prod[~an.fix]
 
-        # single-row slacks, the first candidate of each row
-        s_ent = np.flatnonzero(~alone & ((n_shared == 1) & (g_counts == 0))[a_var])
-        s_row, first = np.unique(a_row[s_ent], return_index=True)
-        s_ent = s_ent[first]
-        s_var, n_s = a_var[s_ent], s_ent.size
-        # pinned candidates, each with its first row of G that holds it alone
-        f_ent = np.flatnonzero((np.bincount(g_row, minlength=p)[g_row] == 1)
-                               & (n_rows == 0)[g_var])
-        f_ent = f_ent[np.unique(g_var[f_ent], return_index=True)[1]]
-        # a candidate is pinned when none of its other rows of G lacks a
-        # variable of the core (neither bound-only nor a candidate)
-        core = ~bound_only
-        core[g_var[f_ent]] = False
-        loose = (np.bincount(g_row, weights=core[g_var], minlength=p) == 0)[g_row]
-        loose[f_ent] = False
-        f_ent = f_ent[np.bincount(g_var[loose], minlength=n)[g_var[f_ent]] == 0]
-        f_var, f_row, f_a = g_var[f_ent], g_row[f_ent], g_val[f_ent]
+        den = reg * d[an.f_var] + f_a ** 2
+        gain = f_a / den
+        b_base = -gk_val[an.on_e_g]
+        bases = {"b": b_base, "o": -a_val[an.o_ent] * a_val[an.s_ent][an.o_slack],
+                 "fb": b_base[an.on_f] * gain[an.fb_f], "gain": gain,
+                 "pin": -d[an.f_var] / den}
+        self._map_base = np.concatenate([np.ones(size) if base is None else bases[base]
+                                         for base, size in an.map_parts])[an.map_order]
+        self._map_data = np.zeros(self._map_base.size)
+        split = an.condense[0].size
+        self._condense = _matrix(self._map_data[:split], an.condense)
+        self._expand = _matrix(self._map_data[split:], an.expand)
+        self._scale = np.ones(an.n_scale)
 
-        slack = np.zeros(n, dtype=bool)
-        slack[s_var] = True
-        pinned = np.zeros(n, dtype=bool)
-        pinned[f_var] = True
-        elim = bound_only | slack | pinned
-        e_var = np.concatenate([s_var, np.flatnonzero(elim & ~slack)])   # slacks first
-        self.keep = np.flatnonzero(~elim)
-        n_r = self.keep.size
-        pos = np.zeros(n, dtype=np.intp)        # position in E, or in R
-        pos[e_var] = np.arange(e_var.size)
-        pos[self.keep] = np.arange(n_r)
-        row_out = np.zeros(p, dtype=bool)
-        row_out[f_row] = True
-        self._p_keep = np.flatnonzero(~row_out)
-        self._dim = dim = n_r + self._p_keep.size
-        g_col = n_r + np.cumsum(~row_out) - 1       # column of a retained row of G
-
-        # pivots: d, a^2/reg for a pinned variable, and the bound rows' w a^2
-        self._d_e = d[e_var]
-        self._d_e[pos[f_var]] += f_a ** 2 / reg
-        on_e = elim[a_var] & alone
-        self._bound_pos, self._bound_row = pos[a_var[on_e]], a_row[on_e]
-        self._bound_sq = a_val[on_e] ** 2
-        self._s_row, self._s_sq = s_row, a_val[s_ent] ** 2
-
-        # products of a row of A between retained variables, weighted by w,
-        # or by the harmonic weight of a slack's row, at m + its index
-        r_ent = np.flatnonzero(~elim[a_var])
-        r_counts = np.bincount(a_row[r_ent], minlength=m)
-        pair_row, e1, e2 = _row_pairs(np.concatenate([[0], np.cumsum(r_counts)]), r_counts)
-        e1, e2 = r_ent[e1], r_ent[e2]
-        weight_of = np.arange(m)
-        weight_of[s_row] = m + np.arange(n_s)
-        self._pair_w = weight_of[pair_row]
-        self._a_prod = a_val[e1] * a_val[e2]
-
-        # G without the pinned rows, and the products of its columns on E
-        kept = np.ones(g_row.size, dtype=bool)
-        kept[f_ent] = False
-        gk_var, gk_row, gk_val = g_var[kept], g_col[g_row[kept]], g_val[kept]
-        gk_counts = np.bincount(gk_var, minlength=n)
-        pair_var, f1, f2 = _row_pairs(np.concatenate([[0], np.cumsum(gk_counts)]),
-                                      gk_counts * elim)
-        fix = pinned[pair_var]
-        g_prod = gk_val[f1] * gk_val[f2]
-        self._gp_pos, self._g_prod = pos[pair_var[~fix]], -g_prod[~fix]
-
-        # condense maps [r1; r2] to r1_R, r2 of the retained rows, minus
-        # B D_E^-1 (r1_E + a r2_u / reg on a pinned variable); expand maps
-        # [r1; r2; sol] to dx_E = D_E^-1 (r1_E - B' sol) (+ a r2_u /
-        # (reg d + a^2) when pinned), dx_R and dy of the retained rows from
-        # sol, and dy_u = (a (r1_j - g_j' dy) - d_j r2_u) / (reg d_j + a^2).
-        # An entry is base * scale[k], scale = [1, 1/D_E, w_k/D_u of slacks].
-        o_ent = np.flatnonzero((weight_of[a_row] >= m) & ~slack[a_var])
-        o_slack = weight_of[a_row[o_ent]] - m
-        o_row, o_col = pos[a_var[o_ent]], s_var[o_slack]
-        o_base, o_k = -a_val[o_ent] * a_val[s_ent][o_slack], 1 + e_var.size + o_slack
-        on_e_g = elim[gk_var]
-        b_row, b_col, b_base = gk_row[on_e_g], gk_var[on_e_g], -gk_val[on_e_g]
-        b_k = 1 + pos[b_col]
-        den = reg * d[f_var] + f_a ** 2
-        gain = np.zeros(n)
-        gain[f_var] = f_a / den
-        f_u = np.zeros(n, dtype=np.intp)
-        f_u[f_var] = n + f_row
-        on_f = pinned[b_col]
-        fb_row, fb_u, fb_base = b_row[on_f], f_u[b_col[on_f]], (b_base * gain[b_col])[on_f]
-        retained = np.concatenate([self.keep, n + self._p_keep])
-        sol = n + p
-        f_u = f_u[f_var]
-        condense = ((dim, n + p), (
-            (np.arange(dim), retained, None, None),
-            (b_row, b_col, b_base, b_k),
-            (o_row, o_col, o_base, o_k),
-            (fb_row, fb_u, fb_base, None)))
-        expand = ((n + p, sol + dim), (
-            (e_var, e_var, None, 1 + np.arange(e_var.size)),
-            (b_col, sol + b_row, b_base, b_k),
-            (o_col, sol + o_row, o_base, o_k),
-            (retained, sol + np.arange(dim), None, None),
-            (f_var, f_u, gain[f_var], None),
-            (f_u, f_var, gain[f_var], None),
-            (fb_u, sol + fb_row, fb_base, None),
-            (f_u, f_u, -d[f_var] / den, None)))
-        (self._condense, self._expand), self._map_data, self._map_base, self._map_k = \
-            _csr_maps((condense, expand))
-        self._scale = np.ones(1 + e_var.size + n_s)
-
-        on_r = ~elim[gk_var]
-        r_row, r_col, r_val = gk_row[on_r], pos[gk_var[on_r]], gk_val[on_r]
-        r_rng, p_rng = np.arange(n_r), np.arange(n_r, dim)
-        rows = np.concatenate([r_rng, r_row, r_col, p_rng, gk_row[f1[fix]],
-                               pos[a_var[e1]], gk_row[f1[~fix]]])
-        cols = np.concatenate([r_rng, r_col, r_row, p_rng, gk_row[f2[fix]],
-                               pos[a_var[e2]], gk_row[f2[~fix]]])
-        keys, self._slot = np.unique(cols.astype(np.int64) * dim + rows,
-                                     return_inverse=True)
+        r_val = gk_val[an.on_r]
         self._values = np.concatenate([
-            d[self.keep], r_val, r_val, np.full(dim - n_r, -reg),
-            -g_prod[fix] / self._d_e[pos[pair_var[fix]]], self._a_prod, self._g_prod])
-        self._n_fixed = self._values.size - self._a_prod.size - self._g_prod.size
-        self._kkt = _csc_pattern(keys, dim)
+            d[an.keep], r_val, r_val, np.full(an.dim - an.keep.size, -reg),
+            -g_prod[an.fix] / self._d_e[an.fix_pos], self._a_prod, self._g_prod])
+        self._slot = an.slot
+        self._kkt = _matrix(np.zeros(an.kkt[0].size), an.kkt, sp.csc_matrix)
 
     def __call__(self, w: np.ndarray) -> sp.csc_matrix:
-        n_s = self._s_row.size
-        piv = self._d_e + np.bincount(self._bound_pos,
-                                      weights=w[self._bound_row] * self._bound_sq,
+        an = self._an
+        n_s = an.s_row.size
+        piv = self._d_e + np.bincount(an.bound_pos,
+                                      weights=w[an.bound_row] * self._bound_sq,
                                       minlength=self._d_e.size)
-        w_k = w[self._s_row]
+        w_k = w[an.s_row]
         base = piv[:n_s]
         total = base + w_k * self._s_sq
         harmonic = w_k * (base / total)
         piv[:n_s] = total
         inv = np.divide(1.0, piv, out=self._scale[1:piv.size + 1])
         np.multiply(w_k, inv[:n_s], out=self._scale[piv.size + 1:])
-        np.multiply(self._map_base, self._scale[self._map_k], out=self._map_data)
-        k = self._n_fixed + self._a_prod.size
-        np.multiply(np.concatenate([w, harmonic])[self._pair_w], self._a_prod,
-                    out=self._values[self._n_fixed:k])
-        np.multiply(inv[self._gp_pos], self._g_prod, out=self._values[k:])
+        np.multiply(self._map_base, self._scale[an.map_k], out=self._map_data)
+        k = an.n_fixed + self._a_prod.size
+        np.multiply(np.concatenate([w, harmonic])[an.pair_w], self._a_prod,
+                    out=self._values[an.n_fixed:k])
+        np.multiply(inv[an.gp_pos], self._g_prod, out=self._values[k:])
         self._kkt.data = np.bincount(self._slot, weights=self._values,
                                     minlength=self._kkt.nnz)
         return self._kkt
@@ -544,15 +713,8 @@ class _KktAssembler:
         ``K x = b`` is solved as ``P K P' y = b[argsort(perm)]``,
         ``x = y[perm]``.
         """
-        dim = self._dim
-        counts = np.diff(self._kkt.indptr)
-        cols = np.repeat(perm.astype(np.int64), counts)
-        keys = cols * dim + perm[self._kkt.indices]
-        order = np.argsort(keys)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        self._slot = rank[self._slot]
-        self._kkt = _csc_pattern(keys[order], dim)
+        self._slot, pattern = self._an.permuted(perm)
+        self._kkt = _matrix(np.zeros(pattern[0].size), pattern, sp.csc_matrix)
 
 
 def _splu_symmetric(kkt: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
@@ -587,19 +749,18 @@ def _ipm(prob: QpProblem):
     problem. Without inequality rows (m = 0) the first Newton step solves the
     equality-constrained QP and the second iteration accepts it.
 
-    The per-solve set-up is kept to array operations: the standard form's
-    bound and fixed-variable unit rows are appended to the raw CSR arrays of
-    ``a_ub`` and ``a_eq``, and each transpose is one CSC conversion read as
-    CSR.
+    The per-solve set-up is kept to array operations on values: the pattern
+    of the standard form, its transposes and the condensed KKT matrix come
+    from the :class:`_Analysis` of a recent solve of the same pattern when
+    there is one (:func:`_analyze`), and from a new one otherwise.
     """
-    a_all, b_all, g_all, h_all = _standard_form(prob)
-    a_t = _transpose(a_all)
-    g_t = _transpose(g_all)
+    analysis = _analyze(prob)
+    a_all, b_all, g_all, h_all, a_t, g_t = analysis.standard_form(prob)
     m = a_all.shape[0]
     p = g_all.shape[0]
     hdiag = 2.0 * prob.q
     reg = _REG * max(1.0, float(np.max(hdiag, initial=0.0)))
-    assemble = _KktAssembler(a_all, g_t, hdiag + reg, reg)
+    assemble = _KktAssembler(analysis, a_all, g_t, hdiag + reg, reg)
     perm = inv = None   # the first symmetric factorization's ordering
 
     # starting point: bound midpoints where available, else zero

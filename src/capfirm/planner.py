@@ -31,6 +31,15 @@ other factored variable. The factored matrix then has dimension
 ``T + 3*T*S + 2*S``: the engagement and production columns, the ``2*T*S``
 equality rows, and the terminal SoC and its row per scenario. At S=20 and
 T=96 that is 5,896, against 11,616 variables and 3,840 equality rows.
+
+The battery ratio and the selling price enter the problem only through its
+values (costs, bounds and right-hand sides), and for a battery of nonzero
+size they change neither which bounds are finite nor which variables are
+fixed (the pv_used where a scenario has no PV, and the terminal SoC). So one
+day's plans on one scenario set share a sparsity pattern at every ratio and
+price, and the solver reuses its analysis of that pattern when they are
+solved one after another, alternating with the day's control QPs, which
+share one pattern of their own.
 """
 
 from __future__ import annotations

@@ -149,8 +149,8 @@ class TestSolveQpBasics:
         # stop and leave the decision to the elastic certificate, whose KKT
         # matrix has another dimension and factors normally
         node = _unreachable_floor_node()
-        parts = _kkt_parts(node)
-        dim = optim._KktAssembler(*parts)(np.ones(parts[0].shape[0])).shape[0]
+        assemble, parts = _assembler(node)
+        dim = assemble(np.ones(parts[0].shape[0])).shape[0]
         calls = []
         splu = optim.spla.splu
 
@@ -245,12 +245,15 @@ def _noisy_planning_qp(n_periods, n_scen, seed=5):
     return prob
 
 
-def _kkt_parts(prob):
-    """The standard-form rows, G', and the KKT diagonal and regularization of _ipm."""
-    a_all, _, g_all, _ = optim._standard_form(prob)
+def _assembler(prob):
+    """The KKT assembler of _ipm for prob, and its parts: the standard-form
+    rows, G', and the KKT diagonal and regularization."""
+    analysis = optim._analyze(prob)
+    a_all, _, _, _, _, g_t = analysis.standard_form(prob)
     hdiag = 2.0 * prob.q
     reg = optim._REG * max(1.0, float(np.max(hdiag, initial=0.0)))
-    return a_all, optim._transpose(g_all), hdiag + reg, reg
+    parts = (a_all, g_t, hdiag + reg, reg)
+    return optim._KktAssembler(analysis, *parts), parts
 
 
 def _reference_kkt(a_all, g_t, d, reg, w):
@@ -278,7 +281,7 @@ def _reference_condensed_kkt(assemble, a_all, g_t, d, reg, w):
 
 def _eliminated_classes(prob, assemble):
     """Counts of the eliminated bound-only, single-row slack and pinned variables."""
-    a_all, _, g_all, _ = optim._standard_form(prob)
+    a_all, _, g_all, _, _, _ = optim._analyze(prob).standard_form(prob)
     a = abs(a_all.toarray()) > 0
     g = abs(g_all.toarray()) > 0
     shared = a[a.sum(axis=1) > 1]
@@ -346,10 +349,9 @@ class TestKktAssembly:
                              a_eq=[[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], b_eq=[2.0, 0.5])
         else:
             prob = _kkt_case(case)
-        parts = _kkt_parts(prob)
+        assemble, parts = _assembler(prob)
         m, p = parts[0].shape[0], parts[1].shape[1]
         assert (m > 0, p > 0) == (has_rows, has_eq)
-        assemble = optim._KktAssembler(*parts)
         if has_rows and has_eq:
             assert min(_eliminated_classes(prob, assemble)) > 0
         for _ in range(2 if m else 1):
@@ -368,10 +370,9 @@ class TestKktAssembly:
         # charges are fixed, where a row of G holds only fixed variables,
         # and for a fixed variable whose pivot d_j is not near reg
         prob = _kkt_case(case)
-        parts = _kkt_parts(prob)
+        assemble, parts = _assembler(prob)
         a_all, g_t = parts[:2]
         rng = np.random.default_rng(41)
-        assemble = optim._KktAssembler(*parts)
         assert min(_eliminated_classes(prob, assemble)) > 0
         w = np.exp(rng.uniform(-8.0, 8.0, a_all.shape[0]))
         lu = optim._splu_symmetric(assemble(w))
@@ -391,8 +392,7 @@ class TestKktAssembly:
         # that dropped fixed variables left such rows exactly singular at
         # two nodes of the random storage instances.)
         prob = _kkt_case("pinned_row")
-        parts = _kkt_parts(prob)
-        assemble = optim._KktAssembler(*parts)
+        assemble, parts = _assembler(prob)
         idx = dispatch_index(8, 3, 8)
         row = 2 * 4 + 1
         held = parts[1].T.tocsr()[row].indices
@@ -410,8 +410,7 @@ class TestKktAssembly:
         # is eliminated; x2 and x3 are bound-only; x4 is eliminated with its
         # unit row of the standard form; x5 stays
         prob = _mixed_qp()
-        parts = _kkt_parts(prob)
-        assemble = optim._KktAssembler(*parts)
+        assemble, parts = _assembler(prob)
         assert assemble.keep.tolist() == [1, 5]
         kkt = assemble(np.ones(parts[0].shape[0]))
         assert kkt.shape == (2 + 1, 2 + 1)    # the a_eq row; x4's unit row is out
@@ -453,8 +452,8 @@ class TestKktAssembly:
         # 111k at S=50 (3.1k and 3.6k here)
         per_scenario = {}
         for n_scen in (5, 50):
-            parts = _kkt_parts(_noisy_planning_qp(n_periods=96, n_scen=n_scen))
-            kkt = optim._KktAssembler(*parts)(np.ones(parts[0].shape[0]))
+            assemble, parts = _assembler(_noisy_planning_qp(n_periods=96, n_scen=n_scen))
+            kkt = assemble(np.ones(parts[0].shape[0]))
             lu = optim._splu_symmetric(kkt)
             per_scenario[n_scen] = (lu.L.nnz + lu.U.nnz) / n_scen
         assert per_scenario[50] <= 1.5 * per_scenario[5]
@@ -463,10 +462,9 @@ class TestKktAssembly:
         # _ipm takes the ordering of its first factorization and fills the
         # later matrices permuted by it. Permuting by perm_c where its inverse
         # belongs multiplies the fill by 21.6 here.
-        parts = _kkt_parts(_noisy_planning_qp(n_periods=96, n_scen=20))
+        assemble, parts = _assembler(_noisy_planning_qp(n_periods=96, n_scen=20))
         m = parts[0].shape[0]
         rng = np.random.default_rng(29)
-        assemble = optim._KktAssembler(*parts)
         perm = optim._splu_symmetric(assemble(np.exp(rng.uniform(-6.0, 6.0, m)))).perm_c
         w = np.exp(rng.uniform(-6.0, 6.0, m))
         kkt = assemble(w).copy()
@@ -483,8 +481,59 @@ class TestKktAssembly:
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+def _arrays(value):
+    """Every ndarray in value, a tuple of them or of such tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [arr for item in value for arr in _arrays(item)]
+    return []
+
+
+class TestSharedAnalysis:
+    def test_moved_entry_builds_its_own_analysis(self, monkeypatch):
+        # same shapes and non-zero count, one entry of a ramp row moved to
+        # another column: equal pattern arrays, not a hash, select an
+        # analysis. The least recent of two is dropped before a third is
+        # built, so a build never runs beside two others.
+        prob = _noisy_planning_qp(n_periods=8, n_scen=3)
+        a_ub = prob.a_ub.copy()
+        k = int(np.flatnonzero(a_ub.indices[:a_ub.indptr[1]] == 0)[0])
+        assert 2 not in a_ub.indices[:a_ub.indptr[1]]
+        a_ub.indices[k] = 2
+        moved = replace(prob, a_ub=a_ub)
+        assert moved.a_ub.shape == prob.a_ub.shape and moved.a_ub.nnz == prob.a_ub.nnz
+        held = []
+
+        class Recorded(optim._Analysis):
+            def __init__(self, key):
+                held.append(len(optim._RECENT))
+                super().__init__(key)
+
+        monkeypatch.setattr(optim, "_RECENT", [])
+        monkeypatch.setattr(optim, "_Analysis", Recorded)
+        sols = [solve_qp(p) for p in (prob, moved, prob, _mixed_qp())]
+        assert [sol.status for sol in sols] == [SolveStatus.OPTIMAL] * 4
+        assert held == [0, 1, 1]
+        assert optim._analyze(moved) is not optim._analyze(prob)
+        assert optim._analyze(moved).a[0][k] == 2 and optim._analyze(prob).a[0][k] == 0
+
+    def test_shared_analysis_arrays_are_read_only(self):
+        prob = _noisy_planning_qp(n_periods=8, n_scen=3)
+        assert solve_qp(prob).status is SolveStatus.OPTIMAL    # stores the permuted slots
+        analysis = optim._analyze(prob)
+        arrays = [arr for value in vars(analysis).values() for arr in _arrays(value)]
+        assert len(arrays) > 40 and analysis._permuted is not None
+        assert not any(arr.flags.writeable for arr in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            analysis.slot[0] = 0
+        assemble, parts = _assembler(prob)
+        with pytest.raises(ValueError, match="read-only"):
+            assemble(np.ones(parts[0].shape[0])).indices[0] = 0
+
+
 def _dense_standard_form(prob):
-    """(A, b, G, h) of _standard_form from dense unit rows, bound by bound."""
+    """(A, b, G, h) of _Analysis.standard_form from dense unit rows, bound by bound."""
     n = prob.n_var
     fixed = np.isfinite(prob.lb) & (prob.lb == prob.ub)
     upper = [j for j in range(n) if np.isfinite(prob.ub[j]) and not fixed[j]]
@@ -526,15 +575,14 @@ class TestStandardFormAndStep:
             rows.update(a_eq=sp.random(2, n, density=0.5, random_state=2, format="csr"),
                         b_eq=rng.standard_normal(2))
         prob = QpProblem(**rows)
-        a_all, b_all, g_all, h_all = optim._standard_form(prob)
+        a_all, b_all, g_all, h_all, a_t, g_t = optim._analyze(prob).standard_form(prob)
         a, b, g, h = _dense_standard_form(prob)
         assert a_all.format == g_all.format == "csr"
         assert a_all.shape == a.shape == (3 * has_ub + 6, n)
         assert g_all.shape == g.shape == (2 * has_eq + 2, n)
         assert np.array_equal(a_all.toarray(), a) and np.array_equal(b_all, b)
         assert np.array_equal(g_all.toarray(), g) and np.array_equal(h_all, h)
-        for mat, dense in ((a_all, a), (g_all, g)):
-            t = optim._transpose(mat)
+        for t, dense in ((a_t, a), (g_t, g)):
             assert t.format == "csr"
             assert np.array_equal(t.toarray(), dense.T)
 

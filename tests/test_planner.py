@@ -8,7 +8,7 @@ import pytest
 
 from capfirm import optim
 from capfirm.controller import build_control_qp, oracle_control
-from capfirm.domain import TimeGrid, check_engagement
+from capfirm.domain import TimeGrid, battery_floor_scale, check_engagement
 from capfirm.planner import (
     PlanningError,
     PlanningInstance,
@@ -298,6 +298,78 @@ class TestPriceHomogeneity:
         assert np.max(np.ptp(engagement, axis=0)) < 0.05
         per_price = [res.objective / p for res, p in zip(plans, prices)]
         assert per_price == pytest.approx([per_price[0]] * len(prices), rel=1e-10)
+
+
+class TestSharedPatternAnalysis:
+    @pytest.fixture(scope="class")
+    def family(self):
+        """QPs of stored days: the S=20 plan of season 4, day 132 (ratio 0.5),
+        and the D plan of season 5, day 77 at ratio 1.25 with its control at
+        400/800 EUR/MWh and the same plan at 100/200 EUR/MWh."""
+        grid = TimeGrid.daily()
+        with np.load(DATA / "s20_season4_day132.npz") as data:
+            scen = ScenarioSet(data["values_kw"], data["weights"])
+        with np.load(DATA / "d_season5_day77.npz") as data:
+            forecast, realized = data["forecast_kw"], data["power_kw"]
+        s20, _, _ = build_planning_qp(PlanningInstance(
+            grid, toy_policy(grid, pv_capacity=466.4), toy_system(466.4, 233.2), scen, "S"))
+        system = toy_system(466.4, 1.25 * 466.4)
+        qps = {"s20_plan": s20}
+        for name, price in (("d_plan", 400.0), ("d_plan_scaled", 100.0)):
+            instance = PlanningInstance(grid, toy_policy(grid, price, 2.0 * price, 466.4),
+                                        system, ScenarioSet.single(forecast), "D")
+            qps[name] = build_planning_qp(instance)[0]
+        policy = toy_policy(grid, 400.0, 800.0, 466.4)
+        engagement = plan_deterministic(forecast, grid, policy, system, mode="D").engagement
+        qps["control"] = build_control_qp(engagement, realized, policy, system, grid)[0]
+        return qps
+
+    @pytest.mark.parametrize("target, first, other", [
+        ("s20_plan", "s20_plan", "d_plan"),
+        ("d_plan", "d_plan", "control"),
+        ("control", "control", "d_plan"),
+        ("d_plan_scaled", "d_plan", "control")])
+    def test_shared_analysis_leaves_the_solve_bitwise_unchanged(
+            self, monkeypatch, family, target, first, other):
+        # a day's plan QPs share one pattern at every ratio and price, and so
+        # do its control QPs; solving first, then a QP of another pattern,
+        # then target on the analysis that first left must give exactly
+        # the solve of target with no analysis held
+        monkeypatch.setattr(optim, "_RECENT", [])
+        cold = optim.solve_qp(family[target])
+        optim._RECENT.clear()
+        optim.solve_qp(family[first])
+        shared = optim._RECENT[-1]
+        optim.solve_qp(family[other])
+        warm = optim.solve_qp(family[target])
+        assert optim._RECENT[-1] is shared
+        assert cold.status is warm.status is SolveStatus.OPTIMAL
+        assert np.array_equal(warm.x, cold.x)
+        assert (warm.objective, warm.iterations, warm.refactors) == \
+            (cold.objective, cold.iterations, cold.refactors)
+
+
+class TestBatteryFloor:
+    def test_closed_form_floor_separates_infeasible_from_feasible_plans(self):
+        # the peak floor of 0.15 Pc for the 2 peak hours, from a 10-90 % SoC
+        # window at 95 %: r_min = 0.3 / 0.76 of Pc. Season 1, day 126 has no
+        # PV from 19 to 21 h, so its D* plan needs the whole floor from the
+        # battery: infeasible just below r_min, feasible just above it.
+        grid = TimeGrid.daily()
+        policy = toy_policy(grid, 100.0, 200.0, 466.4)
+        r_min = battery_floor_scale(grid, policy, toy_system(466.4, 466.4))
+        assert r_min == pytest.approx(0.3 / 0.76, rel=1e-12)
+        assert battery_floor_scale(grid, policy, toy_system(466.4, 0.5 * 466.4)) == \
+            pytest.approx(r_min / 0.5, rel=1e-12)
+        with np.load(DATA / "dstar_season1_day126.npz") as data:
+            realized = data["power_kw"]
+        assert not realized[grid.peak_mask].any()
+        with pytest.raises(PlanningError, match="infeasible"):
+            plan_deterministic(realized, grid, policy,
+                               toy_system(466.4, 0.999 * r_min * 466.4), mode="Dstar")
+        res = plan_deterministic(realized, grid, policy,
+                                 toy_system(466.4, 1.001 * r_min * 466.4), mode="Dstar")
+        assert res.status is SolveStatus.OPTIMAL
 
 
 def _perfect_foresight_day(season, day, ratio, price):
