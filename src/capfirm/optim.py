@@ -8,34 +8,36 @@ charge/discharge exclusivity of a battery, expressed without big-M binaries).
 ``solve_qp`` handles the continuous relaxation with an infeasible-start
 primal-dual interior-point method (Mehrotra predictor-corrector on the
 slack/bound standard form). Its Newton system is the augmented KKT system
-``[[H + A'WA + dI, G'], [G, -dI]]``. Three classes of variables have a
-pivot in closed form and are eliminated before factoring (Vanderbei 1995):
-a variable whose rows of A are only its own bounds (a diagonal row of
-``H + A'WA + dI``); a slack with one row of A besides its bounds and no
-entry in G, whose row then takes a harmonic weight; and a fixed variable
-with no row of A, pivoted out together with its unit equality row when each
-of its other rows of G keeps a variable that is factored. In a planning
-problem the first class holds the PV used, charge, discharge and SoC
-series, the second the deadband slack ``underdev``, and the third the PV
-used where no PV is available, so the factored matrix has dimension
-``T + 3*T*S`` plus the terminal SoC and its unit row per scenario. The
-terminal SoC and a charge fixed at a node stay: their SoC row has no other
-factored variable, and without them it would be tied down only by
+``[[H + A'WA + dI, G'], [G, -dI]]``. Two classes of variables have a pivot
+in closed form and are eliminated before factoring (Vanderbei 1995): a
+variable whose rows of A are only its own bounds (a diagonal row of
+``H + A'WA + dI``), and a slack with one row of A besides its bounds and no
+entry in G, whose row then takes a harmonic weight. A fixed variable with no
+row of A is *frozen* when each of its rows of ``a_eq`` keeps a variable
+that is factored: it is held at its value and has neither a unit equality
+row nor a place in the KKT matrix, a substitution (Andersen & Andersen
+1995). In a planning problem the first class holds the PV used, charge,
+discharge and SoC series, the second the deadband slack ``underdev``, and
+the PV used where no PV is available is frozen, so the factored matrix has
+dimension ``T + 3*T*S`` plus the terminal SoC and its unit row per scenario.
+The terminal SoC and a charge fixed at a node stay: their SoC row has no
+other factored variable, and without them it would be tied down only by
 regularization-sized terms, lost to rounding beside the ``1/D ~ 1/reg`` of
-an eliminated SoC inside its bounds (see :class:`_KktAssembler`). Each Newton
-direction is that of the whole matrix up to round-off.
+an eliminated SoC inside its bounds. Each Newton direction is that of the
+whole matrix, less the frozen columns, up to round-off.
 
 The sparsity pattern is fixed for a family of solves, not only for one. Two
 problems whose ``a_ub`` and ``a_eq`` have equal shapes, ``indptr`` and
 ``indices``, and whose bounds give equal sets of bound rows and fixed
 variables, have the same standard form pattern, and so the same eliminated
-classes, KKT pattern and slots: a day's plan QPs at every battery ratio and
-selling price, or its control QPs. (Branch-and-bound nodes differ from
-their root: a variable fixed at zero moves to the equality rows.) What
-follows from the pattern alone is analyzed once (:class:`_Analysis`), and
-the analyses of the two patterns solved most recently are held and found
-again by comparing those arrays, not a hash. Each solve then reads every
-value from its own problem, and each iteration only fills in the matrix.
+and frozen variables, KKT pattern and slots: a day's plan QPs at every
+battery ratio and selling price, or its control QPs. (Branch-and-bound
+nodes differ from their root: a variable fixed at zero moves to the
+equality rows.) What follows from the pattern alone is analyzed once
+(:class:`_Analysis`), and the analyses of the two patterns solved most
+recently are held and found again by comparing those arrays, not a hash.
+Each solve then reads every value from its own problem, and each iteration
+only fills in the matrix.
 The matrix is quasi-definite, so SuperLU factors it with a symmetric
 fill-reducing ordering and no pivoting, which keeps the fill linear in the
 number of scenarios. The ordering is computed by the first factorization of
@@ -213,9 +215,10 @@ def _pattern_key(prob: QpProblem) -> tuple:
     ``A x <= b`` is ``a_ub`` then the rows ``x_j <= ub_j`` and
     ``-x_j <= -lb_j`` of the finite bounds of the variables that are not
     fixed, and ``G x = h`` is ``a_eq`` then the rows ``x_j = ub_j`` of the
-    fixed ones. So the pattern follows from the shape, ``indptr`` and
-    ``indices`` of ``a_ub`` and of ``a_eq`` and from those three sets of
-    variables, which are the key's last three arrays.
+    fixed ones that are not frozen (see :class:`_Analysis`). So the pattern
+    follows from the shape, ``indptr`` and ``indices`` of ``a_ub`` and of
+    ``a_eq`` and from those three sets of variables, which are the key's
+    last three arrays.
     """
     fixed = (np.isfinite(prob.ub) & np.isfinite(prob.lb)
              & (prob.ub - prob.lb <= 1e-14 * np.maximum(1.0, np.abs(prob.ub))))
@@ -348,11 +351,19 @@ class _Analysis:
     ratio and selling price share one, and so do its control QPs. Its arrays
     are read-only. It holds:
 
+    - the frozen variables: fixed, without a row of A, and such that each
+      of their rows of ``a_eq`` also holds a variable that is neither
+      bound-only nor fixed without a row of A. A row without one would be
+      tied down by ``-reg`` and regularization-sized products alone, lost to
+      rounding beside the ``1/D`` of a bound-only neighbour whose pivot is
+      near ``reg``: the condensed matrix is then singular where K is not (an
+      SoC row whose terminal SoC or charge is fixed, with the SoC inside its
+      bounds). The other fixed variables keep their unit rows;
     - the CSR patterns of the standard form's A and G, and the entry orders
       that transpose them (:meth:`standard_form` puts values on them);
     - the classes of :class:`_KktAssembler` (bound-only, single-row slack,
-      pinned, kept), the CSC pattern of the condensed KKT matrix and the
-      slot of every contribution in it;
+      kept), the CSC pattern of the condensed KKT matrix and the slot of
+      every contribution in it;
     - the patterns of the condense and expand maps, and what each of their
       entries is made of;
     - the slots and pattern permuted by the ordering of the first
@@ -367,64 +378,60 @@ class _Analysis:
         self.key = key = tuple(np.array(k) for k in key)
         ub_shape, ub_ptr, ub_idx, eq_shape, eq_ptr, eq_idx, free_ub, free_lb, fix_idx = key
         n = int(ub_shape[1])
-        self.free_ub, self.free_lb, self.fix_idx = free_ub, free_lb, fix_idx
+        self.free_ub, self.free_lb = free_ub, free_lb
         self.nnz_ub, self.nnz_eq = ub_idx.size, eq_idx.size
         a_var, a_ptr = _with_unit_rows(ub_ptr, ub_idx, np.concatenate([free_ub, free_lb]))
-        g_idx, g_ptr = _with_unit_rows(eq_ptr, eq_idx, fix_idx)
-        m, p = a_ptr.size - 1, g_ptr.size - 1
+        m = a_ptr.size - 1
         self.a = (a_var, a_ptr, (m, n))
-        self.g = (g_idx, g_ptr, (p, n))
         self.a_t, self.a_order = _transposed(*self.a)
-        self.g_t, self.g_order = _transposed(*self.g)
-        g_row, g_t_ptr, _ = self.g_t
 
         counts = np.diff(a_ptr)
         a_row = np.repeat(np.arange(m), counts)
         alone = counts[a_row] == 1     # the only entry of its row: a bound row
         n_rows = np.bincount(a_var, minlength=n)
         n_shared = np.bincount(a_var[~alone], minlength=n)
+        bound_only = (n_rows > 0) & (n_shared == 0)
+
+        # a fixed variable without a row of A is frozen when each of its rows
+        # of a_eq holds a variable of the core (neither bound-only nor such a
+        # candidate); the others keep their unit rows in G
+        frozen = np.zeros(n, dtype=bool)
+        frozen[fix_idx] = n_rows[fix_idx] == 0
+        eq_row = np.repeat(np.arange(int(eq_shape[0])), np.diff(eq_ptr))
+        loose = np.bincount(eq_row, weights=~(bound_only | frozen)[eq_idx],
+                            minlength=int(eq_shape[0])) == 0
+        frozen[eq_idx[loose[eq_row]]] = False
+        self.frozen = np.flatnonzero(frozen)
+        self.unit = fix_idx[~frozen[fix_idx]]
+        g_idx, g_ptr = _with_unit_rows(eq_ptr, eq_idx, self.unit)
+        p = g_ptr.size - 1
+        self.g = (g_idx, g_ptr, (p, n))
+        self.g_t, self.g_order = _transposed(*self.g)
+        g_row, g_t_ptr, _ = self.g_t
         g_counts = np.diff(g_t_ptr)
         g_var = np.repeat(np.arange(n), g_counts)
-        bound_only = (n_rows > 0) & (n_shared == 0)
 
         # single-row slacks, the first candidate of each row
         s_ent = np.flatnonzero(~alone & ((n_shared == 1) & (g_counts == 0))[a_var])
         s_row, first = np.unique(a_row[s_ent], return_index=True)
         s_ent = s_ent[first]
         s_var, n_s = a_var[s_ent], s_ent.size
-        # pinned candidates, each with its first row of G that holds it alone
-        f_ent = np.flatnonzero((np.bincount(g_row, minlength=p)[g_row] == 1)
-                               & (n_rows == 0)[g_var])
-        f_ent = f_ent[np.unique(g_var[f_ent], return_index=True)[1]]
-        # a candidate is pinned when none of its other rows of G lacks a
-        # variable of the core (neither bound-only nor a candidate)
-        core = ~bound_only
-        core[g_var[f_ent]] = False
-        loose = (np.bincount(g_row, weights=core[g_var], minlength=p) == 0)[g_row]
-        loose[f_ent] = False
-        f_ent = f_ent[np.bincount(g_var[loose], minlength=n)[g_var[f_ent]] == 0]
-        f_var, f_row = g_var[f_ent], g_row[f_ent]
 
         slack = np.zeros(n, dtype=bool)
         slack[s_var] = True
-        pinned = np.zeros(n, dtype=bool)
-        pinned[f_var] = True
-        elim = bound_only | slack | pinned
+        elim = bound_only | slack
+        factored = ~elim & ~frozen
         # slacks first
-        self.e_var = e_var = np.concatenate([s_var, np.flatnonzero(elim & ~slack)])
-        self.keep = np.flatnonzero(~elim)
+        self.e_var = e_var = np.concatenate([s_var, np.flatnonzero(bound_only)])
+        self.keep = np.flatnonzero(factored)
         n_r = self.keep.size
         pos = np.zeros(n, dtype=np.intp)        # position in E, or in R
         pos[e_var] = np.arange(e_var.size)
         pos[self.keep] = np.arange(n_r)
-        row_out = np.zeros(p, dtype=bool)
-        row_out[f_row] = True
-        self.p_keep = np.flatnonzero(~row_out)
-        self.dim = dim = n_r + self.p_keep.size
-        g_col = n_r + np.cumsum(~row_out) - 1       # column of a retained row of G
+        self.dim = dim = n_r + p
+        g_col = n_r + g_row                     # column of a row of G
 
-        # pivots: d, a^2/reg for a pinned variable, and the bound rows' w a^2
-        self.f_var, self.f_ent, self.f_pos = f_var, f_ent, pos[f_var]
+        # pivots: d and the bound rows' w a^2
         on_e = elim[a_var] & alone
         self.bound_ent = np.flatnonzero(on_e)
         self.bound_pos, self.bound_row = pos[a_var[on_e]], a_row[on_e]
@@ -440,77 +447,51 @@ class _Analysis:
         weight_of[s_row] = m + np.arange(n_s)
         self.pair_w = weight_of[pair_row]
 
-        # G without the pinned rows, and the products of its columns on E
-        kept = np.ones(g_row.size, dtype=bool)
-        kept[f_ent] = False
-        self.g_kept = np.flatnonzero(kept)
-        gk_var, gk_row = g_var[kept], g_col[g_row[kept]]
-        gk_counts = np.bincount(gk_var, minlength=n)
-        pair_var, f1, f2 = _row_pairs(np.concatenate([[0], np.cumsum(gk_counts)]),
-                                      gk_counts * elim)
-        self.f1, self.f2 = f1, f2
-        self.fix = fix = pinned[pair_var]
-        self.fix_pos, self.gp_pos = pos[pair_var[fix]], pos[pair_var[~fix]]
+        # the products of G's columns on E
+        pair_var, self.f1, self.f2 = _row_pairs(g_t_ptr, g_counts * elim)
+        self.gp_pos = pos[pair_var]
 
-        # condense maps [r1; r2] to r1_R, r2 of the retained rows, minus
-        # B D_E^-1 (r1_E + a r2_u / reg on a pinned variable); expand maps
-        # [r1; r2; sol] to dx_E = D_E^-1 (r1_E - B' sol) (+ a r2_u /
-        # (reg d + a^2) when pinned), dx_R and dy of the retained rows from
-        # sol, and dy_u = (a (r1_j - g_j' dy) - d_j r2_u) / (reg d_j + a^2).
-        # An entry is base * scale[k], scale = [1, 1/D_E, w_k/D_u of slacks];
-        # the bases are named after the arrays _KktAssembler computes.
+        # condense maps [r1; r2] to r1_R, r2 minus B D_E^-1 r1_E; expand maps
+        # [r1; r2; sol] to dx_E = D_E^-1 (r1_E - B' sol), and dx_R and dy
+        # from sol. An entry is base * scale[k], scale = [1, 1/D_E, w_k/D_u
+        # of slacks]; the bases are named after the arrays _KktAssembler
+        # computes. No entry reads or writes a frozen variable.
         self.o_ent = o_ent = np.flatnonzero((weight_of[a_row] >= m) & ~slack[a_var])
         self.o_slack = o_slack = weight_of[a_row[o_ent]] - m
         o_row, o_col = pos[a_var[o_ent]], s_var[o_slack]
         o_k = 1 + e_var.size + o_slack
-        self.on_e_g = on_e_g = elim[gk_var]
-        b_row, b_col = gk_row[on_e_g], gk_var[on_e_g]
+        self.on_e_g = on_e_g = elim[g_var]
+        b_row, b_col = g_col[on_e_g], g_var[on_e_g]
         b_k = 1 + pos[b_col]
-        f_u = np.zeros(n, dtype=np.intp)
-        f_u[f_var] = n + f_row
-        self.on_f = on_f = pinned[b_col]
-        f_of = np.zeros(n, dtype=np.intp)       # position among the pinned
-        f_of[f_var] = np.arange(f_var.size)
-        self.fb_f = f_of[b_col[on_f]]
-        fb_row, fb_u = b_row[on_f], f_u[b_col[on_f]]
-        retained = np.concatenate([self.keep, n + self.p_keep])
+        retained = np.concatenate([self.keep, n + np.arange(p)])
         sol = n + p
-        f_u = f_u[f_var]
         condense = ((dim, n + p), (
             (np.arange(dim), retained, None, None),
             (b_row, b_col, "b", b_k),
-            (o_row, o_col, "o", o_k),
-            (fb_row, fb_u, "fb", None)))
+            (o_row, o_col, "o", o_k)))
         expand = ((n + p, sol + dim), (
             (e_var, e_var, None, 1 + np.arange(e_var.size)),
             (b_col, sol + b_row, "b", b_k),
             (o_col, sol + o_row, "o", o_k),
-            (retained, sol + np.arange(dim), None, None),
-            (f_var, f_u, "gain", None),
-            (f_u, f_var, "gain", None),
-            (fb_u, sol + fb_row, "fb", None),
-            (f_u, f_u, "pin", None)))
+            (retained, sol + np.arange(dim), None, None)))
         (self.condense, self.expand), self.map_order, self.map_k, self.map_parts = \
             _csr_maps((condense, expand))
         self.n_scale = 1 + e_var.size + n_s
 
-        self.on_r = on_r = ~elim[gk_var]
-        r_row, r_col = gk_row[on_r], pos[gk_var[on_r]]
+        self.on_r = on_r = factored[g_var]
+        r_row, r_col = g_col[on_r], pos[g_var[on_r]]
         r_rng, p_rng = np.arange(n_r), np.arange(n_r, dim)
-        rows = np.concatenate([r_rng, r_row, r_col, p_rng, gk_row[f1[fix]],
-                               pos[a_var[e1]], gk_row[f1[~fix]]])
-        cols = np.concatenate([r_rng, r_col, r_row, p_rng, gk_row[f2[fix]],
-                               pos[a_var[e2]], gk_row[f2[~fix]]])
+        rows = np.concatenate([r_rng, r_row, r_col, p_rng, pos[a_var[e1]], g_col[self.f1]])
+        cols = np.concatenate([r_rng, r_col, r_row, p_rng, pos[a_var[e2]], g_col[self.f2]])
         keys, self.slot = np.unique(cols.astype(np.int64) * dim + rows,
                                     return_inverse=True)
-        self.n_fixed = rows.size - e1.size - self.gp_pos.size
+        self.n_fixed = rows.size - e1.size - self.f1.size
         self.kkt = _csc_pattern(keys, dim)
         self._permuted = None
         # the indices each solve reads once, not in every iteration, are
         # held in 32 bits: half the memory, at the price of a cast per gather
-        for name in ("e_var", "f_ent", "f_pos", "bound_ent", "s_ent", "e1", "e2",
-                     "g_kept", "f1", "f2", "fix_pos", "o_ent", "o_slack", "fb_f",
-                     "a_order", "g_order", "map_order"):
+        for name in ("e_var", "bound_ent", "s_ent", "e1", "e2", "f1", "f2", "o_ent",
+                     "o_slack", "a_order", "g_order", "map_order"):
             setattr(self, name, getattr(self, name).astype(np.intc))
         for value in vars(self).values():
             for arr in value if isinstance(value, tuple) else (value,):
@@ -525,9 +506,9 @@ class _Analysis:
         """
         a_data = np.concatenate([prob.a_ub.data[:self.nnz_ub], np.ones(self.free_ub.size),
                                  np.full(self.free_lb.size, -1.0)])
-        g_data = np.concatenate([prob.a_eq.data[:self.nnz_eq], np.ones(self.fix_idx.size)])
+        g_data = np.concatenate([prob.a_eq.data[:self.nnz_eq], np.ones(self.unit.size)])
         b_all = np.concatenate([prob.b_ub, prob.ub[self.free_ub], -prob.lb[self.free_lb]])
-        h_all = np.concatenate([prob.b_eq, prob.ub[self.fix_idx]])
+        h_all = np.concatenate([prob.b_eq, prob.ub[self.unit]])
         return (_matrix(a_data, self.a), b_all, _matrix(g_data, self.g), h_all,
                 _matrix(a_data[self.a_order], self.a_t),
                 _matrix(g_data[self.g_order], self.g_t))
@@ -585,9 +566,10 @@ class _KktAssembler:
     """The condensed KKT matrix of one ``_ipm`` solve, on a shared pattern.
 
     The Newton system is ``K [dx; dy] = [r1; r2]`` with
-    ``K = [[diag(d) + A'WA, G'], [G, -reg I]]``. Three classes of variables
-    have a pivot known in closed form and are eliminated (E); the others (R)
-    and the rows of G that do not leave with a variable are factored.
+    ``K = [[diag(d) + A'WA, G'], [G, -reg I]]`` without the columns of the
+    frozen variables, whose ``dx`` is 0. Two classes of variables have a
+    pivot known in closed form and are eliminated (E); the others (R) and
+    the rows of G are factored.
 
     - *Bound-only*: at least one row of A, and the only entry of each (its
       bound rows). It meets the rest of K only in G; its pivot is
@@ -598,30 +580,18 @@ class _KktAssembler:
       and row k's products of the other variables take the harmonic weight
       ``w_k b / D_u`` in place of ``w_k``, with the same fill. At most one
       per row: the first.
-    - *Pinned*: no row of A, and a row u of G of which it is the only entry
-      ``a`` (a fixed variable and its unit row of the standard form).
-      Pivoting on the block ``[[d_j, a], [a, -reg]]`` leaves a bound-only
-      variable with ``D_j = d_j + a^2/reg`` and ``r1_j + a r2_u / reg``;
-      row u leaves the factored matrix, and the products ``-g g'/D_j`` of
-      the variable's other rows of G are constants. This is done only when
-      each of those rows keeps a variable that is neither bound-only nor
-      pinned. A row without one is tied down by ``-reg`` and these
-      products alone, and both are lost to rounding beside the ``1/D`` of a
-      bound-only neighbour whose pivot is near ``reg``: the condensed
-      matrix is then singular where K is not (an SoC row whose terminal SoC
-      or charge is fixed, with the SoC inside its bounds).
 
     The factored matrix is the Schur complement of E's block,
-    ``[[diag(d_R) + A_R'W'A_R, G_R'], [G_R, -reg I - G_E D_E^-1 G_E']]`` on
-    the remaining rows of G, with W' the harmonic weights; it is K itself,
-    slot for slot, when nothing qualifies. E meets the factored system
-    through a border B: ``w_k a_kl a_ku`` for a slack u of row k, and G on E.
+    ``[[diag(d_R) + A_R'W'A_R, G_R'], [G_R, -reg I - G_E D_E^-1 G_E']]``,
+    with W' the harmonic weights; it is K itself, slot for slot, when nothing
+    qualifies. E meets the factored system through a border B:
+    ``w_k a_kl a_ku`` for a slack u of row k, and G on E.
 
     The classes, the pattern and the slots depend only on the pattern of A
     and G, and come from the shared :class:`_Analysis`. Construction reads
     every value (the entries of A and G, ``d``, ``reg``) and computes from
-    them the fixed pivots and products and the bases of the maps, so an
-    assembler on a shared analysis does the arithmetic of one on a new one.
+    them the unweighted products and the bases of the maps, so an assembler
+    on a shared analysis does the arithmetic of one on a new one.
 
     Calling it with the row weights ``w`` fills the matrix with one
     ``np.bincount``: every contribution (the diagonal ``d_R``, each product
@@ -639,24 +609,16 @@ class _KktAssembler:
     def __init__(self, analysis: _Analysis, a_all: sp.csr_matrix, g_t: sp.csr_matrix,
                  d: np.ndarray, reg: float):
         an = self._an = analysis
-        self.keep, self._p_keep = an.keep, an.p_keep
+        self.keep = an.keep
         a_val, g_val = a_all.data, g_t.data
-        f_a = g_val[an.f_ent]
         self._d_e = d[an.e_var]
-        self._d_e[an.f_pos] += f_a ** 2 / reg
         self._bound_sq = a_val[an.bound_ent] ** 2
         self._s_sq = a_val[an.s_ent] ** 2
         self._a_prod = a_val[an.e1] * a_val[an.e2]
-        gk_val = g_val[an.g_kept]
-        g_prod = gk_val[an.f1] * gk_val[an.f2]
-        self._g_prod = -g_prod[~an.fix]
+        self._g_prod = -(g_val[an.f1] * g_val[an.f2])
 
-        den = reg * d[an.f_var] + f_a ** 2
-        gain = f_a / den
-        b_base = -gk_val[an.on_e_g]
-        bases = {"b": b_base, "o": -a_val[an.o_ent] * a_val[an.s_ent][an.o_slack],
-                 "fb": b_base[an.on_f] * gain[an.fb_f], "gain": gain,
-                 "pin": -d[an.f_var] / den}
+        bases = {"b": -g_val[an.on_e_g],
+                 "o": -a_val[an.o_ent] * a_val[an.s_ent][an.o_slack]}
         self._map_base = np.concatenate([np.ones(size) if base is None else bases[base]
                                          for base, size in an.map_parts])[an.map_order]
         self._map_data = np.zeros(self._map_base.size)
@@ -665,10 +627,10 @@ class _KktAssembler:
         self._expand = _matrix(self._map_data[split:], an.expand)
         self._scale = np.ones(an.n_scale)
 
-        r_val = gk_val[an.on_r]
+        r_val = g_val[an.on_r]
         self._values = np.concatenate([
             d[an.keep], r_val, r_val, np.full(an.dim - an.keep.size, -reg),
-            -g_prod[an.fix] / self._d_e[an.fix_pos], self._a_prod, self._g_prod])
+            self._a_prod, self._g_prod])
         self._slot = an.slot
         self._kkt = _matrix(np.zeros(an.kkt[0].size), an.kkt, sp.csc_matrix)
 
@@ -695,14 +657,13 @@ class _KktAssembler:
         return self._kkt
 
     def condense(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        """Right-hand side ``[r1_R; r2_kept] - B D_E^-1 r1_E`` of the condensed
-        system, with ``r1_j + a r2_u / reg`` for a pinned variable."""
+        """Right-hand side ``[r1_R; r2] - B D_E^-1 r1_E`` of the condensed
+        system; ``r1`` of a frozen variable is not read."""
         return self._condense @ np.concatenate([r1, r2])
 
     def expand(self, sol: np.ndarray, r1: np.ndarray, r2: np.ndarray):
         """``(dx, dy)`` of the whole system: ``dx_E = D_E^-1 (r1_E - B' sol)``,
-        and ``dy_u = (a (r1_j - g_j' dy) - d_j r2_u) / (reg d_j + a^2)`` for the
-        row u of a pinned variable j."""
+        ``dx_R`` and ``dy`` from ``sol``, and 0 for a frozen variable."""
         out = self._expand @ np.concatenate([r1, r2, sol])
         return out[:r1.size], out[r1.size:]
 
@@ -738,9 +699,11 @@ def _ipm(prob: QpProblem):
     """Mehrotra predictor-corrector on the slack standard form.
 
     Each Newton direction is one solve with the condensed KKT matrix of
-    :class:`_KktAssembler`: bound-only variables, single-row slacks and
-    fixed variables whose other rows of G keep a factored variable are
-    eliminated in closed form, the last with their unit equality rows.
+    :class:`_KktAssembler`: bound-only variables and single-row slacks are
+    eliminated in closed form. A frozen variable starts at ``ub`` and no
+    direction moves it; its entry of the stationarity residual is left out,
+    in the stopping test and in ``residuals.dual``, as the multiplier of the
+    unit row it does not have would take it up.
     Returns (x, status, residuals, iterations, refactors), where
     ``refactors`` counts the iterations redone with partial pivoting: their
     symmetric factorization met an exact zero pivot, or their step stalled.
@@ -767,6 +730,8 @@ def _ipm(prob: QpProblem):
     x = np.clip(0.0, prob.lb, prob.ub)
     both = np.isfinite(prob.lb) & np.isfinite(prob.ub)
     x[both] = 0.5 * (prob.lb[both] + prob.ub[both])
+    frozen = analysis.frozen     # held at ub: no direction reaches them
+    x[frozen] = prob.ub[frozen]
     floor = max(1.0, 1e-2 * float(np.max(np.abs(b_all), initial=0.0)))
     s = np.maximum(b_all - a_all @ x, floor)
     # duals on the scale of the cost: a problem and its multiples by a price
@@ -779,11 +744,18 @@ def _ipm(prob: QpProblem):
     c_scale = 1.0 + float(np.max(np.abs(prob.c)))
     m_mean = max(m, 1)            # mean complementarity is 0 without rows
 
+    def stationarity():
+        # a frozen variable's entry would be taken up by the multiplier of
+        # the unit row it does not have
+        r_d = hdiag * x + prob.c + a_t @ z + g_t @ y
+        r_d[frozen] = 0.0
+        return r_d
+
     status = None
     it = 0
     refactors = 0
     for it in range(1, _MAX_ITER + 1):
-        r_d = hdiag * x + prob.c + a_t @ z + g_t @ y
+        r_d = stationarity()
         r_p = a_all @ x + s - b_all
         r_e = g_all @ x - h_all
         mu = float(s @ z) / m_mean
@@ -869,7 +841,7 @@ def _ipm(prob: QpProblem):
 
     residuals = KktResiduals(
         primal=_primal_violation(prob, x),
-        dual=float(np.max(np.abs(hdiag * x + prob.c + a_t @ z + g_t @ y))) / c_scale,
+        dual=float(np.max(np.abs(stationarity()))) / c_scale,
         comp_gap=float(s @ z) / (1.0 + abs(prob.objective(x))),
     )
     return x, status, residuals, it, refactors

@@ -24,10 +24,10 @@ through its bounds.
 The pv_used, charge, discharge and soc series appear in no inequality row
 but their bounds, and underdev in one deadband row besides its bound, so
 the solver eliminates them before it factors its KKT matrix (see
-:mod:`capfirm.optim`). A fixed pv_used (no PV available) leaves with its
-unit equality row, since its power balance row keeps the production column.
-The terminal SoC, fixed too, stays with its unit row: its SoC row keeps no
-other factored variable. The factored matrix then has dimension
+:mod:`capfirm.optim`). A fixed pv_used (no PV available) is frozen at its
+bound, without a unit equality row, since its power balance row keeps the
+production column. The terminal SoC, fixed too, stays with its unit row: its
+SoC row keeps no other factored variable. The factored matrix then has dimension
 ``T + 3*T*S + 2*S``: the engagement and production columns, the ``2*T*S``
 equality rows, and the terminal SoC and its row per scenario. At S=20 and
 T=96 that is 5,896, against 11,616 variables and 3,840 equality rows.

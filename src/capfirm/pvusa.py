@@ -90,6 +90,10 @@ class WeatherSeries:
         tmp = np.asarray(self.temperature_c, dtype=float).copy()
         if not (ts.shape == irr.shape == tmp.shape):
             raise WeatherShapeError("weather columns must have equal lengths")
+        # a NaN irradiance would read as night, and a NaN temperature would
+        # break the fits' SVD
+        if not (np.isfinite(irr).all() and np.isfinite(tmp).all()):
+            raise WeatherShapeError("irradiance and temperature must be finite")
         if np.any(irr < 0):
             raise WeatherShapeError("irradiance must be >= 0")
         for name, arr in (("timestamps", ts), ("irradiance_wm2", irr),
@@ -182,8 +186,18 @@ def _sign_constrained_ls(stack: np.ndarray):
     return out, full_rank
 
 
-def _daytime_rows(power_kw: np.ndarray, weather: WeatherSeries):
-    """Indices of the daytime samples, and their rows ``(I, I^2, I*T, power)``."""
+def _daytime_rows(power_kw, weather: WeatherSeries):
+    """Indices of the daytime samples, and their rows ``(I, I^2, I*T, power)``.
+
+    Raises WeatherShapeError when the power series does not match the
+    weather or is not finite: a NaN power makes every candidate's residual
+    NaN, and the fit would fall back to the all-pinned coefficients.
+    """
+    power_kw = np.asarray(power_kw, dtype=float)
+    if power_kw.shape != weather.timestamps.shape:
+        raise WeatherShapeError("power series must match the weather length")
+    if not np.isfinite(power_kw).all():
+        raise WeatherShapeError("power series must be finite")
     day = np.flatnonzero(weather.irradiance_wm2 > _DAYTIME_WM2)
     irr, tmp = weather.irradiance_wm2[day], weather.temperature_c[day]
     return day, np.column_stack([irr, irr ** 2, irr * tmp, power_kw[day]])
@@ -215,12 +229,11 @@ def fit_pvusa(
     holds up to ``_BLOCK_ROWS`` padded rows; on 60 days of quarter-hour data
     with 12-hour windows that is about 330 windows.
 
-    Raises ValueError when the step rounds to less than one second or the
-    window to zero seconds or less.
+    Raises WeatherShapeError when the power series does not match the
+    weather or is not finite, and ValueError when the step rounds to less
+    than one second or the window to zero seconds or less.
     """
-    power = np.asarray(power_kw, dtype=float)
-    if power.shape != weather.timestamps.shape:
-        raise WeatherShapeError("power series must match the weather length")
+    day, rows = _daytime_rows(power_kw, weather)
     window_s = int(round(window_hours * 3600))
     step_s = int(round(step_hours * 3600))
     if window_s <= 0:
@@ -237,7 +250,6 @@ def fit_pvusa(
     span = ts[-1] + np.timedelta64(1, "s") - window - ts[0]
     count = int(span // step) + 1 if span >= np.timedelta64(0, "s") else 0
     ends = ts[0] + np.arange(count) * step + window
-    day, rows = _daytime_rows(power, weather)
     first = np.searchsorted(day, np.searchsorted(ts, ends - window, side="left"))
     n_day = np.searchsorted(day, np.searchsorted(ts, ends, side="right")) - first
 
@@ -281,10 +293,7 @@ def steady_state_fit(power_kw, weather: WeatherSeries) -> PvusaParams:
     accumulates. The regression is ``_sign_constrained_ls`` on a stack of
     one design, the same kernel as ``fit_pvusa``'s.
     """
-    power = np.asarray(power_kw, dtype=float)
-    if power.shape != weather.timestamps.shape:
-        raise WeatherShapeError("power series must match the weather length")
-    _, rows = _daytime_rows(power, weather)
+    _, rows = _daytime_rows(power_kw, weather)
     if rows.shape[0] < 3:
         raise ValueError("not enough daytime samples for a pooled fit")
     beta, full_rank = _sign_constrained_ls(rows[None])

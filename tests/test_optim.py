@@ -265,22 +265,43 @@ def _reference_kkt(a_all, g_t, d, reg, w):
     return sp.bmat([[top, g_t], [g_t.T, -reg * sp.eye(p)]], format="csc")
 
 
-def _reference_condensed_kkt(assemble, a_all, g_t, d, reg, w):
+def _frozen(prob):
+    """Mask of the fixed variables the IPM freezes, from the dense arrays.
+
+    A fixed variable without an entry in ``a_ub`` (it has no bound rows) is
+    a candidate. It is frozen when each row of ``a_eq`` that holds it also
+    holds a variable that is neither a candidate nor bound-only: one with a
+    row of A, each of which holds only it.
+    """
+    fixed = np.isfinite(prob.lb) & (prob.lb == prob.ub)
+    a = prob.a_ub.toarray() != 0
+    bounded = (np.isfinite(prob.lb) | np.isfinite(prob.ub)) & ~fixed
+    bound_only = (a.any(axis=0) | bounded) & ~a[a.sum(axis=1) > 1].any(axis=0)
+    candidate = fixed & ~a.any(axis=0)
+    g = prob.a_eq.toarray() != 0
+    loose = g[~(g & ~(bound_only | candidate)).any(axis=1)].any(axis=0)
+    return candidate & ~loose
+
+
+def _reference_condensed_kkt(prob, assemble, a_all, g_t, d, reg, w):
     """Dense Schur complement of what the assembler eliminates, in the whole matrix.
 
-    The eliminated variables and the rows of G that leave with them form
-    the block that is pivoted out; the rest is what is factored.
+    The whole matrix loses the columns of the frozen variables; the
+    eliminated variables form the block that is pivoted out, and the rest
+    with every row of G is what is factored.
     """
     full = _reference_kkt(a_all, g_t, d, reg, w).toarray()
-    rest = np.concatenate([assemble.keep, a_all.shape[1] + assemble._p_keep])
-    out = np.setdiff1d(np.arange(full.shape[0]), rest)
+    n = a_all.shape[1]
+    rest = np.concatenate([assemble.keep, np.arange(n, full.shape[0])])
+    out = np.setdiff1d(np.flatnonzero(~_frozen(prob)), assemble.keep)
     border = full[np.ix_(rest, out)]
     return full[np.ix_(rest, rest)] - border @ np.linalg.solve(full[np.ix_(out, out)],
                                                                border.T)
 
 
 def _eliminated_classes(prob, assemble):
-    """Counts of the eliminated bound-only, single-row slack and pinned variables."""
+    """Counts of the eliminated bound-only and single-row slack variables, and
+    of the frozen ones."""
     a_all, _, g_all, _, _, _ = optim._analyze(prob).standard_form(prob)
     a = abs(a_all.toarray()) > 0
     g = abs(g_all.toarray()) > 0
@@ -288,8 +309,7 @@ def _eliminated_classes(prob, assemble):
     out = np.setdiff1d(np.arange(prob.n_var), assemble.keep)
     bound_only = a.any(axis=0) & ~shared.any(axis=0)
     slack = (shared.sum(axis=0) == 1) & ~g.any(axis=0)
-    pinned = ~a.any(axis=0) & g[g.sum(axis=1) == 1].any(axis=0)
-    return tuple(int(cls[out].sum()) for cls in (bound_only, slack, pinned))
+    return tuple(int(cls[out].sum()) for cls in (bound_only, slack, _frozen(prob)))
 
 
 def _mixed_qp():
@@ -357,18 +377,18 @@ class TestKktAssembly:
         for _ in range(2 if m else 1):
             w = np.exp(rng.uniform(-8.0, 8.0, m))
             got = assemble(w).toarray()
-            ref = _reference_condensed_kkt(assemble, *parts, w)
-            dim = assemble.keep.size + assemble._p_keep.size
+            ref = _reference_condensed_kkt(prob, assemble, *parts, w)
+            dim = assemble.keep.size + p
             assert got.shape == ref.shape == (dim, dim)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("case", ["relaxation", "node", "pinned_row", "mixed"])
     def test_back_substituted_direction_solves_the_whole_system(self, case):
         # the condensed solve plus the closed-form pivots must solve the
-        # whole KKT system: dx of every eliminated variable, and dy of every
-        # row of G that leaves with a fixed variable, also at a node whose
-        # charges are fixed, where a row of G holds only fixed variables,
-        # and for a fixed variable whose pivot d_j is not near reg
+        # whole KKT system without the frozen columns, dx of every
+        # eliminated variable included, also at a node whose charges are
+        # fixed, where a row of G holds only fixed variables, and for a
+        # frozen variable with a quadratic cost; a frozen variable never moves
         prob = _kkt_case(case)
         assemble, parts = _assembler(prob)
         a_all, g_t = parts[:2]
@@ -379,27 +399,33 @@ class TestKktAssembly:
         r1 = rng.standard_normal(prob.n_var)
         r2 = rng.standard_normal(g_t.shape[1])
         dx, dy = assemble.expand(lu.solve(assemble.condense(r1, r2)), r1, r2)
-        full = _reference_kkt(*parts, w)
-        sol = np.concatenate([dx, dy])
-        ref = sp.linalg.spsolve(full, np.concatenate([r1, r2]))
+        frozen = _frozen(prob)
+        assert np.all(dx[frozen] == 0.0)
+        rows = np.concatenate([np.flatnonzero(~frozen), prob.n_var + np.arange(dy.size)])
+        full = _reference_kkt(*parts, w)[rows][:, rows]
+        sol = np.concatenate([dx, dy])[rows]
+        ref = sp.linalg.spsolve(full, np.concatenate([r1, r2])[rows])
         assert np.max(np.abs(sol - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_row_of_fixed_variables_stays_regular(self):
         # the SoC row of scenario 0, period 4 holds only fixed variables. A
-        # fixed variable leaves with its unit row only when each of its other
-        # rows of G keeps a variable of the core, so these four stay, as
-        # does the row, and the solve factors without pivoting. (A presolve
-        # that dropped fixed variables left such rows exactly singular at
+        # fixed variable is frozen only when each of its rows of a_eq keeps a
+        # variable of the core, so these four stay factored with their unit
+        # rows, and the solve factors without pivoting. (A presolve that
+        # dropped every fixed variable left such rows exactly singular at
         # two nodes of the random storage instances.)
         prob = _kkt_case("pinned_row")
         assemble, parts = _assembler(prob)
         idx = dispatch_index(8, 3, 8)
         row = 2 * 4 + 1
-        held = parts[1].T.tocsr()[row].indices
+        g = parts[1].T.tocsr()
+        held = g[row].indices
         assert set(held) == {idx.soc[0, 3], idx.soc[0, 4], idx.charge[0, 4],
                              idx.discharge[0, 4]}
         assert np.isin(held, assemble.keep).all()
-        assert row in assemble._p_keep
+        assert not _frozen(prob)[held].any()
+        unit_rows = g[prob.b_eq.size:]
+        assert np.isin(held, unit_rows.indices).all() and np.all(unit_rows.data == 1.0)
         sol = solve_qp(prob)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.refactors == 0
@@ -407,13 +433,13 @@ class TestKktAssembly:
 
     def test_exactly_the_bound_only_variables_are_eliminated(self):
         # of the slack candidates x0 and x1 only the first of their row, x0,
-        # is eliminated; x2 and x3 are bound-only; x4 is eliminated with its
-        # unit row of the standard form; x5 stays
+        # is eliminated; x2 and x3 are bound-only; x4 is frozen, without a
+        # unit row; x5 stays
         prob = _mixed_qp()
         assemble, parts = _assembler(prob)
         assert assemble.keep.tolist() == [1, 5]
         kkt = assemble(np.ones(parts[0].shape[0]))
-        assert kkt.shape == (2 + 1, 2 + 1)    # the a_eq row; x4's unit row is out
+        assert kkt.shape == (2 + 1, 2 + 1)    # the a_eq row; x4 has no unit row
         sol = solve_qp(prob)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.x[4] == pytest.approx(2.0, abs=1e-9)
@@ -481,6 +507,41 @@ class TestKktAssembly:
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+def _fixed_beside(lb0, ub0):
+    """min x0^2 + 100 x1 s.t. x0 + x1 = 3, lb0 <= x0 <= ub0, x1 fixed at 1."""
+    return QpProblem(q=[1.0, 0.0], c=[0.0, 100.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
+                     lb=[lb0, 1.0], ub=[ub0, 1.0])
+
+
+class TestFrozenVariables:
+    def test_dual_residual_leaves_out_a_frozen_variable(self):
+        # x0 is free, so the row x0 + x1 = 3 keeps a variable of the core and
+        # x1 is frozen. At the optimum x0 = 2 the row's multiplier is -4, so
+        # x1's stationarity is 100 - 4 = 96: the multiplier of a unit row
+        # x1 = 1 would take it up, and x1 has none. Counted in the stopping
+        # test, it would keep the IPM from converging.
+        prob = _fixed_beside(-np.inf, np.inf)
+        assert optim._analyze(prob).frozen.tolist() == [1]
+        sol = solve_qp(prob)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.x[1] == 1.0
+        assert sol.x[0] == pytest.approx(2.0, abs=1e-9)
+        assert sol.residuals.dual <= optim._TOL
+
+    def test_fixed_variable_beside_bound_only_variables_is_not_frozen(self):
+        # with bounds x0 is bound-only, so the row x0 + x1 = 3 would keep no
+        # factored variable without x1: x1 stays, with its unit row
+        prob = _fixed_beside(-10.0, 10.0)
+        analysis = optim._analyze(prob)
+        assert analysis.frozen.size == 0 and analysis.unit.tolist() == [1]
+        assemble, parts = _assembler(prob)
+        assert assemble.keep.tolist() == [1]
+        assert assemble(np.ones(parts[0].shape[0])).shape == (1 + 2, 1 + 2)
+        sol = solve_qp(prob)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.x == pytest.approx([2.0, 1.0], abs=1e-9)
+
+
 def _arrays(value):
     """Every ndarray in value, a tuple of them or of such tuples."""
     if isinstance(value, np.ndarray):
@@ -533,12 +594,14 @@ class TestSharedAnalysis:
 
 
 def _dense_standard_form(prob):
-    """(A, b, G, h) of _Analysis.standard_form from dense unit rows, bound by bound."""
+    """(A, b, G, h) of _Analysis.standard_form from dense unit rows, bound by
+    bound; a frozen variable has no unit row."""
     n = prob.n_var
     fixed = np.isfinite(prob.lb) & (prob.lb == prob.ub)
+    frozen = _frozen(prob)
     upper = [j for j in range(n) if np.isfinite(prob.ub[j]) and not fixed[j]]
     lower = [j for j in range(n) if np.isfinite(prob.lb[j]) and not fixed[j]]
-    fix = [j for j in range(n) if fixed[j]]
+    fix = [j for j in range(n) if fixed[j] and not frozen[j]]
     unit = np.eye(n)
     a = np.vstack([prob.a_ub.toarray(), unit[upper], -unit[lower]])
     b = np.concatenate([prob.b_ub, prob.ub[upper], -prob.lb[lower]])
@@ -579,7 +642,9 @@ class TestStandardFormAndStep:
         a, b, g, h = _dense_standard_form(prob)
         assert a_all.format == g_all.format == "csr"
         assert a_all.shape == a.shape == (3 * has_ub + 6, n)
-        assert g_all.shape == g.shape == (2 * has_eq + 2, n)
+        # x0 and x1, fixed, have entries in a_ub; without it both are frozen,
+        # as each row of a_eq that holds them holds the free x2 too
+        assert g_all.shape == g.shape == (2 * has_eq + 2 * has_ub, n)
         assert np.array_equal(a_all.toarray(), a) and np.array_equal(b_all, b)
         assert np.array_equal(g_all.toarray(), g) and np.array_equal(h_all, h)
         for t, dense in ((a_t, a), (g_t, g)):

@@ -13,6 +13,7 @@ from capfirm.planner import (
     PlanningError,
     PlanningInstance,
     build_planning_qp,
+    dispatch_index,
     plan,
     plan_deterministic,
 )
@@ -252,13 +253,15 @@ class TestSizingCaseDay:
         assert res.solution.residuals.comp_gap <= optim._TOL
         assert ctl.solution.residuals.comp_gap <= optim._TOL
 
-    def test_stalled_control_step_is_redone_with_pivoting(self):
+    def test_formerly_stalled_control_solves_without_pivoting(self):
         # D plan and oracle control of day 77 of synthetic season 5, ratio
-        # 1.25, 400/800 EUR/MWh. With the duals started on the cost scale,
-        # the control's unpivoted direction blows up late in the solve
-        # although no pivot is zero, and both step lengths collapse below
-        # 1e-12; without a pivoted retry of that iteration control raised
-        # SolverError.
+        # 1.25, 400/800 EUR/MWh. When the duals were first started on the
+        # cost scale, the control's unpivoted direction blew up late in the
+        # solve although no pivot was zero, both step lengths collapsed below
+        # 1e-12, and without a pivoted retry of that iteration control raised
+        # SolverError. Both QPs now solve without a refactorization (control
+        # in 16 iterations); the retry itself is covered by the monkeypatched
+        # test_optim.py::TestSolveQpBasics::test_stalled_step_is_redone_with_pivoting.
         with np.load(DATA / "d_season5_day77.npz") as data:
             forecast, realized = data["forecast_kw"], data["power_kw"]
         grid = TimeGrid.daily()
@@ -266,8 +269,8 @@ class TestSizingCaseDay:
         system = toy_system(466.4, 1.25 * 466.4)
         res = plan_deterministic(forecast, grid, policy, system, mode="D")
         ctl = oracle_control(res.engagement, realized, policy, system, grid)
-        assert res.status is SolveStatus.OPTIMAL
-        assert ctl.status is SolveStatus.OPTIMAL
+        assert res.status is ctl.status is SolveStatus.OPTIMAL
+        assert res.solution.refactors == ctl.solution.refactors == 0
 
 
 class TestPriceHomogeneity:
@@ -454,6 +457,45 @@ class TestPaperScaleDay:
             with pytest.raises(FirstFactor):
                 optim.solve_qp(prob)
         assert dims == [4 * t_n + 2, 4 * t_n + 2 + 2 * 10, 3 * t_n + 2]
+
+    def test_frozen_variables_come_back_at_their_fixed_value(self):
+        # D plan of day 77 of synthetic season 5, ratio 1.25, 400/800 EUR/MWh.
+        # Of its 56 fixed variables the 55 pv_used without PV are frozen: they
+        # start at their bound and no Newton direction reaches them. The
+        # terminal SoC keeps its unit row. Pivoted out with their unit rows,
+        # 55 of the 56 came back off their bound by up to 3.3e-14.
+        with np.load(DATA / "d_season5_day77.npz") as data:
+            forecast = data["forecast_kw"]
+        grid = TimeGrid.daily()
+        policy = toy_policy(grid, 400.0, 800.0, 466.4)
+        system = toy_system(466.4, 1.25 * 466.4)
+        problem, _, _ = build_planning_qp(PlanningInstance(
+            grid, policy, system, ScenarioSet.single(np.clip(forecast, 0.0, 466.4)), "D"))
+        idx = dispatch_index(grid.n_periods, 1, grid.n_periods)
+        frozen = optim._analyze(problem).frozen
+        fixed = np.flatnonzero(problem.lb == problem.ub)
+        assert np.array_equal(np.setdiff1d(fixed, frozen), [idx.soc[0, -1]])
+        assert frozen.size == 55 and np.isin(frozen, idx.pv_used).all()
+        sol = optim.solve_qp(problem)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert np.array_equal(sol.x[frozen], problem.ub[frozen])
+
+    def test_s20_standard_form_has_a_unit_row_per_terminal_soc(self):
+        # the S=20 plan of season 4, day 132 has 1,296 fixed variables: 1,276
+        # pv_used without PV, frozen, and the 20 terminal SoCs. G holds the
+        # 2TS power balance and SoC rows and the terminal SoCs' unit rows:
+        # 3,860 rows, against 5,136 with a unit row per fixed variable.
+        with np.load(DATA / "s20_season4_day132.npz") as data:
+            scen = ScenarioSet(data["values_kw"], data["weights"])
+        grid = TimeGrid.daily()
+        problem, _, _ = build_planning_qp(PlanningInstance(
+            grid, toy_policy(grid, pv_capacity=466.4), toy_system(466.4, 233.2), scen, "S"))
+        t_n, s_n = grid.n_periods, scen.n_scenarios
+        idx = dispatch_index(t_n, s_n, t_n)
+        analysis = optim._analyze(problem)
+        assert analysis.frozen.size == 1276 and np.isin(analysis.frozen, idx.pv_used).all()
+        assert np.array_equal(analysis.unit, idx.soc[:, -1])
+        assert analysis.g[2] == (2 * t_n * s_n + s_n, problem.n_var) == (3860, problem.n_var)
 
     @pytest.fixture(scope="class")
     def solved_day(self):

@@ -7,6 +7,7 @@ from capfirm.pvusa import (
     REFERENCE_PARAMS,
     PvusaParams,
     WeatherSeries,
+    WeatherShapeError,
     clear_sky_irradiance,
     fit_pvusa,
     pvusa_eval,
@@ -285,6 +286,45 @@ class TestFit:
                            weather.temperature_c)
         with pytest.raises(ValueError):
             fit_pvusa(power, weather, window_hours, step_hours)
+
+
+class TestNonFiniteInput:
+    """One non-finite sample at the sunniest time of a 10-day history."""
+
+    @staticmethod
+    def _columns():
+        weather = _solar_weather(days=10)
+        sunniest = int(np.argmax(weather.irradiance_wm2))
+        power = pvusa_eval(REFERENCE_PARAMS, weather.irradiance_wm2, weather.temperature_c)
+        columns = {"timestamps": weather.timestamps,
+                   "irradiance_wm2": weather.irradiance_wm2.copy(),
+                   "temperature_c": weather.temperature_c.copy()}
+        return columns, power, sunniest
+
+    @pytest.mark.parametrize("fit", [fit_pvusa, steady_state_fit])
+    def test_non_finite_power_is_rejected(self, fit):
+        # a NaN power made every candidate's residual NaN, so the pooled fit
+        # and every window holding the sample fell back to the all-pinned
+        # coefficients, a forecast of about 0 kW, without an error
+        columns, power, sunniest = self._columns()
+        power[sunniest] = np.nan
+        with pytest.raises(WeatherShapeError, match="finite"):
+            fit(power, WeatherSeries(**columns))
+
+    def test_non_finite_irradiance_is_rejected(self):
+        # NaN > 5 W/m^2 is False, so the sample was silently taken as night
+        columns, _, sunniest = self._columns()
+        columns["irradiance_wm2"][sunniest] = np.nan
+        with pytest.raises(WeatherShapeError, match="finite"):
+            WeatherSeries(**columns)
+
+    def test_non_finite_temperature_is_rejected(self):
+        # numpy raised LinAlgError ("SVD did not converge") from both fits,
+        # which is no error type of the package
+        columns, _, sunniest = self._columns()
+        columns["temperature_c"][sunniest] = np.inf
+        with pytest.raises(WeatherShapeError, match="finite"):
+            WeatherSeries(**columns)
 
 
 class TestClearSky:
