@@ -112,8 +112,8 @@ def build_control_qp(
     t_n = grid.n_periods
     eng = engagement.values_kw
     pv = np.asarray(realized_pv_kw, dtype=float)
-    if eng.shape[0] != t_n or pv.shape[0] != t_n:
-        raise ShapeError("engagement/realized PV length must match the grid")
+    if eng.shape[0] != t_n or pv.shape[0] != t_n or policy.n_periods != t_n:
+        raise ShapeError("engagement/realized PV/policy length must match the grid")
 
     block = dispatch_block(pv[None, :], np.ones(1), 0, grid, policy, system)
     idx = block.index

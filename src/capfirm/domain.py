@@ -45,6 +45,9 @@ def _frozen_array(values, n: int | None = None, name: str = "array") -> np.ndarr
         raise ShapeError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ShapeError(f"{name} must have length {n}, got {arr.shape[0]}")
+    # every comparison with NaN is False, so a NaN entry would pass any check
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -60,8 +63,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_periods < 1:
             raise InvalidConfigError("n_periods must be >= 1")
-        if self.delta_t_hours <= 0:
-            raise InvalidConfigError("delta_t_hours must be > 0")
+        if not (np.isfinite(self.delta_t_hours) and self.delta_t_hours > 0):
+            raise InvalidConfigError("delta_t_hours must be finite and > 0")
         mask = np.asarray(self.peak_mask, dtype=bool).copy()
         if mask.shape != (self.n_periods,):
             raise ShapeError("peak_mask must have one entry per period")
@@ -109,10 +112,10 @@ class TariffPolicy:
         for name in ("price_eur_mwh", "ramp_limit_kw", "eng_min_kw",
                      "eng_max_kw", "prod_min_kw", "prod_max_kw"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), n, name))
-        if self.pv_capacity_kw <= 0:
-            raise InvalidConfigError("pv_capacity_kw must be > 0")
-        if self.deadband_kw < 0:
-            raise InvalidConfigError("deadband_kw must be >= 0")
+        if not (np.isfinite(self.pv_capacity_kw) and self.pv_capacity_kw > 0):
+            raise InvalidConfigError("pv_capacity_kw must be finite and > 0")
+        if not (np.isfinite(self.deadband_kw) and self.deadband_kw >= 0):
+            raise InvalidConfigError("deadband_kw must be finite and >= 0")
         if np.any(self.ramp_limit_kw < 0):
             raise InvalidConfigError("ramp limits must be >= 0")
         if np.any(self.eng_min_kw > self.eng_max_kw):
@@ -149,6 +152,9 @@ class SystemConfig:
     def __post_init__(self):
         if self.soc_max_kwh is None:
             object.__setattr__(self, "soc_max_kwh", float(self.bess_capacity_kwh))
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise InvalidConfigError(f"{name} must be finite")
         if self.pv_capacity_kw <= 0:
             raise InvalidConfigError("pv_capacity_kw must be > 0")
         if not (0.0 < self.eta_charge <= 1.0 and 0.0 < self.eta_discharge <= 1.0):
@@ -253,8 +259,8 @@ def build_cre_policy(
     (withdrawals allowed); peak periods get the tight ramp and the positive
     engagement/production floors. Caps equal the installed capacity.
     """
-    if pv_capacity_kw <= 0:
-        raise InvalidConfigError("pv_capacity_kw must be > 0")
+    if not (np.isfinite(pv_capacity_kw) and pv_capacity_kw > 0):
+        raise InvalidConfigError("pv_capacity_kw must be finite and > 0")
     if price_offpeak_eur_mwh < 0 or price_peak_eur_mwh < 0:
         raise InvalidConfigError("prices must be >= 0")
     peak = grid.peak_mask

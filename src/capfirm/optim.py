@@ -309,40 +309,6 @@ def _row_pairs(indptr: np.ndarray, counts: np.ndarray):
     return row, start + j // counts[row], start + j % counts[row]
 
 
-def _csr_maps(blocks):
-    """Patterns of CSR matrices of the entries ``base * scale[k]`` at (out, src).
-
-    ``blocks`` holds one (shape, parts) per matrix, and each part is an
-    (out, src, base, k) tuple, where ``base`` names an array of the part's
-    size that each solve supplies (None is 1) and a k of None is 0. The
-    matrices share one data array, in block order. Returns each matrix's
-    ``(indices, indptr, shape)``, the order that takes the parts' entries,
-    concatenated, to that data array, the ``k`` in its order, and the
-    ``(base, size)`` of each part. The entries are grouped by row, which is
-    all a product with a vector needs.
-    """
-    outs, srcs, ks, parts, rows = [], [], [], [], 0
-    for shape, block in blocks:
-        for out, src, base, k in block:
-            outs.append(rows + out)
-            srcs.append(src)
-            ks.append(np.zeros(out.size, dtype=np.intp) if k is None else k)
-            parts.append((base, out.size))
-        rows += shape[0]
-    out = np.concatenate(outs)
-    # stable, and a radix sort while the row numbers fit in 16 bits
-    order = np.argsort(out.astype(np.min_scalar_type(rows)), kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(out, minlength=rows))])
-    indptr = indptr.astype(np.intc)
-    indices = np.concatenate(srcs)[order].astype(np.intc)
-    patterns, rows = [], 0
-    for shape, _ in blocks:
-        ptr = indptr[rows:rows + shape[0] + 1]
-        patterns.append((indices[ptr[0]:ptr[-1]], ptr - ptr[0], shape))
-        rows += shape[0]
-    return patterns, order, np.concatenate(ks)[order], tuple(parts)
-
-
 class _Analysis:
     """What ``_ipm`` derives from the sparsity pattern of a problem alone.
 
@@ -364,8 +330,9 @@ class _Analysis:
     - the classes of :class:`_KktAssembler` (bound-only, single-row slack,
       kept), the CSC pattern of the condensed KKT matrix and the slot of
       every contribution in it;
-    - the patterns of the condense and expand maps, and what each of their
-      entries is made of;
+    - the CSR patterns of the border B where the eliminated variables meet
+      the factored system, and of B', with the order that takes the
+      entries of B' to those of B;
     - the slots and pattern permuted by the ordering of the first
       factorization, once a solve has computed it (:meth:`permuted`).
 
@@ -451,32 +418,21 @@ class _Analysis:
         pair_var, self.f1, self.f2 = _row_pairs(g_t_ptr, g_counts * elim)
         self.gp_pos = pos[pair_var]
 
-        # condense maps [r1; r2] to r1_R, r2 minus B D_E^-1 r1_E; expand maps
-        # [r1; r2; sol] to dx_E = D_E^-1 (r1_E - B' sol), and dx_R and dy
-        # from sol. An entry is base * scale[k], scale = [1, 1/D_E, w_k/D_u
-        # of slacks]; the bases are named after the arrays _KktAssembler
-        # computes. No entry reads or writes a frozen variable.
+        # the border B (dim x |E|) without the weights w_k, which each call
+        # puts in a column scale: a_kl a_ku at (l, u) for each other entry l
+        # of a slack u's row k, and G on E. It is built as B', whose rows
+        # come in the order of E: the entries of the slacks' rows run row by
+        # row, as the slacks do, and the bound-only columns of G follow in
+        # variable order. No entry reaches a frozen variable.
         self.o_ent = o_ent = np.flatnonzero((weight_of[a_row] >= m) & ~slack[a_var])
         self.o_slack = o_slack = weight_of[a_row[o_ent]] - m
-        o_row, o_col = pos[a_var[o_ent]], s_var[o_slack]
-        o_k = 1 + e_var.size + o_slack
         self.on_e_g = on_e_g = elim[g_var]
-        b_row, b_col = g_col[on_e_g], g_var[on_e_g]
-        b_k = 1 + pos[b_col]
-        retained = np.concatenate([self.keep, n + np.arange(p)])
-        sol = n + p
-        condense = ((dim, n + p), (
-            (np.arange(dim), retained, None, None),
-            (b_row, b_col, "b", b_k),
-            (o_row, o_col, "o", o_k)))
-        expand = ((n + p, sol + dim), (
-            (e_var, e_var, None, 1 + np.arange(e_var.size)),
-            (b_col, sol + b_row, "b", b_k),
-            (o_col, sol + o_row, "o", o_k),
-            (retained, sol + np.arange(dim), None, None)))
-        (self.condense, self.expand), self.map_order, self.map_k, self.map_parts = \
-            _csr_maps((condense, expand))
-        self.n_scale = 1 + e_var.size + n_s
+        e_counts = np.bincount(np.concatenate([o_slack, pos[g_var[on_e_g]]]),
+                               minlength=e_var.size)
+        self.border_t = (np.concatenate([pos[a_var[o_ent]], g_col[on_e_g]]).astype(np.intc),
+                         np.concatenate([[0], np.cumsum(e_counts)]).astype(np.intc),
+                         (e_var.size, dim))
+        self.border, self.border_order = _transposed(*self.border_t)
 
         self.on_r = on_r = factored[g_var]
         r_row, r_col = g_col[on_r], pos[g_var[on_r]]
@@ -490,8 +446,8 @@ class _Analysis:
         self._permuted = None
         # the indices each solve reads once, not in every iteration, are
         # held in 32 bits: half the memory, at the price of a cast per gather
-        for name in ("e_var", "bound_ent", "s_ent", "e1", "e2", "f1", "f2", "o_ent",
-                     "o_slack", "a_order", "g_order", "map_order"):
+        for name in ("bound_ent", "s_ent", "e1", "e2", "f1", "f2", "o_ent", "o_slack",
+                     "a_order", "g_order", "border_order"):
             setattr(self, name, getattr(self, name).astype(np.intc))
         for value in vars(self).values():
             for arr in value if isinstance(value, tuple) else (value,):
@@ -590,8 +546,9 @@ class _KktAssembler:
     The classes, the pattern and the slots depend only on the pattern of A
     and G, and come from the shared :class:`_Analysis`. Construction reads
     every value (the entries of A and G, ``d``, ``reg``) and computes from
-    them the unweighted products and the bases of the maps, so an assembler
-    on a shared analysis does the arithmetic of one on a new one.
+    them the unweighted products and the values of B and B' without the
+    weights ``w_k``, so an assembler on a shared analysis does the
+    arithmetic of one on a new one.
 
     Calling it with the row weights ``w`` fills the matrix with one
     ``np.bincount``: every contribution (the diagonal ``d_R``, each product
@@ -601,9 +558,10 @@ class _KktAssembler:
     ``-1/D``. Every call returns the same matrix object with new values,
     until :meth:`permute` moves the slots. :meth:`condense` and
     :meth:`expand` take a right-hand side to the condensed system and its
-    solution back to ``(dx, dy)``, with the pivots of the last call. Each is
-    one sparse product whose entries are a constant times ``1``, ``1/D_j``
-    or ``w_k/D_u``; the call refreshes them.
+    solution back to ``(dx, dy)``, with the pivots of the last call: each
+    makes one product with B or B' and scales E by the column scale the
+    call sets, ``1/D_j`` for a bound-only variable and ``w_k/D_u`` for a
+    slack.
     """
 
     def __init__(self, analysis: _Analysis, a_all: sp.csr_matrix, g_t: sp.csr_matrix,
@@ -616,16 +574,10 @@ class _KktAssembler:
         self._s_sq = a_val[an.s_ent] ** 2
         self._a_prod = a_val[an.e1] * a_val[an.e2]
         self._g_prod = -(g_val[an.f1] * g_val[an.f2])
-
-        bases = {"b": -g_val[an.on_e_g],
-                 "o": -a_val[an.o_ent] * a_val[an.s_ent][an.o_slack]}
-        self._map_base = np.concatenate([np.ones(size) if base is None else bases[base]
-                                         for base, size in an.map_parts])[an.map_order]
-        self._map_data = np.zeros(self._map_base.size)
-        split = an.condense[0].size
-        self._condense = _matrix(self._map_data[:split], an.condense)
-        self._expand = _matrix(self._map_data[split:], an.expand)
-        self._scale = np.ones(an.n_scale)
+        border_t = np.concatenate([a_val[an.o_ent] * a_val[an.s_ent][an.o_slack],
+                                   g_val[an.on_e_g]])
+        self._border_t = _matrix(border_t, an.border_t)
+        self._border = _matrix(border_t[an.border_order], an.border)
 
         r_val = g_val[an.on_r]
         self._values = np.concatenate([
@@ -645,9 +597,8 @@ class _KktAssembler:
         total = base + w_k * self._s_sq
         harmonic = w_k * (base / total)
         piv[:n_s] = total
-        inv = np.divide(1.0, piv, out=self._scale[1:piv.size + 1])
-        np.multiply(w_k, inv[:n_s], out=self._scale[piv.size + 1:])
-        np.multiply(self._map_base, self._scale[an.map_k], out=self._map_data)
+        self._inv = inv = 1.0 / piv
+        self._col_weight = np.concatenate([w_k * inv[:n_s], inv[n_s:]])
         k = an.n_fixed + self._a_prod.size
         np.multiply(np.concatenate([w, harmonic])[an.pair_w], self._a_prod,
                     out=self._values[an.n_fixed:k])
@@ -659,13 +610,18 @@ class _KktAssembler:
     def condense(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
         """Right-hand side ``[r1_R; r2] - B D_E^-1 r1_E`` of the condensed
         system; ``r1`` of a frozen variable is not read."""
-        return self._condense @ np.concatenate([r1, r2])
+        e_var = self._an.e_var
+        return (np.concatenate([r1[self.keep], r2])
+                - self._border @ (self._col_weight * r1[e_var]))
 
-    def expand(self, sol: np.ndarray, r1: np.ndarray, r2: np.ndarray):
+    def expand(self, sol: np.ndarray, r1: np.ndarray):
         """``(dx, dy)`` of the whole system: ``dx_E = D_E^-1 (r1_E - B' sol)``,
         ``dx_R`` and ``dy`` from ``sol``, and 0 for a frozen variable."""
-        out = self._expand @ np.concatenate([r1, r2, sol])
-        return out[:r1.size], out[r1.size:]
+        e_var, n_r = self._an.e_var, self.keep.size
+        dx = np.zeros(r1.size)
+        dx[self.keep] = sol[:n_r]
+        dx[e_var] = r1[e_var] * self._inv - self._col_weight * (self._border_t @ sol)
+        return dx, sol[n_r:]
 
     def permute(self, perm: np.ndarray) -> None:
         """Move entry (r, c) to (perm[r], perm[c]) in every later call.
@@ -792,7 +748,7 @@ def _ipm(prob: QpProblem):
                     # every later comparison unnoticed
                     if not np.isfinite(sol).all():
                         raise FloatingPointError("non-finite Newton direction")
-                    dx, dy = assemble.expand(sol, r1, -r_e)
+                    dx, dy = assemble.expand(sol, r1)
                     ds = -r_p - a_all @ dx
                     return dx, dy, ds, (r_c - z * ds) / s
 

@@ -92,6 +92,8 @@ class PlanningInstance:
             raise ValueError(f"mode must be one of {MODES}")
         if self.scenarios.n_periods != self.grid.n_periods:
             raise ShapeError("scenario matrix width must equal the grid length")
+        if self.policy.n_periods != self.grid.n_periods:
+            raise ShapeError("policy length must equal the grid length")
         if self.mode in ("D", "Dstar"):
             if self.scenarios.n_scenarios != 1 or abs(self.scenarios.weights[0] - 1.0) > 1e-12:
                 raise ValueError("deterministic modes take exactly one scenario of weight 1")

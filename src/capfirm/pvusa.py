@@ -96,6 +96,9 @@ class WeatherSeries:
             raise WeatherShapeError("irradiance and temperature must be finite")
         if np.any(irr < 0):
             raise WeatherShapeError("irradiance must be >= 0")
+        # the fits find their windows by binary search; NaT compares False
+        if np.isnat(ts).any() or not (np.diff(ts) > np.timedelta64(0)).all():
+            raise WeatherShapeError("timestamps must be strictly increasing, without NaT")
         for name, arr in (("timestamps", ts), ("irradiance_wm2", irr),
                           ("temperature_c", tmp)):
             arr.setflags(write=False)

@@ -9,7 +9,12 @@ from capfirm.controller import (
     day_economics,
     oracle_control,
 )
-from capfirm.domain import EngagementPlan, net_remuneration_series, penalty_series
+from capfirm.domain import (
+    EngagementPlan,
+    ShapeError,
+    net_remuneration_series,
+    penalty_series,
+)
 from capfirm.planner import PlanningInstance, build_planning_qp, plan_deterministic
 from capfirm.scenarios import ScenarioSet
 
@@ -103,6 +108,14 @@ class TestOracleControl:
         assert np.allclose(res.trace.production_kw, 0.0, atol=1e-7)
         assert res.economics.penalty_eur == pytest.approx(0.0, abs=1e-9)
         assert res.economics.gross_revenue_eur == pytest.approx(0.0, abs=1e-9)
+
+    def test_policy_length_must_match_grid(self):
+        # a 48-period policy on a 96-period grid failed inside dispatch_block
+        # with numpy's broadcast error
+        grid = toy_grid(96)
+        with pytest.raises(ShapeError, match="policy"):
+            oracle_control(EngagementPlan(np.zeros(96)), np.zeros(96),
+                           toy_policy(toy_grid(48)), toy_system(), grid)
 
     def test_no_bess_trace_is_closed_form(self):
         # without storage the optimal production is min(pv, engagement + band)

@@ -54,6 +54,12 @@ class TestTimeGrid:
             with pytest.raises(InvalidConfigError):
                 TimeGrid.daily(delta_t)
 
+    def test_non_finite_step_rejected(self):
+        # TimeGrid.daily checked its step; the constructor took a NaN one
+        for delta_t in (np.nan, np.inf):
+            with pytest.raises(InvalidConfigError, match="finite"):
+                TimeGrid(4, delta_t, np.zeros(4, dtype=bool))
+
 
 class TestBuildCrePolicy:
     def test_uliege_capacity_values(self, grid):
@@ -82,6 +88,16 @@ class TestBuildCrePolicy:
             build_cre_policy(grid, 50.0, 100.0, 0.0)
         with pytest.raises(InvalidConfigError):
             build_cre_policy(grid, 50.0, 100.0, -10.0)
+
+    def test_rejects_non_finite_values(self, grid):
+        # NaN prices passed every check, and the planning IPM then raised
+        # SolverError with a NaN dual residual
+        with pytest.raises(ValueError, match="price_eur_mwh must be finite"):
+            build_cre_policy(grid, np.nan, np.nan, PC)
+        with pytest.raises(InvalidConfigError, match="finite"):
+            build_cre_policy(grid, 50.0, 100.0, np.inf)
+        with pytest.raises(InvalidConfigError, match="finite"):
+            build_cre_policy(grid, 50.0, 100.0, PC, deadband_frac=np.nan)
 
 
 class TestCheckEngagement:
@@ -124,6 +140,13 @@ class TestCheckEngagement:
     def test_length_mismatch(self, policy):
         with pytest.raises(ShapeError):
             check_engagement(EngagementPlan(np.zeros(10)), policy)
+
+    def test_non_finite_engagement_rejected(self):
+        # every comparison with NaN is False, so check_engagement passed an
+        # all-NaN plan
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="values_kw must be finite"):
+                EngagementPlan(np.full(96, value))
 
 
 def flat(value):
@@ -219,6 +242,16 @@ class TestSystemConfig:
         with pytest.raises(InvalidConfigError):
             SystemConfig(100.0, 200.0, 20.0, 200.0, 200.0, 1.2, 0.95, 20.0, 20.0)
 
+    @pytest.mark.parametrize("field", [0, 1, 3, 4])
+    def test_non_finite_values_rejected(self, field):
+        # a NaN charge power reached the QP as an unbounded pair variable;
+        # an infinite capacity passed the SoC window check
+        for value in (np.nan, np.inf):
+            args = [100.0, 200.0, 20.0, 200.0, 200.0, 0.95, 0.95, 20.0, 20.0]
+            args[field] = value
+            with pytest.raises(InvalidConfigError, match="finite"):
+                SystemConfig(*args)
+
 
 class TestDispatchTrace:
     def _system(self):
@@ -248,3 +281,12 @@ class TestDispatchTrace:
                               [10.0, 10.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="balance"):
             trace.validate(g, sys)
+
+    def test_non_finite_trace_rejected(self):
+        # validate passed an all-NaN trace: every comparison with NaN is False
+        nan = np.full(2, np.nan)
+        with pytest.raises(ValueError, match="production_kw must be finite"):
+            DispatchTrace(nan, nan, nan, nan, nan, nan)
+        with pytest.raises(ValueError, match="soc_kwh must be finite"):
+            DispatchTrace([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                          [10.0, np.inf], [0.0, 0.0])

@@ -382,23 +382,28 @@ class TestKktAssembly:
             assert got.shape == ref.shape == (dim, dim)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("case", ["relaxation", "node", "pinned_row", "mixed"])
+    @pytest.mark.parametrize("case", ["relaxation", "node", "pinned_row", "mixed",
+                                      "second_call"])
     def test_back_substituted_direction_solves_the_whole_system(self, case):
         # the condensed solve plus the closed-form pivots must solve the
         # whole KKT system without the frozen columns, dx of every
         # eliminated variable included, also at a node whose charges are
         # fixed, where a row of G holds only fixed variables, and for a
-        # frozen variable with a quadratic cost; a frozen variable never moves
-        prob = _kkt_case(case)
+        # frozen variable with a quadratic cost; a frozen variable never moves.
+        # condense and expand scale the border by the pivots of the last
+        # call: the second_call case assembles at other weights first
+        prob = _kkt_case("relaxation" if case == "second_call" else case)
         assemble, parts = _assembler(prob)
         a_all, g_t = parts[:2]
         rng = np.random.default_rng(41)
         assert min(_eliminated_classes(prob, assemble)) > 0
+        if case == "second_call":
+            assemble(np.exp(rng.uniform(-8.0, 8.0, a_all.shape[0])))
         w = np.exp(rng.uniform(-8.0, 8.0, a_all.shape[0]))
         lu = optim._splu_symmetric(assemble(w))
         r1 = rng.standard_normal(prob.n_var)
         r2 = rng.standard_normal(g_t.shape[1])
-        dx, dy = assemble.expand(lu.solve(assemble.condense(r1, r2)), r1, r2)
+        dx, dy = assemble.expand(lu.solve(assemble.condense(r1, r2)), r1)
         frozen = _frozen(prob)
         assert np.all(dx[frozen] == 0.0)
         rows = np.concatenate([np.flatnonzero(~frozen), prob.n_var + np.arange(dy.size)])
@@ -737,6 +742,18 @@ class TestSolveMiqp:
             assert sol.objective >= ref_obj - 1e-5 * (1 + abs(ref_obj)), f"instance {k}"
             viol = comp_violations(prob, sol.x)
             assert np.max(viol) <= 1e-5, f"instance {k}"
+
+    def test_random_storage_screen_is_optimal(self):
+        # five random storage MIQPs per seed on seeds 0-9, drawn as the
+        # enumeration test above draws them; too many to enumerate, but each
+        # must close. Pivoting out every fixed variable made 26 of 300 such
+        # MIQPs (seeds 0-59) raise SolverError.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for k in range(5):
+                prob = random_storage_miqp(rng, int(rng.integers(2, 7)))
+                sol = solve_miqp(prob)
+                assert sol.status is SolveStatus.OPTIMAL, f"seed {seed}, instance {k}"
 
     def test_node_limit_reported(self):
         rng = np.random.default_rng(9)

@@ -8,7 +8,7 @@ import pytest
 
 from capfirm import optim
 from capfirm.controller import build_control_qp, oracle_control
-from capfirm.domain import TimeGrid, battery_floor_scale, check_engagement
+from capfirm.domain import ShapeError, TimeGrid, battery_floor_scale, check_engagement
 from capfirm.planner import (
     PlanningError,
     PlanningInstance,
@@ -72,6 +72,14 @@ class TestBuild:
             PlanningInstance(grid, policy, system, two, "D")
         with pytest.raises(ValueError):
             PlanningInstance(grid, policy, system, two, "X")
+
+    def test_policy_length_must_match_grid(self):
+        # a 48-period policy on a 96-period grid failed inside dispatch_block
+        # with numpy's broadcast error
+        grid = toy_grid(96)
+        with pytest.raises(ShapeError, match="policy"):
+            PlanningInstance(grid, toy_policy(toy_grid(48)), toy_system(),
+                             ScenarioSet.single(np.zeros(96)), "D")
 
 
 class TestPlanBasics:

@@ -327,6 +327,28 @@ class TestNonFiniteInput:
             WeatherSeries(**columns)
 
 
+class TestTimestampOrder:
+    """The fits find their windows by binary search on the timestamps."""
+
+    @pytest.mark.parametrize("fault", ["reversed", "repeated", "nat", "single_nat"])
+    def test_unordered_or_nat_timestamps_rejected(self, fault):
+        # out of order, the search found other windows, without an error
+        weather = _solar_weather(days=3)
+        ts = weather.timestamps.copy()
+        if fault == "reversed":
+            ts[100:200] = ts[100:200][::-1]
+        elif fault == "repeated":
+            ts[101] = ts[100]
+        elif fault == "nat":
+            ts[150] = np.datetime64("NaT")
+        else:
+            ts = ts[:1].copy()
+            ts[0] = np.datetime64("NaT")
+        n = ts.size
+        with pytest.raises(WeatherShapeError, match="strictly increasing"):
+            WeatherSeries(ts, weather.irradiance_wm2[:n], weather.temperature_c[:n])
+
+
 class TestClearSky:
     def test_midnight_zero(self):
         assert clear_sky_irradiance(50.6, np.datetime64("2019-08-01T00:00")) == 0.0
