@@ -317,18 +317,21 @@ def check_engagement(plan: EngagementPlan, policy: TariffPolicy) -> EngagementCh
     if p.shape[0] != policy.n_periods:
         raise ShapeError(f"plan has length {p.shape[0]}, policy expects {policy.n_periods}")
     tol = 1e-9
-    for t in range(policy.n_periods):
-        if t >= 1:
-            step = abs(p[t] - p[t - 1])
-            if step > policy.ramp_limit_kw[t] + tol:
-                return EngagementCheck(False, EngagementViolation(
-                    "ramp", t, step, policy.ramp_limit_kw[t]))
-        if p[t] < policy.eng_min_kw[t] - tol:
+    step = np.abs(np.diff(p))
+    ramp = np.concatenate([[False], step > policy.ramp_limit_kw[1:] + tol])
+    low = p < policy.eng_min_kw - tol
+    high = p > policy.eng_max_kw + tol
+    bad = np.flatnonzero(ramp | low | high)
+    if bad.size:
+        t = int(bad[0])
+        if ramp[t]:
+            return EngagementCheck(False, EngagementViolation(
+                "ramp", t, step[t - 1], policy.ramp_limit_kw[t]))
+        if low[t]:
             return EngagementCheck(False, EngagementViolation(
                 "lower_bound", t, p[t], policy.eng_min_kw[t]))
-        if p[t] > policy.eng_max_kw[t] + tol:
-            return EngagementCheck(False, EngagementViolation(
-                "upper_bound", t, p[t], policy.eng_max_kw[t]))
+        return EngagementCheck(False, EngagementViolation(
+            "upper_bound", t, p[t], policy.eng_max_kw[t]))
     return EngagementCheck(True, None)
 
 

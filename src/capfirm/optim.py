@@ -38,19 +38,30 @@ equality rows.) What follows from the pattern alone is analyzed once
 recently are held and found again by comparing those arrays, not a hash.
 Each solve then reads every value from its own problem, and each iteration
 only fills in the matrix.
-The matrix is quasi-definite, so SuperLU factors it with a symmetric
-fill-reducing ordering and no pivoting, which keeps the fill linear in the
-number of scenarios. The ordering is computed by the first factorization of
-every solve; later iterations fill the matrix already permuted by it and
-factor in natural order, with the permuted slots the analysis keeps for
-that ordering. SuperLU runs with panels one column wide. The static
-regularization ``d`` keeps the pivots clear of zero, so each Newton
-direction is one solve with that factorization, without refinement. An
-iteration is redone once with partial pivoting when its unpivoted
-factorization meets an exact zero pivot, or when its step collapses (both
-step lengths below ``_MIN_STEP``): near the end an unpivoted direction can
-blow up although no pivot is zero. Both are counted in
-``QpSolution.refactors``. A floor on the corrector's centering target keeps
+The matrix is quasi-definite, and how it is factored depends on its
+pattern. The analysis orders the pattern by reverse Cuthill-McKee (Cuthill
+& McKee 1969). When that leaves a bandwidth of at most ``_BAND_MAX``, as
+for a single-scenario plan (bandwidth 4, dimension 386 at T=96) or control
+(3, 290), which are five of every six solves of a sizing sweep, the matrix
+is filled in LAPACK band storage in that order and LAPACK ``dgbtrf``
+factors it with partial pivoting, in about a third of SuperLU's time. A
+wider pattern (an S=20 plan has bandwidth 80) goes to SuperLU, which
+factors it with a symmetric fill-reducing ordering and no pivoting, so
+that the fill stays linear in the number of scenarios. SuperLU's ordering
+is computed by the first factorization of every solve; later iterations
+fill the matrix already permuted by it and factor in natural order, with
+the permuted slots the analysis keeps for that ordering. SuperLU runs with
+panels one column wide. The static regularization ``d`` keeps the pivots
+clear of zero, so each Newton direction is one solve with the
+factorization, without refinement. An iteration is redone once with
+SuperLU's partial pivoting when its unpivoted factorization meets an exact
+zero pivot, or when its step collapses (both step lengths below
+``_MIN_STEP``): near the end an unpivoted direction can blow up although
+no pivot is zero, and so can a band LU's, whose pivots are chosen in the
+band's order without regard to the blocks. Both are counted in
+``QpSolution.refactors``. A zero pivot of the band LU means an exactly
+singular matrix, as in a pivoted SuperLU factorization: infeasibility is
+suspected. A floor on the corrector's centering target keeps
 the total gap ``s.z`` at or above a tenth of the stopping tolerance, where
 the direction still meets the linearized stationarity, so it needs no
 correction step.
@@ -93,6 +104,8 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 _REG = 1e-9                   # static regularization of the augmented system
 _STEP_FRACTION = 0.995        # fraction-to-boundary
@@ -100,6 +113,7 @@ _MIN_STEP = 1e-12             # a shorter primal and dual step has stalled
 _MAX_ITER = 120
 _TOL = 1e-9                   # scaled KKT stopping tolerance of the IPM
 _PAIR_REL_TOL = 1e-6          # complementarity tolerance relative to the pair bound
+_BAND_MAX = 8                 # widest KKT band factored as a band matrix
 
 
 class SolverError(RuntimeError):
@@ -199,7 +213,8 @@ class QpSolution:
     status: SolveStatus
     residuals: KktResiduals
     iterations: int = 0
-    refactors: int = 0        # iterations redone with pivoting: zero pivot or stall
+    refactors: int = 0        # iterations redone with SuperLU's pivoting: an
+                              # unpivoted zero pivot, or a stalled step
     bnb: BnbStats = field(default_factory=BnbStats)
     message: str = ""
 
@@ -330,11 +345,17 @@ class _Analysis:
     - the classes of :class:`_KktAssembler` (bound-only, single-row slack,
       kept), the CSC pattern of the condensed KKT matrix and the slot of
       every contribution in it;
+    - when a reverse Cuthill-McKee ordering of that pattern leaves a
+      bandwidth ``band`` of at most ``_BAND_MAX``: that ordering, with
+      ``order`` and ``rank`` taking a vector to it and back, and the slot
+      of every contribution in LAPACK band storage in it (``band_slot``).
+      Otherwise ``band`` is None;
     - the CSR patterns of the border B where the eliminated variables meet
       the factored system, and of B', with the order that takes the
       entries of B' to those of B;
-    - the slots and pattern permuted by the ordering of the first
-      factorization, once a solve has computed it (:meth:`permuted`).
+    - the slots and pattern permuted by an ordering, once a solve asks for
+      it (:meth:`permuted`): that of SuperLU's first factorization, or the
+      band's when a band step stalls.
 
     Everything else, including every value of A, G, ``d`` and ``reg``, is
     read per solve by :class:`_KktAssembler`.
@@ -444,6 +465,22 @@ class _Analysis:
         self.n_fixed = rows.size - e1.size - self.f1.size
         self.kkt = _csc_pattern(keys, dim)
         self._permuted = None
+
+        # the reverse Cuthill-McKee ordering of the pattern, which is
+        # structurally symmetric, and the bandwidth it leaves. A narrow band
+        # is filled in LAPACK band storage in that order: entry (i, j) of the
+        # reordered matrix at row 2 bw + i - j of column j, column-major.
+        self.band = self.order = self.rank = self.band_slot = None
+        if dim:
+            k_idx, k_ptr, _ = self.kkt
+            order = reverse_cuthill_mckee(_matrix(np.ones(k_idx.size), self.kkt, sp.csc_matrix),
+                                          symmetric_mode=True)
+            rank = np.argsort(order)
+            row, col = rank[k_idx], rank[np.repeat(np.arange(dim), np.diff(k_ptr))]
+            bw = int(np.abs(row - col).max())
+            if bw <= _BAND_MAX:
+                self.band, self.order, self.rank = bw, order, rank
+                self.band_slot = (col * (3 * bw + 1) + 2 * bw + row - col)[self.slot]
         # the indices each solve reads once, not in every iteration, are
         # held in 32 bits: half the memory, at the price of a cast per gather
         for name in ("bound_ent", "s_ent", "e1", "e2", "f1", "f2", "o_ent", "o_slack",
@@ -555,13 +592,16 @@ class _KktAssembler:
     ``a_ki a_kl`` of a row of A, each product ``g_ri g_si`` of a column of G
     on E, the entries of G_R and G_R', and ``-reg``) has a precomputed slot
     in the pattern; the products of A are scaled by ``W'``, those of G by
-    ``-1/D``. Every call returns the same matrix object with new values,
+    ``-1/D``. A narrow band (``_Analysis.band``) comes as a new
+    ``(3 bw + 1, dim)`` Fortran-ordered array in LAPACK band storage, in
+    the reverse Cuthill-McKee order, which ``dgbtrf`` factors in place.
+    Otherwise every call returns the same CSC matrix object with new values,
     until :meth:`permute` moves the slots. :meth:`condense` and
-    :meth:`expand` take a right-hand side to the condensed system and its
-    solution back to ``(dx, dy)``, with the pivots of the last call: each
-    makes one product with B or B' and scales E by the column scale the
-    call sets, ``1/D_j`` for a bound-only variable and ``w_k/D_u`` for a
-    slack.
+    :meth:`expand` take a right-hand side to the condensed system, in the
+    order of the matrix, and its solution back to ``(dx, dy)``, with the
+    pivots of the last call: each makes one product with B or B' and scales
+    E by the column scale the call sets, ``1/D_j`` for a bound-only variable
+    and ``w_k/D_u`` for a slack.
     """
 
     def __init__(self, analysis: _Analysis, a_all: sp.csr_matrix, g_t: sp.csr_matrix,
@@ -583,10 +623,16 @@ class _KktAssembler:
         self._values = np.concatenate([
             d[an.keep], r_val, r_val, np.full(an.dim - an.keep.size, -reg),
             self._a_prod, self._g_prod])
-        self._slot = an.slot
-        self._kkt = _matrix(np.zeros(an.kkt[0].size), an.kkt, sp.csc_matrix)
+        # a vector of the factored system is gathered into the order of the
+        # matrix (None: the same order) and its solution gathered back
+        self._order, self._rank = an.order, an.rank
+        if an.band is None:
+            self._slot, self._size = an.slot, an.kkt[0].size
+            self._kkt = _matrix(np.zeros(self._size), an.kkt, sp.csc_matrix)
+        else:
+            self._slot, self._size = an.band_slot, an.dim * (3 * an.band + 1)
 
-    def __call__(self, w: np.ndarray) -> sp.csc_matrix:
+    def __call__(self, w: np.ndarray) -> sp.csc_matrix | np.ndarray:
         an = self._an
         n_s = an.s_row.size
         piv = self._d_e + np.bincount(an.bound_pos,
@@ -603,20 +649,37 @@ class _KktAssembler:
         np.multiply(np.concatenate([w, harmonic])[an.pair_w], self._a_prod,
                     out=self._values[an.n_fixed:k])
         np.multiply(inv[an.gp_pos], self._g_prod, out=self._values[k:])
-        self._kkt.data = np.bincount(self._slot, weights=self._values,
-                                    minlength=self._kkt.nnz)
+        data = np.bincount(self._slot, weights=self._values, minlength=self._size)
+        if an.band is not None:
+            return data.reshape(an.dim, 3 * an.band + 1).T
+        self._kkt.data = data
         return self._kkt
+
+    def csc(self) -> sp.csc_matrix:
+        """The matrix of the last call as a CSC matrix, in the same order."""
+        an = self._an
+        if an.band is None:
+            return self._kkt
+        slot, pattern = an.permuted(an.rank)
+        return _matrix(np.bincount(slot, weights=self._values, minlength=pattern[0].size),
+                       pattern, sp.csc_matrix)
 
     def condense(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
         """Right-hand side ``[r1_R; r2] - B D_E^-1 r1_E`` of the condensed
-        system; ``r1`` of a frozen variable is not read."""
+        system, in the order of the matrix; ``r1`` of a frozen variable is
+        not read."""
         e_var = self._an.e_var
-        return (np.concatenate([r1[self.keep], r2])
-                - self._border @ (self._col_weight * r1[e_var]))
+        rhs = (np.concatenate([r1[self.keep], r2])
+               - self._border @ (self._col_weight * r1[e_var]))
+        return rhs if self._order is None else rhs[self._order]
 
     def expand(self, sol: np.ndarray, r1: np.ndarray):
-        """``(dx, dy)`` of the whole system: ``dx_E = D_E^-1 (r1_E - B' sol)``,
-        ``dx_R`` and ``dy`` from ``sol``, and 0 for a frozen variable."""
+        """``(dx, dy)`` of the whole system from the solution ``sol`` of the
+        condensed one, in the order of the matrix: ``dx_E = D_E^-1 (r1_E -
+        B' sol)``, ``dx_R`` and ``dy`` from ``sol``, and 0 for a frozen
+        variable."""
+        if self._rank is not None:
+            sol = sol[self._rank]
         e_var, n_r = self._an.e_var, self.keep.size
         dx = np.zeros(r1.size)
         dx[self.keep] = sol[:n_r]
@@ -624,14 +687,16 @@ class _KktAssembler:
         return dx, sol[n_r:]
 
     def permute(self, perm: np.ndarray) -> None:
-        """Move entry (r, c) to (perm[r], perm[c]) in every later call.
+        """Move entry (r, c) of the CSC matrix to (perm[r], perm[c]) in every
+        later call.
 
         The later matrices are ``P K P'`` with ``(P v)[perm[r]] = v[r]``, so
         ``K x = b`` is solved as ``P K P' y = b[argsort(perm)]``,
-        ``x = y[perm]``.
+        ``x = y[perm]``: :meth:`condense` and :meth:`expand` gather so.
         """
         self._slot, pattern = self._an.permuted(perm)
         self._kkt = _matrix(np.zeros(pattern[0].size), pattern, sp.csc_matrix)
+        self._order, self._rank = np.argsort(perm), perm
 
 
 def _splu_symmetric(kkt: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
@@ -651,18 +716,38 @@ def _splu_symmetric(kkt: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
                      options=dict(SymmetricMode=True))
 
 
+class _BandLu:
+    """LU with partial pivoting (LAPACK ``dgbtrf``) of a band matrix of
+    bandwidth ``bw`` in band storage, which it overwrites.
+
+    A zero pivot means the matrix is exactly singular; it raises
+    ``RuntimeError``, as SuperLU does.
+    """
+
+    def __init__(self, ab: np.ndarray, bw: int):
+        self._bw = bw
+        self._lu, self._piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return dgbtrs(self._lu, self._bw, self._bw, rhs, self._piv)[0]
+
+
 def _ipm(prob: QpProblem):
     """Mehrotra predictor-corrector on the slack standard form.
 
     Each Newton direction is one solve with the condensed KKT matrix of
     :class:`_KktAssembler`: bound-only variables and single-row slacks are
-    eliminated in closed form. A frozen variable starts at ``ub`` and no
+    eliminated in closed form. A narrow band is factored by
+    :class:`_BandLu`, a wider pattern by SuperLU (see the module note). A frozen variable starts at ``ub`` and no
     direction moves it; its entry of the stationarity residual is left out,
     in the stopping test and in ``residuals.dual``, as the multiplier of the
     unit row it does not have would take it up.
     Returns (x, status, residuals, iterations, refactors), where
-    ``refactors`` counts the iterations redone with partial pivoting: their
-    symmetric factorization met an exact zero pivot, or their step stalled.
+    ``refactors`` counts the iterations redone with SuperLU's partial
+    pivoting: their symmetric factorization met an exact zero pivot, or
+    their step stalled.
     The duals start at ``max|c|`` (see the module note). Infeasibility is
     *suspected* (never certified) here; the caller confirms with an elastic
     problem. Without inequality rows (m = 0) the first Newton step solves the
@@ -680,7 +765,10 @@ def _ipm(prob: QpProblem):
     hdiag = 2.0 * prob.q
     reg = _REG * max(1.0, float(np.max(hdiag, initial=0.0)))
     assemble = _KktAssembler(analysis, a_all, g_t, hdiag + reg, reg)
-    perm = inv = None   # the first symmetric factorization's ordering
+    band = analysis.band
+    # the matrix comes in the order it is factored in: a band's from the
+    # start, SuperLU's after its first factorization
+    ordered = band is not None
 
     # starting point: bound midpoints where available, else zero
     x = np.clip(0.0, prob.lb, prob.ub)
@@ -733,19 +821,21 @@ def _ipm(prob: QpProblem):
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 # factor [[H + A'WA + dI, G'], [G, -dI]] with W = Z/S
                 kkt = assemble(z / s)
-                try:
-                    lu = (_splu_symmetric(kkt) if perm is None
-                          else _splu_symmetric(kkt, "NATURAL"))
-                except RuntimeError:
-                    # exact zero pivot: refactor with partial pivoting
-                    lu, pivoted = spla.splu(kkt), True
+                if band is not None:
+                    lu = _BandLu(kkt, band)
+                else:
+                    try:
+                        lu = (_splu_symmetric(kkt, "NATURAL") if ordered
+                              else _splu_symmetric(kkt))
+                    except RuntimeError:
+                        # exact zero pivot: refactor with partial pivoting
+                        lu, pivoted = spla.splu(kkt), True
 
                 def direction(r_c):
                     r1 = -(r_d + a_t @ ((r_c + z * r_p) / s))
-                    rhs = assemble.condense(r1, -r_e)
-                    sol = lu.solve(rhs) if perm is None else lu.solve(rhs[inv])[perm]
-                    # SuperLU does not raise on NaN, and a NaN step passes
-                    # every later comparison unnoticed
+                    sol = lu.solve(assemble.condense(r1, -r_e))
+                    # neither LU raises on NaN, and a NaN step passes every
+                    # later comparison unnoticed
                     if not np.isfinite(sol).all():
                         raise FloatingPointError("non-finite Newton direction")
                     dx, dy = assemble.expand(sol, r1)
@@ -772,10 +862,12 @@ def _ipm(prob: QpProblem):
                     a_d = _step_len(z, dz)
                     if max(a_p, a_d) >= _MIN_STEP or pivoted:
                         break
-                    # a stalled step from the unpivoted factorization: its
-                    # direction can be huge although no pivot is zero, so
-                    # redo the iteration once with partial pivoting
-                    lu, pivoted = spla.splu(kkt), True
+                    # a stalled step: the direction of an unpivoted
+                    # factorization can be huge although no pivot is zero,
+                    # and so can that of a band LU, whose pivots are chosen
+                    # in the band's order; redo the iteration once with
+                    # SuperLU's partial pivoting
+                    lu, pivoted = spla.splu(assemble.csc()), True
         except (RuntimeError, FloatingPointError):
             # the pivoted factorization too found the KKT matrix exactly
             # singular, or the step overflows or turns NaN: suspected
@@ -783,11 +875,11 @@ def _ipm(prob: QpProblem):
             break
         finally:
             refactors += pivoted
-        if perm is None and not pivoted:
+        if not (ordered or pivoted):
             # the pattern is fixed, so the ordering is too: fill the later
             # matrices in its order and factor them without reordering
-            perm, inv = lu.perm_c, np.argsort(lu.perm_c)
-            assemble.permute(perm)
+            ordered = True
+            assemble.permute(lu.perm_c)
         if max(a_p, a_d) < _MIN_STEP:
             break  # stalled after a pivoted factorization too
         x = x + a_p * dx

@@ -156,14 +156,21 @@ def sparse_rows(entries, n_rows: int, n_cols: int) -> sp.csr_matrix:
     """CSR matrix from (row indices, column indices, values) triples.
 
     The values broadcast against the index arrays, so one triple sets a whole
-    family of coefficients at once.
+    family of coefficients at once. The entries are sorted by row, then
+    column, into the canonical CSR arrays directly. A (row, column) given
+    twice raises ``ValueError``: no coefficient here is a sum.
     """
     shapes = [np.shape(rows) for rows, _, _ in entries]
     rows = np.concatenate([np.ravel(r) for r, _, _ in entries])
     cols = np.concatenate([np.ravel(cc) for _, cc, _ in entries])
     data = np.concatenate([np.broadcast_to(v, s).ravel()
                            for (_, _, v), s in zip(entries, shapes)])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+        raise ValueError("a (row, column) entry is given twice")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+    return sp.csr_matrix((data[order], cols, indptr), shape=(n_rows, n_cols))
 
 
 def dispatch_block(

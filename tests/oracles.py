@@ -4,8 +4,9 @@ These deliberately avoid the production solve path: projected descent with
 Dykstra projections for convex QPs, multi-resolution dense grids for very
 small problems, exhaustive binary enumeration for complementarity
 problems (each fixed pattern is a plain convex QP), a one-window-at-a-time
-PVUSA fit with an active-set enumeration of plain least-squares solves, and a
-Gaussian copula that ranks, correlates and inverts one lead time at a time.
+PVUSA fit with an active-set enumeration of plain least-squares solves, a
+Gaussian copula that ranks, correlates and inverts one lead time at a time,
+and an engagement check that scans one period at a time.
 """
 
 from dataclasses import replace
@@ -15,6 +16,7 @@ import numpy as np
 from scipy import special
 
 from capfirm import pvusa, scenarios
+from capfirm.domain import EngagementCheck, EngagementViolation
 from capfirm.optim import QpProblem, SolveStatus, solve_qp
 
 
@@ -296,3 +298,24 @@ def scenario_values_reference(model, forecast_kw, n_scenarios, seed, pv_capacity
         u[w] = special.ndtr(model.cholesky_factor @ rng.standard_normal(t_n))
     errors = inverse_marginals_reference(model.sorted_errors_kw, model.degenerate, u)
     return np.clip(np.asarray(forecast_kw, dtype=float) + errors, 0.0, pv_capacity_kw)
+
+
+def check_engagement_reference(plan, policy):
+    """The first violation of an engagement, one period at a time: the ramp
+    from the previous period (none at the first), then the lower bound, then
+    the upper bound."""
+    p = plan.values_kw
+    tol = 1e-9
+    for t in range(policy.n_periods):
+        if t >= 1:
+            step = abs(p[t] - p[t - 1])
+            if step > policy.ramp_limit_kw[t] + tol:
+                return EngagementCheck(False, EngagementViolation(
+                    "ramp", t, step, policy.ramp_limit_kw[t]))
+        if p[t] < policy.eng_min_kw[t] - tol:
+            return EngagementCheck(False, EngagementViolation(
+                "lower_bound", t, p[t], policy.eng_min_kw[t]))
+        if p[t] > policy.eng_max_kw[t] + tol:
+            return EngagementCheck(False, EngagementViolation(
+                "upper_bound", t, p[t], policy.eng_max_kw[t]))
+    return EngagementCheck(True, None)

@@ -16,6 +16,8 @@ from capfirm.domain import (
     penalty_series,
 )
 
+from oracles import check_engagement_reference
+
 PC = 466.4
 
 
@@ -140,6 +142,38 @@ class TestCheckEngagement:
     def test_length_mismatch(self, policy):
         with pytest.raises(ShapeError):
             check_engagement(EngagementPlan(np.zeros(10)), policy)
+
+    def test_matches_the_period_by_period_scan(self, grid):
+        # random plans around the policy's limits, with jumps: some pass, and
+        # many break several rules in the period they first fail (a ramp and
+        # a bound), where the scan reports the ramp first. The same first
+        # violation, with the same values.
+        rng = np.random.default_rng(3)
+        kinds, several = set(), 0
+        for price in (50.0, 100.0):
+            pol = build_cre_policy(grid, price, 2.0 * price, PC)
+            mid = 0.5 * (pol.eng_min_kw + pol.eng_max_kw)
+            for k in range(300):
+                walk = np.cumsum(rng.normal(0.0, 10.0, 96))
+                # a third drift from the lowest engagement, within the ramp
+                values = (pol.eng_min_kw[0] + walk if k % 3 == 0 else
+                          np.clip(mid + walk, pol.eng_min_kw, pol.eng_max_kw))
+                for t in rng.integers(96, size=k % 4):
+                    values[t] += rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 600.0)
+                plan = EngagementPlan(values)
+                got = check_engagement(plan, pol)
+                assert got == check_engagement_reference(plan, pol)
+                if got.ok:
+                    continue
+                kinds.add(got.violation.kind)
+                t = got.violation.period
+                step = abs(values[t] - values[t - 1]) if t else 0.0
+                broken = [step > pol.ramp_limit_kw[t] + 1e-9,
+                          values[t] < pol.eng_min_kw[t] - 1e-9,
+                          values[t] > pol.eng_max_kw[t] + 1e-9]
+                several += sum(map(bool, broken)) > 1
+        assert kinds == {"ramp", "lower_bound", "upper_bound"}
+        assert several >= 10
 
     def test_non_finite_engagement_rejected(self):
         # every comparison with NaN is False, so check_engagement passed an

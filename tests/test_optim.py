@@ -143,14 +143,14 @@ class TestSolveQpBasics:
         assert sol.status is SolveStatus.INFEASIBLE
         assert "certificate" in sol.message
 
-    def test_exactly_singular_factorizations_route_to_the_certificate(self, monkeypatch):
+    def test_exactly_singular_factorizations_route_to_the_certificate(self, monkeypatch,
+                                                                     superlu_only):
         # both the symmetric and the pivoted factorization of the node's KKT
         # matrix raise as SuperLU does on an exact zero pivot; the IPM must
         # stop and leave the decision to the elastic certificate, whose KKT
         # matrix has another dimension and factors normally
         node = _unreachable_floor_node()
-        assemble, parts = _assembler(node)
-        dim = assemble(np.ones(parts[0].shape[0])).shape[0]
+        dim = optim._analyze(node).dim
         calls = []
         splu = optim.spla.splu
 
@@ -163,6 +163,28 @@ class TestSolveQpBasics:
         monkeypatch.setattr(optim.spla, "splu", singular_splu)
         sol = solve_qp(node)
         assert calls == [True, False]          # symmetric, then pivoted, then stop
+        assert sol.status is SolveStatus.INFEASIBLE
+        assert "certificate" in sol.message
+
+    def test_singular_band_factor_routes_to_the_certificate(self, monkeypatch):
+        # the node's KKT matrix has a band of 6, and dgbtrf reports a zero
+        # pivot on it; the IPM must stop after that one factorization, as
+        # after a pivoted SuperLU one, and leave the decision to the elastic
+        # certificate, whose matrix factors normally
+        node = _unreachable_floor_node()
+        analysis = optim._analyze(node)
+        assert analysis.band == 6
+        calls = []
+        dgbtrf = optim.dgbtrf
+
+        def singular_dgbtrf(ab, kl, ku, **kwargs):
+            lu, piv, info = dgbtrf(ab, kl, ku, **kwargs)
+            calls.append(ab.shape[1])
+            return lu, piv, (analysis.dim if ab.shape[1] == analysis.dim else info)
+
+        monkeypatch.setattr(optim, "dgbtrf", singular_dgbtrf)
+        sol = solve_qp(node)
+        assert calls[0] == analysis.dim and analysis.dim not in calls[1:]
         assert sol.status is SolveStatus.INFEASIBLE
         assert "certificate" in sol.message
 
@@ -196,6 +218,16 @@ class TestSolveQpBasics:
         assert status is None
         assert iterations == 1
 
+    def test_non_finite_band_direction_stops_the_ipm(self, monkeypatch):
+        # dgbtrs does not raise on NaN either; one scenario makes a KKT band
+        # of 4 (three scenarios one of 12, which SuperLU factors)
+        prob = _noisy_planning_qp(n_periods=8, n_scen=1)
+        assert optim._analyze(prob).band == 4
+        monkeypatch.setattr(optim._BandLu, "solve", lambda self, rhs: np.full_like(rhs, np.nan))
+        _, status, _, iterations, _ = optim._ipm(prob)
+        assert status is None
+        assert iterations == 1
+
     def test_stalled_step_is_redone_with_pivoting(self, monkeypatch):
         # an unpivoted factorization can return a finite but huge direction
         # although no pivot is zero, and the step then collapses to ~1e-70;
@@ -220,6 +252,27 @@ class TestSolveQpBasics:
         sol = solve_qp(_noisy_planning_qp(n_periods=8, n_scen=3))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.refactors == 1
+
+    def test_stalled_band_step_is_redone_with_pivoting(self, monkeypatch):
+        # a band LU picks its pivots in the band's order and can return a
+        # finite but huge direction too (4 of 600 random storage MIQPs
+        # stalled so); the iteration is redone once with SuperLU's partial
+        # pivoting on the same matrix, in the same order
+        solves = []
+
+        class HugeOnceLu(optim._BandLu):
+            def solve(self, rhs):
+                # the predictor of the third factorization
+                solves.append(rhs)
+                return super().solve(rhs) * (1e70 if len(solves) == 5 else 1.0)
+
+        prob = _noisy_planning_qp(n_periods=8, n_scen=1)
+        fast = solve_qp(prob)
+        monkeypatch.setattr(optim, "_BandLu", HugeOnceLu)
+        sol = solve_qp(prob)
+        assert sol.status is fast.status is SolveStatus.OPTIMAL
+        assert fast.refactors == 0 and sol.refactors == 1
+        assert sol.objective == pytest.approx(fast.objective, rel=1e-9)
 
 
 def _unreachable_floor_node():
@@ -254,6 +307,31 @@ def _assembler(prob):
     reg = optim._REG * max(1.0, float(np.max(hdiag, initial=0.0)))
     parts = (a_all, g_t, hdiag + reg, reg)
     return optim._KktAssembler(analysis, *parts), parts
+
+
+def _dense(assemble, w):
+    """The matrix the assembler fills at weights w, dense and in the order of
+    K: a CSC matrix as it comes, band storage read out of its reverse
+    Cuthill-McKee order. Band storage holds what the CSC matrix of the same
+    call holds, in that order."""
+    kkt = assemble(w)
+    an = assemble._an
+    if an.band is None:
+        return kkt.toarray()
+    bw, dim = an.band, an.dim
+    assert kkt.shape == (3 * bw + 1, dim) and kkt.flags.f_contiguous
+    assert not kkt[:bw].any()           # the rows dgbtrf fills in
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))) <= bw)
+    dense = np.zeros((dim, dim))
+    dense[i, j] = kkt[2 * bw + i - j, j]
+    assert np.array_equal(assemble.csc().toarray(), dense)
+    return dense[np.ix_(an.rank, an.rank)]
+
+
+def _factor(assemble, w):
+    """The first factorization _ipm makes of the matrix filled at weights w."""
+    kkt, band = assemble(w), assemble._an.band
+    return optim._splu_symmetric(kkt) if band is None else optim._BandLu(kkt, band)
 
 
 def _reference_kkt(a_all, g_t, d, reg, w):
@@ -376,7 +454,7 @@ class TestKktAssembly:
             assert min(_eliminated_classes(prob, assemble)) > 0
         for _ in range(2 if m else 1):
             w = np.exp(rng.uniform(-8.0, 8.0, m))
-            got = assemble(w).toarray()
+            got = _dense(assemble, w)
             ref = _reference_condensed_kkt(prob, assemble, *parts, w)
             dim = assemble.keep.size + p
             assert got.shape == ref.shape == (dim, dim)
@@ -400,7 +478,7 @@ class TestKktAssembly:
         if case == "second_call":
             assemble(np.exp(rng.uniform(-8.0, 8.0, a_all.shape[0])))
         w = np.exp(rng.uniform(-8.0, 8.0, a_all.shape[0]))
-        lu = optim._splu_symmetric(assemble(w))
+        lu = _factor(assemble, w)
         r1 = rng.standard_normal(prob.n_var)
         r2 = rng.standard_normal(g_t.shape[1])
         dx, dy = assemble.expand(lu.solve(assemble.condense(r1, r2)), r1)
@@ -411,6 +489,16 @@ class TestKktAssembly:
         sol = np.concatenate([dx, dy])[rows]
         ref = sp.linalg.spsolve(full, np.concatenate([r1, r2])[rows])
         assert np.max(np.abs(sol - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_band_cases_match_on_superlu_too(self, superlu_only):
+        # the cases above whose KKT matrix is a band of at most 8 (planning
+        # 7, bounds_only 0, equality_only 2, mixed 1), assembled as CSC
+        # matrices and factored by SuperLU
+        for case, has_rows, has_eq in (("planning", True, True), ("bounds_only", True, False),
+                                       ("equality_only", False, True)):
+            self.test_fixed_pattern_matches_whole_matrix_assembly(case, has_rows, has_eq)
+        self.test_back_substituted_direction_solves_the_whole_system("mixed")
+        assert optim._RECENT and all(an.band is None for an in optim._RECENT)
 
     def test_row_of_fixed_variables_stays_regular(self):
         # the SoC row of scenario 0, period 4 holds only fixed variables. A
@@ -443,7 +531,7 @@ class TestKktAssembly:
         prob = _mixed_qp()
         assemble, parts = _assembler(prob)
         assert assemble.keep.tolist() == [1, 5]
-        kkt = assemble(np.ones(parts[0].shape[0]))
+        kkt = _dense(assemble, np.ones(parts[0].shape[0]))
         assert kkt.shape == (2 + 1, 2 + 1)    # the a_eq row; x4 has no unit row
         sol = solve_qp(prob)
         assert sol.status is SolveStatus.OPTIMAL
@@ -541,7 +629,7 @@ class TestFrozenVariables:
         assert analysis.frozen.size == 0 and analysis.unit.tolist() == [1]
         assemble, parts = _assembler(prob)
         assert assemble.keep.tolist() == [1]
-        assert assemble(np.ones(parts[0].shape[0])).shape == (1 + 2, 1 + 2)
+        assert _dense(assemble, np.ones(parts[0].shape[0])).shape == (1 + 2, 1 + 2)
         sol = solve_qp(prob)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.x == pytest.approx([2.0, 1.0], abs=1e-9)
@@ -596,6 +684,23 @@ class TestSharedAnalysis:
         assemble, parts = _assembler(prob)
         with pytest.raises(ValueError, match="read-only"):
             assemble(np.ones(parts[0].shape[0])).indices[0] = 0
+
+    def test_band_analysis_arrays_are_read_only(self):
+        # the band path has its ordering from the start and stores no
+        # permuted slots; its band storage is a new array per call, which
+        # dgbtrf overwrites
+        prob = _noisy_planning_qp(n_periods=8, n_scen=1)
+        assert solve_qp(prob).status is SolveStatus.OPTIMAL
+        analysis = optim._analyze(prob)
+        assert analysis.band == 4 and analysis._permuted is None
+        arrays = [arr for value in vars(analysis).values() for arr in _arrays(value)]
+        assert len(arrays) > 40
+        assert not any(arr.flags.writeable for arr in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            analysis.rank[0] = 0
+        assemble, parts = _assembler(prob)
+        w = np.ones(parts[0].shape[0])
+        assert assemble(w) is not assemble(w)
 
 
 def _dense_standard_form(prob):

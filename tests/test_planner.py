@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from capfirm import optim
+from capfirm import controller, optim, planner
 from capfirm.controller import build_control_qp, oracle_control
 from capfirm.domain import ShapeError, TimeGrid, battery_floor_scale, check_engagement
 from capfirm.planner import (
@@ -50,6 +51,39 @@ class TestBuild:
         prob, _, _ = build_planning_qp(
             PlanningInstance(grid, policy, system, scen, "D"))
         assert prob.n_var == 96 * 7
+
+    def test_sparse_rows_match_the_summing_coo_build(self, monkeypatch):
+        # the planning and control matrices, built straight into CSR, have
+        # the arrays of scipy's COO conversion; a (row, column) given twice,
+        # which COO would sum, raises
+        grid = toy_grid(24, peak=range(18, 20))
+        policy = toy_policy(grid, pv_capacity=466.4)
+        system = toy_system(pv_capacity=466.4, capacity_kwh=233.2)
+        values = np.random.default_rng(2).uniform(0.0, 400.0, (3, 24))
+        calls = []
+        sparse_rows = planner.sparse_rows
+
+        def recorded(entries, n_rows, n_cols):
+            calls.append((entries, n_rows, n_cols, sparse_rows(entries, n_rows, n_cols)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(planner, "sparse_rows", recorded)
+        monkeypatch.setattr(controller, "sparse_rows", recorded)
+        res = plan(PlanningInstance(grid, policy, system,
+                                    ScenarioSet(values, np.full(3, 1.0 / 3)), "S"))
+        build_control_qp(res.engagement, values[0], policy, system, grid)
+        assert len(calls) == 4        # a_eq and a_ub of the plan and of its control
+        for entries, n_rows, n_cols, got in calls:
+            rows, cols, data = (np.concatenate([np.broadcast_to(e[k], np.shape(e[0])).ravel()
+                                                for e in entries]) for k in range(3))
+            ref = sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
+            assert got.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                assert getattr(got, name).dtype == getattr(ref, name).dtype
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+        rows = np.arange(3)
+        with pytest.raises(ValueError, match="twice"):
+            sparse_rows([(rows, rows, 1.0), (rows[1:], rows[1:], 2.0)], 3, 3)
 
     def test_round_off_negative_pv_is_clipped(self):
         # scenario values may sit a hair below zero; the pv_used bound must
@@ -247,7 +281,9 @@ class TestSizingCaseDay:
         # falls to 7e-17 by iteration 19, the Newton direction misses
         # stationarity by more than the dual residual, and the plan raises
         # SolverError with one-column SuperLU panels (dual 1.3e-9, and
-        # 2.9e-9 with the ordering reused as well).
+        # 2.9e-9 with the ordering reused as well). Both QPs now factor as
+        # band matrices; on SuperLU see
+        # test_stored_days_solve_without_pivoting_on_superlu.
         res, ctl = _perfect_foresight_day(season, day, ratio, price)
         assert res.status is ctl.status is SolveStatus.OPTIMAL
         assert res.solution.refactors == ctl.solution.refactors == 0
@@ -268,8 +304,12 @@ class TestSizingCaseDay:
         # solve although no pivot was zero, both step lengths collapsed below
         # 1e-12, and without a pivoted retry of that iteration control raised
         # SolverError. Both QPs now solve without a refactorization (control
-        # in 16 iterations); the retry itself is covered by the monkeypatched
-        # test_optim.py::TestSolveQpBasics::test_stalled_step_is_redone_with_pivoting.
+        # in 16 iterations on SuperLU); the retry itself is covered by the
+        # monkeypatched test_optim.py tests
+        # test_stalled_step_is_redone_with_pivoting and
+        # test_stalled_band_step_is_redone_with_pivoting. Both QPs now factor
+        # as band matrices; on SuperLU see
+        # test_stored_days_solve_without_pivoting_on_superlu.
         with np.load(DATA / "d_season5_day77.npz") as data:
             forecast, realized = data["forecast_kw"], data["power_kw"]
         grid = TimeGrid.daily()
@@ -279,6 +319,16 @@ class TestSizingCaseDay:
         ctl = oracle_control(res.engagement, realized, policy, system, grid)
         assert res.status is ctl.status is SolveStatus.OPTIMAL
         assert res.solution.refactors == ctl.solution.refactors == 0
+
+
+    def test_stored_days_solve_without_pivoting_on_superlu(self, superlu_only):
+        # the three tests above, with every KKT matrix factored by SuperLU's
+        # unpivoted symmetric LU as in a wide pattern (S >= 3)
+        for args in ((7, 143, 2.0, 400.0), (1, 126, 1.25, 350.0)):
+            self.test_perfect_foresight_plan_and_control_solve_without_pivoting(*args)
+        self.test_centering_floor_keeps_the_total_gap_within_tolerance()
+        self.test_formerly_stalled_control_solves_without_pivoting()
+        assert optim._RECENT and all(an.band is None for an in optim._RECENT)
 
 
 class TestPriceHomogeneity:
@@ -345,7 +395,8 @@ class TestSharedPatternAnalysis:
         # a day's plan QPs share one pattern at every ratio and price, and so
         # do its control QPs; solving first, then a QP of another pattern,
         # then target on the analysis that first left must give exactly
-        # the solve of target with no analysis held
+        # the solve of target with no analysis held. The S=20 plan factors
+        # on SuperLU, the D plans and the control as band matrices.
         monkeypatch.setattr(optim, "_RECENT", [])
         cold = optim.solve_qp(family[target])
         optim._RECENT.clear()
@@ -354,6 +405,7 @@ class TestSharedPatternAnalysis:
         optim.solve_qp(family[other])
         warm = optim.solve_qp(family[target])
         assert optim._RECENT[-1] is shared
+        assert (shared.band is None) == (target == "s20_plan")
         assert cold.status is warm.status is SolveStatus.OPTIMAL
         assert np.array_equal(warm.x, cold.x)
         assert (warm.objective, warm.iterations, warm.refactors) == \
@@ -381,6 +433,26 @@ class TestBatteryFloor:
         res = plan_deterministic(realized, grid, policy,
                                  toy_system(466.4, 1.001 * r_min * 466.4), mode="Dstar")
         assert res.status is SolveStatus.OPTIMAL
+
+
+def _day77_plan_node_control():
+    """D plan of day 77 of synthetic season 5 (ratio 0.5, 100/200 EUR/MWh),
+    a node of it with 10 charges fixed at 0, and the oracle control of the
+    plan on the day's realized PV."""
+    with np.load(DATA / "d_season5_day77.npz") as data:
+        forecast, realized = data["forecast_kw"], data["power_kw"]
+    grid = TimeGrid.daily()
+    policy = toy_policy(grid, 100.0, 200.0, 466.4)
+    system = toy_system(466.4, 0.5 * 466.4)
+    problem, _, _ = build_planning_qp(PlanningInstance(
+        grid, policy, system, ScenarioSet.single(np.clip(forecast, 0.0, None)), "D"))
+    assert np.sum(np.clip(forecast, 0.0, None) == 0.0) > 0
+    ub = problem.ub.copy()
+    ub[problem.comp_pairs[:40:4, 0]] = 0.0
+    node = replace(problem, ub=ub)
+    res = plan(PlanningInstance(grid, policy, system, ScenarioSet.single(forecast), "D"))
+    control, _, _ = build_control_qp(res.engagement, realized, policy, system, grid)
+    return problem, node, control
 
 
 def _perfect_foresight_day(season, day, ratio, price):
@@ -436,35 +508,70 @@ class TestPaperScaleDay:
         # equality rows and the terminal SoC with its unit row; a node adds
         # each charge it fixes, with its unit row, as that charge's SoC row
         # keeps no other factored variable; control has no engagement
-        # columns. Fixed pv_used (no PV) never adds to the dimension.
-        with np.load(DATA / "d_season5_day77.npz") as data:
-            forecast, realized = data["forecast_kw"], data["power_kw"]
-        grid = TimeGrid.daily()
-        policy = toy_policy(grid, 100.0, 200.0, 466.4)
-        system = toy_system(466.4, 0.5 * 466.4)
-        t_n = grid.n_periods
-        problem, _, _ = build_planning_qp(PlanningInstance(
-            grid, policy, system, ScenarioSet.single(np.clip(forecast, 0.0, None)), "D"))
-        ub = problem.ub.copy()
-        ub[problem.comp_pairs[:40:4, 0]] = 0.0
-        node = replace(problem, ub=ub)
-        res = plan(PlanningInstance(grid, policy, system, ScenarioSet.single(forecast), "D"))
-        control, _, _ = build_control_qp(res.engagement, realized, policy, system, grid)
-        assert np.sum(np.clip(forecast, 0.0, None) == 0.0) > 0
+        # columns. Fixed pv_used (no PV) never adds to the dimension. All
+        # three are band matrices under the reverse Cuthill-McKee ordering.
+        problem, node, control = _day77_plan_node_control()
+        assert [optim._analyze(prob).band for prob in (problem, node, control)] == [4, 5, 3]
+        t_n = TimeGrid.daily().n_periods
         dims = []
 
         class FirstFactor(Exception):
             pass
 
         def record(kkt, *args):
-            dims.append(kkt.shape[0])
+            # CSC (dim, dim), or band storage (3 bw + 1, dim)
+            dims.append(kkt.shape[1])
             raise FirstFactor
 
         monkeypatch.setattr(optim, "_splu_symmetric", record)
+        monkeypatch.setattr(optim, "_BandLu", record)
         for prob in (problem, node, control):
             with pytest.raises(FirstFactor):
                 optim.solve_qp(prob)
         assert dims == [4 * t_n + 2, 4 * t_n + 2 + 2 * 10, 3 * t_n + 2]
+
+    def test_band_and_superlu_give_the_same_newton_directions(self, monkeypatch):
+        # the predictor and corrector directions of the first 8 iterations of
+        # each band solve, recomputed on SuperLU from the same weights and
+        # right-hand sides. (In the last iterations, where w spans some 30
+        # orders of magnitude, the two factorizations differ by up to 7e-10,
+        # as the conditioning of those matrices allows.)
+        seen = []
+        assembler = optim._KktAssembler
+
+        class Recorded(assembler):
+            def __call__(self, w):
+                self.w = w
+                return super().__call__(w)
+
+            def condense(self, r1, r2):
+                seen.append((self.w, r1, r2))
+                return super().condense(r1, r2)
+
+        def direction(analysis, prob, w, r1, r2):
+            a_all, _, _, _, _, g_t = analysis.standard_form(prob)
+            hdiag = 2.0 * prob.q
+            reg = optim._REG * max(1.0, float(np.max(hdiag)))
+            assemble = assembler(analysis, a_all, g_t, hdiag + reg, reg)
+            kkt = assemble(w)
+            lu = (optim._splu_symmetric(kkt) if analysis.band is None
+                  else optim._BandLu(kkt, analysis.band))
+            return np.concatenate(assemble.expand(lu.solve(assemble.condense(r1, r2)), r1))
+
+        monkeypatch.setattr(optim, "_KktAssembler", Recorded)
+        for prob in _day77_plan_node_control():
+            seen.clear()
+            assert optim.solve_qp(prob).status is SolveStatus.OPTIMAL
+            band = optim._Analysis(optim._pattern_key(prob))
+            with monkeypatch.context() as mp:
+                mp.setattr(optim, "_BAND_MAX", -1)
+                wide = optim._Analysis(optim._pattern_key(prob))
+            assert band.band is not None and wide.band is None
+            assert len(seen) >= 20
+            for w, r1, r2 in seen[:16]:
+                got = direction(band, prob, w, r1, r2)
+                ref = direction(wide, prob, w, r1, r2)
+                assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_frozen_variables_come_back_at_their_fixed_value(self):
         # D plan of day 77 of synthetic season 5, ratio 1.25, 400/800 EUR/MWh.
@@ -501,6 +608,7 @@ class TestPaperScaleDay:
         t_n, s_n = grid.n_periods, scen.n_scenarios
         idx = dispatch_index(t_n, s_n, t_n)
         analysis = optim._analyze(problem)
+        assert analysis.band is None        # reverse Cuthill-McKee leaves a band of 80
         assert analysis.frozen.size == 1276 and np.isin(analysis.frozen, idx.pv_used).all()
         assert np.array_equal(analysis.unit, idx.soc[:, -1])
         assert analysis.g[2] == (2 * t_n * s_n + s_n, problem.n_var) == (3860, problem.n_var)
