@@ -38,20 +38,21 @@ equality rows.) What follows from the pattern alone is analyzed once
 recently are held and found again by comparing those arrays, not a hash.
 Each solve then reads every value from its own problem, and each iteration
 only fills in the matrix.
-The matrix is quasi-definite, and how it is factored depends on its
-pattern. The analysis orders the pattern by reverse Cuthill-McKee (Cuthill
-& McKee 1969). When that leaves a bandwidth of at most ``_BAND_MAX``, as
-for a single-scenario plan (bandwidth 4, dimension 386 at T=96) or control
-(3, 290), which are five of every six solves of a sizing sweep, the matrix
-is filled in LAPACK band storage in that order and LAPACK ``dgbtrf``
-factors it with partial pivoting, in about a third of SuperLU's time. A
-wider pattern (an S=20 plan has bandwidth 80) goes to SuperLU, which
-factors it with a symmetric fill-reducing ordering and no pivoting, so
-that the fill stays linear in the number of scenarios. SuperLU's ordering
-is computed by the first factorization of every solve; later iterations
-fill the matrix already permuted by it and factor in natural order, with
-the permuted slots the analysis keeps for that ordering. SuperLU runs with
-panels one column wide. The static regularization ``d`` keeps the pivots
+The matrix is quasi-definite, and the analysis fixes the order in which
+every matrix on its pattern is filled and factored. It orders the pattern
+by reverse Cuthill-McKee (Cuthill & McKee 1969). When that leaves a
+bandwidth of at most ``_BAND_MAX``, as for a single-scenario plan
+(bandwidth 4, dimension 386 at T=96) or control (3, 290), which are five of
+every six solves of a sizing sweep, the matrix is filled in LAPACK band
+storage in that order and LAPACK ``dgbtrf`` factors it with partial
+pivoting, in about a third of SuperLU's time. A wider pattern (an S=20 plan
+has bandwidth 80) is put in SuperLU's multiple minimum degree order of
+``K + K'`` (Liu 1985), and SuperLU factors it in that order without
+pivoting, so that the fill stays linear in the number of scenarios. The
+order depends on the KKT pattern alone, which plans of different days
+share although their standard forms differ, so a new analysis takes it
+from a held one of an equal KKT pattern. SuperLU runs with panels one
+column wide. The static regularization ``d`` keeps the pivots
 clear of zero, so each Newton direction is one solve with the
 factorization, without refinement. An iteration is redone once with
 SuperLU's partial pivoting when its unpivoted factorization meets an exact
@@ -131,7 +132,8 @@ class SolveStatus(Enum):
 class QpProblem:
     """min  sum_i q_i x_i^2 + c.x  s.t.  A x <= b, G x = h, lb <= x <= ub.
 
-    ``q`` must be elementwise nonnegative (convexity). ``comp_pairs`` holds
+    Every value must be finite, except that a bound may be infinite; ``q``
+    must be elementwise nonnegative (convexity). ``comp_pairs`` holds
     variable index pairs (i, j) that may not both be strictly positive, one
     per row of a read-only (k, 2) index array copied from the argument; both
     variables must be bounded and nonnegative. The row order is meaningful:
@@ -154,12 +156,16 @@ class QpProblem:
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         if self.q.shape != (n,):
             raise ValueError("q and c must have the same length")
+        if not (np.isfinite(self.q).all() and np.isfinite(self.c).all()):
+            raise ValueError("q and c must be finite")
         if np.any(self.q < 0):
             raise ValueError("quadratic coefficients must be >= 0 (convexity)")
         lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
         ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if lb.shape != (n,) or ub.shape != (n,):
             raise ValueError("bounds must have the same length as c")
+        if np.isnan(lb).any() or np.isnan(ub).any():
+            raise ValueError("bounds must not be NaN (infinite bounds are allowed)")
         # lb > ub is allowed at construction; solving reports it as infeasible
         object.__setattr__(self, "lb", lb)
         object.__setattr__(self, "ub", ub)
@@ -173,9 +179,13 @@ class QpProblem:
             rhs = np.asarray(rhs, dtype=float)
             if mat.shape != (rhs.shape[0], n):
                 raise ValueError(f"{mat_name}/{rhs_name} dimensions inconsistent")
+            if not (np.isfinite(mat.data).all() and np.isfinite(rhs).all()):
+                raise ValueError(f"{mat_name} and {rhs_name} must be finite")
             object.__setattr__(self, mat_name, mat)
             object.__setattr__(self, rhs_name, rhs)
         pairs = np.array(self.comp_pairs, dtype=np.intp).reshape(-1, 2)
+        if np.any((pairs < 0) | (pairs >= n)):
+            raise ValueError("complementarity pair indices must lie in [0, n)")
         if np.any(self.lb[pairs] < -1e-12):
             raise ValueError("complementarity pair variables must be nonnegative")
         if not np.all(np.isfinite(self.ub[pairs])):
@@ -311,7 +321,7 @@ def _csc_pattern(keys: np.ndarray, dim: int) -> tuple:
 
 
 def _row_pairs(indptr: np.ndarray, counts: np.ndarray):
-    """Every ordered pair of stored entries within each row of a CSR matrix.
+    """Every pair (first, second) of stored entries within each row of a CSR matrix.
 
     ``counts`` gives the number of entries to pair in each row (0 skips the
     row). Returns the row of each pair and the positions of its two entries.
@@ -322,6 +332,32 @@ def _row_pairs(indptr: np.ndarray, counts: np.ndarray):
     j = np.arange(int(sq.sum())) - np.repeat(np.cumsum(sq) - sq, sq)
     start = indptr[row]
     return row, start + j // counts[row], start + j % counts[row]
+
+
+def _ordering(kkt: tuple):
+    """``(band, order, rank)``: the order in which every matrix on the
+    structurally symmetric CSC pattern ``kkt`` is filled and factored.
+
+    Entry (i, j) goes to (rank[i], rank[j]); ``order`` is the inverse. It is
+    reverse Cuthill-McKee when that leaves a bandwidth ``band`` of at most
+    ``_BAND_MAX``. Otherwise ``band`` is None, and it is SuperLU's MMD
+    ordering of ``K + K'``, which reads the pattern alone, from a
+    factorization of a matrix on it that meets no zero pivot: off-diagonals
+    1, diagonal nnz(K).
+    """
+    indices, indptr, (dim, _) = kkt
+    col = np.repeat(np.arange(dim), np.diff(indptr))
+    if dim:
+        order = reverse_cuthill_mckee(_matrix(np.ones(indices.size), kkt, sp.csc_matrix),
+                                      symmetric_mode=True)
+        rank = np.argsort(order)
+        band = int(np.abs(rank[indices] - rank[col]).max())
+        if band <= _BAND_MAX:
+            return band, order, rank
+    values = np.where(indices == col, float(indices.size), 1.0)
+    lu = _splu_symmetric(_matrix(values, kkt, sp.csc_matrix), "MMD_AT_PLUS_A")
+    rank = lu.perm_c.astype(np.int64)       # col * dim + row: 32 bits overflow at S=160
+    return None, np.argsort(rank), rank
 
 
 class _Analysis:
@@ -343,25 +379,23 @@ class _Analysis:
     - the CSR patterns of the standard form's A and G, and the entry orders
       that transpose them (:meth:`standard_form` puts values on them);
     - the classes of :class:`_KktAssembler` (bound-only, single-row slack,
-      kept), the CSC pattern of the condensed KKT matrix and the slot of
-      every contribution in it;
-    - when a reverse Cuthill-McKee ordering of that pattern leaves a
-      bandwidth ``band`` of at most ``_BAND_MAX``: that ordering, with
-      ``order`` and ``rank`` taking a vector to it and back, and the slot
-      of every contribution in LAPACK band storage in it (``band_slot``).
-      Otherwise ``band`` is None;
+      kept);
+    - the order in which every matrix on the pattern of the condensed KKT
+      matrix K is filled and factored (:func:`_ordering`: ``band``,
+      ``order``, ``rank``), kept with K's pattern in ``ordering``, which a
+      new analysis of an equal K pattern takes over (:func:`_analyze`);
+    - K's CSC pattern in that order (``kkt``), the slot of every
+      contribution in it (``slot``) and, for a band, in LAPACK band
+      storage (``band_slot``);
     - the CSR patterns of the border B where the eliminated variables meet
       the factored system, and of B', with the order that takes the
-      entries of B' to those of B;
-    - the slots and pattern permuted by an ordering, once a solve asks for
-      it (:meth:`permuted`): that of SuperLU's first factorization, or the
-      band's when a band step stalls.
+      entries of B' to those of B.
 
     Everything else, including every value of A, G, ``d`` and ``reg``, is
     read per solve by :class:`_KktAssembler`.
     """
 
-    def __init__(self, key: tuple):
+    def __init__(self, key: tuple, orderings=()):
         # copies: a caller may change its arrays after the solve
         self.key = key = tuple(np.array(k) for k in key)
         ub_shape, ub_ptr, ub_idx, eq_shape, eq_ptr, eq_idx, free_ub, free_lb, fix_idx = key
@@ -460,27 +494,21 @@ class _Analysis:
         r_rng, p_rng = np.arange(n_r), np.arange(n_r, dim)
         rows = np.concatenate([r_rng, r_row, r_col, p_rng, pos[a_var[e1]], g_col[self.f1]])
         cols = np.concatenate([r_rng, r_col, r_row, p_rng, pos[a_var[e2]], g_col[self.f2]])
-        keys, self.slot = np.unique(cols.astype(np.int64) * dim + rows,
-                                    return_inverse=True)
+        keys, slot = np.unique(cols.astype(np.int64) * dim + rows, return_inverse=True)
         self.n_fixed = rows.size - e1.size - self.f1.size
-        self.kkt = _csc_pattern(keys, dim)
-        self._permuted = None
+        pattern = _csc_pattern(keys, dim)
+        held = [o for o in orderings if all(map(np.array_equal, o[:2], pattern[:2]))]
+        self.ordering = held[0] if held else (*pattern[:2], *_ordering(pattern))
+        _, _, self.band, self.order, self.rank = self.ordering
 
-        # the reverse Cuthill-McKee ordering of the pattern, which is
-        # structurally symmetric, and the bandwidth it leaves. A narrow band
-        # is filled in LAPACK band storage in that order: entry (i, j) of the
-        # reordered matrix at row 2 bw + i - j of column j, column-major.
-        self.band = self.order = self.rank = self.band_slot = None
-        if dim:
-            k_idx, k_ptr, _ = self.kkt
-            order = reverse_cuthill_mckee(_matrix(np.ones(k_idx.size), self.kkt, sp.csc_matrix),
-                                          symmetric_mode=True)
-            rank = np.argsort(order)
-            row, col = rank[k_idx], rank[np.repeat(np.arange(dim), np.diff(k_ptr))]
-            bw = int(np.abs(row - col).max())
-            if bw <= _BAND_MAX:
-                self.band, self.order, self.rank = bw, order, rank
-                self.band_slot = (col * (3 * bw + 1) + 2 * bw + row - col)[self.slot]
+        # entry (i, j) of K is filled at (rank[i], rank[j]): in CSC, and in a
+        # band's LAPACK storage at row 2 bw + i - j of column j, column-major
+        row, col = self.rank[keys % dim], self.rank[keys // dim]
+        moved, where = np.unique(col * dim + row, return_inverse=True)
+        self.kkt, self.slot = _csc_pattern(moved, dim), where[slot]
+        self.band_slot, bw = None, self.band
+        if bw is not None:
+            self.band_slot = (col * (3 * bw + 1) + 2 * bw + row - col)[slot]
         # the indices each solve reads once, not in every iteration, are
         # held in 32 bits: half the memory, at the price of a cast per gather
         for name in ("bound_ent", "s_ent", "e1", "e2", "f1", "f2", "o_ent", "o_slack",
@@ -506,29 +534,6 @@ class _Analysis:
                 _matrix(a_data[self.a_order], self.a_t),
                 _matrix(g_data[self.g_order], self.g_t))
 
-    def permuted(self, perm: np.ndarray):
-        """Slots and CSC pattern of ``P K P'``, where entry (r, c) of K moves
-        to (perm[r], perm[c]).
-
-        Those of the first ordering asked for are kept and handed to every
-        later call with an equal ``perm``; another ordering gets its own.
-        """
-        if self._permuted is not None and np.array_equal(self._permuted[0], perm):
-            return self._permuted[1:]
-        dim = self.dim
-        indices, indptr, _ = self.kkt
-        cols = np.repeat(perm.astype(np.int64), np.diff(indptr))
-        keys = cols * dim + perm[indices]
-        order = np.argsort(keys)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        slot, pattern = rank[self.slot], _csc_pattern(keys[order], dim)
-        if self._permuted is None:
-            self._permuted = (np.array(perm), slot, pattern)
-            for arr in (self._permuted[0], slot, *pattern[:2]):
-                arr.setflags(write=False)
-        return slot, pattern
-
 
 # the analyses of the two patterns solved most recently, the newest last;
 # shared by every solve in the process, so each lookup holds the lock
@@ -541,7 +546,8 @@ def _analyze(prob: QpProblem) -> _Analysis:
 
     A recent analysis serves when each array of its key equals that of
     ``prob``. Otherwise the least recent of two is dropped before a new one
-    is built, so no more than two are held at any time.
+    is built, so no more than two are held at any time; the new one is
+    handed the orderings of both, and takes one of an equal KKT pattern.
     """
     key = _pattern_key(prob)
     with _RECENT_LOCK:
@@ -549,9 +555,10 @@ def _analyze(prob: QpProblem) -> _Analysis:
             if all(map(np.array_equal, key, analysis.key)):
                 _RECENT.append(_RECENT.pop(i))
                 return analysis
+        orderings = [analysis.ordering for analysis in _RECENT]
         if len(_RECENT) == 2:
             del _RECENT[0]
-        _RECENT.append(_Analysis(key))
+        _RECENT.append(_Analysis(key, orderings))
         return _RECENT[-1]
 
 
@@ -592,11 +599,10 @@ class _KktAssembler:
     ``a_ki a_kl`` of a row of A, each product ``g_ri g_si`` of a column of G
     on E, the entries of G_R and G_R', and ``-reg``) has a precomputed slot
     in the pattern; the products of A are scaled by ``W'``, those of G by
-    ``-1/D``. A narrow band (``_Analysis.band``) comes as a new
-    ``(3 bw + 1, dim)`` Fortran-ordered array in LAPACK band storage, in
-    the reverse Cuthill-McKee order, which ``dgbtrf`` factors in place.
-    Otherwise every call returns the same CSC matrix object with new values,
-    until :meth:`permute` moves the slots. :meth:`condense` and
+    ``-1/D``. The matrix comes in the analysis's order: a narrow band
+    (``_Analysis.band``) as a new ``(3 bw + 1, dim)`` array in Fortran order
+    in LAPACK band storage, which ``dgbtrf`` factors in place, a wider
+    pattern as a CSC matrix (:meth:`csc`). :meth:`condense` and
     :meth:`expand` take a right-hand side to the condensed system, in the
     order of the matrix, and its solution back to ``(dx, dy)``, with the
     pivots of the last call: each makes one product with B or B' and scales
@@ -623,14 +629,6 @@ class _KktAssembler:
         self._values = np.concatenate([
             d[an.keep], r_val, r_val, np.full(an.dim - an.keep.size, -reg),
             self._a_prod, self._g_prod])
-        # a vector of the factored system is gathered into the order of the
-        # matrix (None: the same order) and its solution gathered back
-        self._order, self._rank = an.order, an.rank
-        if an.band is None:
-            self._slot, self._size = an.slot, an.kkt[0].size
-            self._kkt = _matrix(np.zeros(self._size), an.kkt, sp.csc_matrix)
-        else:
-            self._slot, self._size = an.band_slot, an.dim * (3 * an.band + 1)
 
     def __call__(self, w: np.ndarray) -> sp.csc_matrix | np.ndarray:
         an = self._an
@@ -649,20 +647,17 @@ class _KktAssembler:
         np.multiply(np.concatenate([w, harmonic])[an.pair_w], self._a_prod,
                     out=self._values[an.n_fixed:k])
         np.multiply(inv[an.gp_pos], self._g_prod, out=self._values[k:])
-        data = np.bincount(self._slot, weights=self._values, minlength=self._size)
-        if an.band is not None:
-            return data.reshape(an.dim, 3 * an.band + 1).T
-        self._kkt.data = data
-        return self._kkt
+        if an.band is None:
+            return self.csc()
+        rows = 3 * an.band + 1
+        data = np.bincount(an.band_slot, weights=self._values, minlength=an.dim * rows)
+        return data.reshape(an.dim, rows).T
 
     def csc(self) -> sp.csc_matrix:
         """The matrix of the last call as a CSC matrix, in the same order."""
         an = self._an
-        if an.band is None:
-            return self._kkt
-        slot, pattern = an.permuted(an.rank)
-        return _matrix(np.bincount(slot, weights=self._values, minlength=pattern[0].size),
-                       pattern, sp.csc_matrix)
+        return _matrix(np.bincount(an.slot, weights=self._values, minlength=an.kkt[0].size),
+                       an.kkt, sp.csc_matrix)
 
     def condense(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
         """Right-hand side ``[r1_R; r2] - B D_E^-1 r1_E`` of the condensed
@@ -671,41 +666,29 @@ class _KktAssembler:
         e_var = self._an.e_var
         rhs = (np.concatenate([r1[self.keep], r2])
                - self._border @ (self._col_weight * r1[e_var]))
-        return rhs if self._order is None else rhs[self._order]
+        return rhs[self._an.order]
 
     def expand(self, sol: np.ndarray, r1: np.ndarray):
         """``(dx, dy)`` of the whole system from the solution ``sol`` of the
         condensed one, in the order of the matrix: ``dx_E = D_E^-1 (r1_E -
         B' sol)``, ``dx_R`` and ``dy`` from ``sol``, and 0 for a frozen
         variable."""
-        if self._rank is not None:
-            sol = sol[self._rank]
+        sol = sol[self._an.rank]
         e_var, n_r = self._an.e_var, self.keep.size
         dx = np.zeros(r1.size)
         dx[self.keep] = sol[:n_r]
         dx[e_var] = r1[e_var] * self._inv - self._col_weight * (self._border_t @ sol)
         return dx, sol[n_r:]
 
-    def permute(self, perm: np.ndarray) -> None:
-        """Move entry (r, c) of the CSC matrix to (perm[r], perm[c]) in every
-        later call.
 
-        The later matrices are ``P K P'`` with ``(P v)[perm[r]] = v[r]``, so
-        ``K x = b`` is solved as ``P K P' y = b[argsort(perm)]``,
-        ``x = y[perm]``: :meth:`condense` and :meth:`expand` gather so.
-        """
-        self._slot, pattern = self._an.permuted(perm)
-        self._kkt = _matrix(np.zeros(pattern[0].size), pattern, sp.csc_matrix)
-        self._order, self._rank = np.argsort(perm), perm
-
-
-def _splu_symmetric(kkt: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
+def _splu_symmetric(kkt: sp.csc_matrix, permc_spec: str = "NATURAL"):
     """LU of the quasi-definite KKT matrix without pivoting.
 
-    A symmetric fill-reducing ordering of ``K + K'`` keeps the fill linear in
-    the number of scenarios. ``_ipm`` takes it from its first factorization
-    and factors the later, symmetrically permuted matrices in ``NATURAL``
-    order, with the same fill. Panels one column wide suit the few non-zeros
+    ``_ipm`` factors every matrix in ``NATURAL`` order: it comes filled in
+    the order of its analysis, a fill-reducing ordering of ``K + K'`` that
+    keeps the fill linear in the number of scenarios, and which
+    :func:`_ordering` reads from one ``MMD_AT_PLUS_A`` factorization of its
+    pattern. Panels one column wide suit the few non-zeros
     per column of L and U (about 7): on the S=20 planning KKT they take
     about 40 % less factor time than SuperLU's default width. The diagonal
     pivots of a quasi-definite matrix are nonzero in exact arithmetic but can
@@ -739,8 +722,10 @@ def _ipm(prob: QpProblem):
 
     Each Newton direction is one solve with the condensed KKT matrix of
     :class:`_KktAssembler`: bound-only variables and single-row slacks are
-    eliminated in closed form. A narrow band is factored by
-    :class:`_BandLu`, a wider pattern by SuperLU (see the module note). A frozen variable starts at ``ub`` and no
+    eliminated in closed form. The matrix comes in the order of the
+    analysis, and is factored in that order: a narrow band by
+    :class:`_BandLu`, a wider pattern by SuperLU without reordering it (see
+    the module note). A frozen variable starts at ``ub`` and no
     direction moves it; its entry of the stationarity residual is left out,
     in the stopping test and in ``residuals.dual``, as the multiplier of the
     unit row it does not have would take it up.
@@ -766,9 +751,6 @@ def _ipm(prob: QpProblem):
     reg = _REG * max(1.0, float(np.max(hdiag, initial=0.0)))
     assemble = _KktAssembler(analysis, a_all, g_t, hdiag + reg, reg)
     band = analysis.band
-    # the matrix comes in the order it is factored in: a band's from the
-    # start, SuperLU's after its first factorization
-    ordered = band is not None
 
     # starting point: bound midpoints where available, else zero
     x = np.clip(0.0, prob.lb, prob.ub)
@@ -825,8 +807,7 @@ def _ipm(prob: QpProblem):
                     lu = _BandLu(kkt, band)
                 else:
                     try:
-                        lu = (_splu_symmetric(kkt, "NATURAL") if ordered
-                              else _splu_symmetric(kkt))
+                        lu = _splu_symmetric(kkt)
                     except RuntimeError:
                         # exact zero pivot: refactor with partial pivoting
                         lu, pivoted = spla.splu(kkt), True
@@ -875,11 +856,6 @@ def _ipm(prob: QpProblem):
             break
         finally:
             refactors += pivoted
-        if not (ordered or pivoted):
-            # the pattern is fixed, so the ordering is too: fill the later
-            # matrices in its order and factor them without reordering
-            ordered = True
-            assemble.permute(lu.perm_c)
         if max(a_p, a_d) < _MIN_STEP:
             break  # stalled after a pivoted factorization too
         x = x + a_p * dx

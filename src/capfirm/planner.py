@@ -39,7 +39,10 @@ fixed (the pv_used where a scenario has no PV, and the terminal SoC). So one
 day's plans on one scenario set share a sparsity pattern at every ratio and
 price, and the solver reuses its analysis of that pattern when they are
 solved one after another, alternating with the day's control QPs, which
-share one pattern of their own.
+share one pattern of their own. Plans of different days do not share a
+standard form, as their PV-free periods, and so their fixed pv_used,
+differ. But those are frozen, so the plans share a KKT pattern, and the
+solver carries its ordering of that pattern from one day to the next.
 """
 
 from __future__ import annotations

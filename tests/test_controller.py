@@ -99,6 +99,18 @@ class TestOracleControl:
             assert np.array_equal(p_prob.lb[p_cols], c_prob.lb[c_cols])
             assert np.array_equal(p_prob.ub[p_cols], c_prob.ub[c_cols])
 
+    def test_nan_realized_pv_is_rejected_before_solving(self):
+        # one NaN period reaches the pv_used bound; it used to run the whole
+        # interior point and its certificate into a SolverError (dual nan)
+        grid = toy_grid(8)
+        policy = toy_policy(grid)
+        system = toy_system(capacity_kwh=20.0)
+        pv = np.array([0.0, 10.0, 35.0, 70.0, 80.0, 45.0, 15.0, 0.0])
+        planned = plan_deterministic(pv, grid, policy, system, mode="Dstar")
+        pv[3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            oracle_control(planned.engagement, pv, policy, system, grid)
+
     def test_zero_engagement_zero_pv_is_idle(self):
         grid = toy_grid(6)
         policy = toy_policy(grid)

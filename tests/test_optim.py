@@ -56,6 +56,31 @@ class TestQpProblem:
         with pytest.raises(ValueError, match="nonnegative"):
             QpProblem(**base, comp_pairs=[(3, 0)])
 
+    @pytest.mark.parametrize("pair", [(0, -2), (0, 4)], ids=["negative", "past_the_end"])
+    def test_pair_indices_outside_the_variables_are_rejected(self, pair):
+        # a negative index would wrap to variable n - 2 and be branched on
+        base = dict(q=np.zeros(4), c=np.ones(4), lb=np.zeros(4), ub=np.ones(4))
+        with pytest.raises(ValueError, match=r"\[0, n\)"):
+            QpProblem(**base, comp_pairs=[pair])
+
+    @pytest.mark.parametrize("field", ["q", "c", "b_ub", "b_eq", "a_ub", "a_eq", "lb", "ub"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_data_is_rejected(self, field, bad):
+        # every value must be finite, except a bound, which may be infinite
+        # but not NaN
+        rows = dict(q=np.ones(3), c=np.ones(3), a_ub=np.eye(3)[:2], b_ub=np.ones(2),
+                    a_eq=np.ones((1, 3)), b_eq=np.ones(1), lb=np.zeros(3),
+                    ub=np.full(3, 2.0))
+        QpProblem(**rows)
+        value = np.array(rows[field], dtype=float)
+        value.flat[-1] = bad
+        rows[field] = value
+        if field in ("lb", "ub") and bad == np.inf:
+            QpProblem(**rows)
+            return
+        with pytest.raises(ValueError, match="finite|NaN"):
+            QpProblem(**rows)
+
 
 class TestSolveQpBasics:
     def test_active_bound(self):
@@ -213,8 +238,10 @@ class TestSolveQpBasics:
             def solve(self, rhs):
                 return np.full_like(rhs, np.nan)
 
+        prob = _noisy_planning_qp(n_periods=8, n_scen=3)
+        optim._analyze(prob)      # its ordering comes from a factorization of its own
         monkeypatch.setattr(optim, "_splu_symmetric", lambda kkt: NanLu())
-        _, status, _, iterations, _ = optim._ipm(_noisy_planning_qp(n_periods=8, n_scen=3))
+        _, status, _, iterations, _ = optim._ipm(prob)
         assert status is None
         assert iterations == 1
 
@@ -235,7 +262,7 @@ class TestSolveQpBasics:
         # on to the optimum, not stop and raise
         class HugeOnceLu:
             def __init__(self, lu):
-                self.lu, self.perm_c, self.solves = lu, lu.perm_c, 0
+                self.lu, self.solves = lu, 0
 
             def solve(self, rhs):
                 self.solves += 1
@@ -248,8 +275,10 @@ class TestSolveQpBasics:
             factors.append(splu_symmetric(kkt, *args))
             return HugeOnceLu(factors[-1]) if len(factors) == 3 else factors[-1]
 
+        prob = _noisy_planning_qp(n_periods=8, n_scen=3)
+        optim._analyze(prob)      # its ordering comes from a factorization of its own
         monkeypatch.setattr(optim, "_splu_symmetric", third_factor_huge)
-        sol = solve_qp(_noisy_planning_qp(n_periods=8, n_scen=3))
+        sol = solve_qp(prob)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.refactors == 1
 
@@ -311,20 +340,22 @@ def _assembler(prob):
 
 def _dense(assemble, w):
     """The matrix the assembler fills at weights w, dense and in the order of
-    K: a CSC matrix as it comes, band storage read out of its reverse
-    Cuthill-McKee order. Band storage holds what the CSC matrix of the same
-    call holds, in that order."""
+    K, read out of the analysis's order. A CSC matrix comes as
+    ``assemble.csc()`` gives it, and band storage holds what the CSC matrix
+    of the same call holds."""
     kkt = assemble(w)
     an = assemble._an
+    dense = assemble.csc().toarray()
     if an.band is None:
-        return kkt.toarray()
-    bw, dim = an.band, an.dim
-    assert kkt.shape == (3 * bw + 1, dim) and kkt.flags.f_contiguous
-    assert not kkt[:bw].any()           # the rows dgbtrf fills in
-    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))) <= bw)
-    dense = np.zeros((dim, dim))
-    dense[i, j] = kkt[2 * bw + i - j, j]
-    assert np.array_equal(assemble.csc().toarray(), dense)
+        assert np.array_equal(kkt.toarray(), dense)
+    else:
+        bw, dim = an.band, an.dim
+        assert kkt.shape == (3 * bw + 1, dim) and kkt.flags.f_contiguous
+        assert not kkt[:bw].any()           # the rows dgbtrf fills in
+        i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))) <= bw)
+        band = np.zeros((dim, dim))
+        band[i, j] = kkt[2 * bw + i - j, j]
+        assert np.array_equal(band, dense)
     return dense[np.ix_(an.rank, an.rank)]
 
 
@@ -577,26 +608,38 @@ class TestKktAssembly:
             per_scenario[n_scen] = (lu.L.nnz + lu.U.nnz) / n_scen
         assert per_scenario[50] <= 1.5 * per_scenario[5]
 
-    def test_reused_ordering_keeps_the_fill_and_the_solution(self):
-        # _ipm takes the ordering of its first factorization and fills the
-        # later matrices permuted by it. Permuting by perm_c where its inverse
-        # belongs multiplies the fill by 21.6 here.
+    @staticmethod
+    def _wide_kkt():
+        """The assembler of an S=20 plan, its matrix at random weights as it
+        comes, in the analysis's order, and the same matrix K in the order
+        of the variables and rows."""
         assemble, parts = _assembler(_noisy_planning_qp(n_periods=96, n_scen=20))
-        m = parts[0].shape[0]
         rng = np.random.default_rng(29)
-        perm = optim._splu_symmetric(assemble(np.exp(rng.uniform(-6.0, 6.0, m)))).perm_c
-        w = np.exp(rng.uniform(-6.0, 6.0, m))
-        kkt = assemble(w).copy()
-        fresh = optim._splu_symmetric(kkt)
-        assemble.permute(perm)
-        inv = np.argsort(perm)
-        permuted = assemble(w)
-        assert (permuted != kkt[inv][:, inv]).nnz == 0
-        reused = optim._splu_symmetric(permuted, "NATURAL")
+        kkt = assemble(np.exp(rng.uniform(-6.0, 6.0, parts[0].shape[0])))
+        rank = assemble._an.rank
+        assert assemble._an.band is None
+        return assemble, kkt, kkt[rank][:, rank]
+
+    def test_wide_ordering_is_superlus_minimum_degree_ordering(self):
+        # the analysis reads its ordering from a matrix of its own on the
+        # pattern: it is the one SuperLU's MMD takes for K itself
+        assemble, _, kkt = self._wide_kkt()
+        assert np.array_equal(assemble._an.rank,
+                              optim._splu_symmetric(kkt, "MMD_AT_PLUS_A").perm_c)
+
+    def test_analysis_order_keeps_the_fill_and_the_solution(self):
+        # the matrix filled in the analysis's order and factored without
+        # reordering has the fill of SuperLU's MMD factorization of K, and
+        # solves alike. Filling by rank where its inverse belongs multiplies
+        # the fill by 29.1 here.
+        assemble, ordered, kkt = self._wide_kkt()
+        an = assemble._an
+        fresh = optim._splu_symmetric(kkt, "MMD_AT_PLUS_A")
+        reused = optim._splu_symmetric(ordered)
         assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz
-        b = rng.standard_normal(kkt.shape[0])
+        b = np.random.default_rng(31).standard_normal(kkt.shape[0])
         ref = fresh.solve(b)
-        got = reused.solve(b[inv])[perm]
+        got = reused.solve(b[an.order])[an.rank]
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
@@ -660,9 +703,9 @@ class TestSharedAnalysis:
         held = []
 
         class Recorded(optim._Analysis):
-            def __init__(self, key):
+            def __init__(self, *args):
                 held.append(len(optim._RECENT))
-                super().__init__(key)
+                super().__init__(*args)
 
         monkeypatch.setattr(optim, "_RECENT", [])
         monkeypatch.setattr(optim, "_Analysis", Recorded)
@@ -672,12 +715,51 @@ class TestSharedAnalysis:
         assert optim._analyze(moved) is not optim._analyze(prob)
         assert optim._analyze(moved).a[0][k] == 2 and optim._analyze(prob).a[0][k] == 0
 
+    def test_new_day_takes_the_held_ordering(self, monkeypatch):
+        # two S=20 plans whose scenarios lack PV in different periods: their
+        # standard forms differ in the frozen pv_used, their KKT patterns do
+        # not. The second day's analysis takes the ordering the first's
+        # holds, orders nothing itself, and solves bitwise as with an
+        # ordering of its own.
+        first, second = (_noisy_planning_qp(n_periods=96, n_scen=20, seed=seed)
+                         for seed in (5, 6))
+        assert not np.array_equal(optim._pattern_key(first)[-1],
+                                  optim._pattern_key(second)[-1])
+        monkeypatch.setattr(optim, "_RECENT", [])
+        cold = solve_qp(second)
+        own = optim._analyze(second).ordering
+        optim._RECENT.clear()
+        assert solve_qp(first).status is SolveStatus.OPTIMAL
+        held = optim._analyze(first)
+        specs = []
+        splu = optim.spla.splu
+
+        def recorded(k, **kwargs):
+            specs.append(kwargs.get("permc_spec"))
+            return splu(k, **kwargs)
+
+        def no_ordering(*args, **kwargs):
+            raise AssertionError("reverse Cuthill-McKee called")
+
+        monkeypatch.setattr(optim.spla, "splu", recorded)
+        monkeypatch.setattr(optim, "reverse_cuthill_mckee", no_ordering)
+        warm = solve_qp(second)
+        analysis = optim._analyze(second)
+        assert analysis is not held and analysis.ordering is held.ordering
+        assert analysis.band is None
+        assert all(np.array_equal(*pair) for pair in zip(own[3:], held.ordering[3:]))
+        assert specs and set(specs) == {"NATURAL"}
+        assert cold.status is warm.status is SolveStatus.OPTIMAL
+        assert np.array_equal(warm.x, cold.x)
+        assert (warm.objective, warm.iterations, warm.refactors) == \
+            (cold.objective, cold.iterations, cold.refactors)
+
     def test_shared_analysis_arrays_are_read_only(self):
         prob = _noisy_planning_qp(n_periods=8, n_scen=3)
-        assert solve_qp(prob).status is SolveStatus.OPTIMAL    # stores the permuted slots
+        assert solve_qp(prob).status is SolveStatus.OPTIMAL
         analysis = optim._analyze(prob)
         arrays = [arr for value in vars(analysis).values() for arr in _arrays(value)]
-        assert len(arrays) > 40 and analysis._permuted is not None
+        assert len(arrays) > 40 and analysis.band is None
         assert not any(arr.flags.writeable for arr in arrays)
         with pytest.raises(ValueError, match="read-only"):
             analysis.slot[0] = 0
@@ -686,13 +768,11 @@ class TestSharedAnalysis:
             assemble(np.ones(parts[0].shape[0])).indices[0] = 0
 
     def test_band_analysis_arrays_are_read_only(self):
-        # the band path has its ordering from the start and stores no
-        # permuted slots; its band storage is a new array per call, which
-        # dgbtrf overwrites
+        # its band storage is a new array per call, which dgbtrf overwrites
         prob = _noisy_planning_qp(n_periods=8, n_scen=1)
         assert solve_qp(prob).status is SolveStatus.OPTIMAL
         analysis = optim._analyze(prob)
-        assert analysis.band == 4 and analysis._permuted is None
+        assert analysis.band == 4
         arrays = [arr for value in vars(analysis).values() for arr in _arrays(value)]
         assert len(arrays) > 40
         assert not any(arr.flags.writeable for arr in arrays)
@@ -848,17 +928,28 @@ class TestSolveMiqp:
             viol = comp_violations(prob, sol.x)
             assert np.max(viol) <= 1e-5, f"instance {k}"
 
-    def test_random_storage_screen_is_optimal(self):
-        # five random storage MIQPs per seed on seeds 0-9, drawn as the
-        # enumeration test above draws them; too many to enumerate, but each
-        # must close. Pivoting out every fixed variable made 26 of 300 such
-        # MIQPs (seeds 0-59) raise SolverError.
-        for seed in range(10):
+    @staticmethod
+    def _screen(seeds):
+        # five random storage MIQPs per seed, drawn as the enumeration test
+        # above draws them; too many to enumerate, but each must close
+        for seed in seeds:
             rng = np.random.default_rng(seed)
             for k in range(5):
                 prob = random_storage_miqp(rng, int(rng.integers(2, 7)))
                 sol = solve_miqp(prob)
                 assert sol.status is SolveStatus.OPTIMAL, f"seed {seed}, instance {k}"
+
+    def test_random_storage_screen_is_optimal(self):
+        # seeds 0-9. Pivoting out every fixed variable made 26 of 300 such
+        # MIQPs (seeds 0-59) raise SolverError.
+        self._screen(range(10))
+
+    def test_random_storage_screen_is_optimal_on_superlu(self, superlu_only):
+        # every one of these KKT patterns is a band of at most 8, so the
+        # screen above never reaches SuperLU; here seeds 0-3 are forced onto
+        # it, ordered by minimum degree from the first factorization on
+        self._screen(range(4))
+        assert optim._RECENT and all(an.band is None for an in optim._RECENT)
 
     def test_node_limit_reported(self):
         rng = np.random.default_rng(9)

@@ -498,6 +498,7 @@ class TestPaperScaleDay:
             dims.append(kkt.shape[0])
             raise FirstFactor
 
+        optim._analyze(problem)   # its ordering comes from a factorization of its own
         monkeypatch.setattr(optim, "_splu_symmetric", record)
         with pytest.raises(FirstFactor):
             optim.solve_qp(problem)
