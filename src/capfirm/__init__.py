@@ -3,9 +3,8 @@
 Modules: PV power modeling (:mod:`capfirm.pvusa`), scenario generation
 (:mod:`capfirm.scenarios`), tariff, plant and remuneration rules
 (:mod:`capfirm.domain`), the structured QP/MIQP engine
-(:mod:`capfirm.optim`), day-ahead planning (:mod:`capfirm.planner`),
-intraday control (:mod:`capfirm.controller`) and run configuration
-(:mod:`capfirm.config`).
+(:mod:`capfirm.optim`), day-ahead planning (:mod:`capfirm.planner`) and
+intraday control (:mod:`capfirm.controller`).
 """
 
 __version__ = "0.1.0"

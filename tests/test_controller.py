@@ -1,10 +1,14 @@
 """Oracle controller: optimal dispatch of a fixed engagement."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from capfirm.controller import (
     ControlInfeasibleError,
+    DayEconomics,
     build_control_qp,
     day_economics,
     oracle_control,
@@ -12,6 +16,7 @@ from capfirm.controller import (
 from capfirm.domain import (
     EngagementPlan,
     ShapeError,
+    TimeGrid,
     net_remuneration_series,
     penalty_series,
 )
@@ -19,6 +24,8 @@ from capfirm.planner import PlanningInstance, build_planning_qp, plan_determinis
 from capfirm.scenarios import ScenarioSet
 
 from toys import no_bess_system, toy_grid, toy_policy, toy_system
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _pair_contract_problem(name):
@@ -208,6 +215,31 @@ class TestOracleControl:
         # objective of the solver is the negative of the net remuneration when
         # the underdeviation variable is tight (positive prices)
         assert res.objective == pytest.approx(-eco.net_revenue_eur, abs=1e-6)
+
+    def test_day_economics_scales_with_the_price(self):
+        # every money figure of a day is proportional to the selling price,
+        # so grading one controlled trace at the sweep's 8 prices scales its
+        # economics at 100 EUR/MWh, and leaves the energy figures as they
+        # are. D plan and oracle control of day 77 of synthetic season 5,
+        # ratio 1.25, at 100/200 EUR/MWh.
+        with np.load(DATA / "d_season5_day77.npz") as data:
+            forecast, realized = data["forecast_kw"], data["power_kw"]
+        grid = TimeGrid.daily()
+        policy = toy_policy(grid, 100.0, 200.0, 466.4)
+        system = toy_system(466.4, 1.25 * 466.4)
+        planned = plan_deterministic(forecast, grid, policy, system, mode="D")
+        trace = oracle_control(planned.engagement, realized, policy, system, grid).trace
+        at_100 = day_economics(trace, planned.engagement, policy, grid)
+        for price in np.arange(50.0, 401.0, 50.0):
+            got = day_economics(trace, planned.engagement,
+                                toy_policy(grid, price, 2.0 * price, 466.4), grid)
+            for name in (f.name for f in fields(DayEconomics)):
+                v, want = getattr(got, name), getattr(at_100, name)
+                if name.endswith("_eur"):
+                    scaled = price / 100.0 * want
+                    assert abs(v - scaled) <= 1e-12 * (1.0 + abs(scaled)), (price, name)
+                else:
+                    assert v == want, (price, name)
 
     def test_economics_grading_helper(self):
         grid = toy_grid(4)
