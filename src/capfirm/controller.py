@@ -24,6 +24,7 @@ from .domain import (
     SystemConfig,
     TariffPolicy,
     TimeGrid,
+    money_coefficients,
     net_remuneration_series,
     penalty_series,
 )
@@ -77,16 +78,15 @@ def day_economics(trace: DispatchTrace, engagement: EngagementPlan,
                   policy: TariffPolicy, grid: TimeGrid) -> DayEconomics:
     """Grade a dispatch trace against its engagement under the tariff."""
     dt = grid.delta_t_hours
-    price_kwh = policy.price_eur_mwh / 1000.0
+    revenue, _ = money_coefficients(policy, grid)
     p = trace.production_kw
-    gross = dt * price_kwh * p
     exported = dt * np.maximum(p, 0.0)
     withdrawn = dt * np.maximum(-p, 0.0)
     penalties = penalty_series(engagement.values_kw, p, policy, grid)
     net = net_remuneration_series(engagement.values_kw, p, policy, grid)
     return DayEconomics(
-        gross_revenue_eur=float(np.sum(gross)),
-        export_revenue_eur=float(np.sum(exported * price_kwh)),
+        gross_revenue_eur=float(np.sum(revenue * p)),
+        export_revenue_eur=float(np.sum(revenue * np.maximum(p, 0.0))),
         penalty_eur=float(np.sum(penalties)),
         net_revenue_eur=float(np.sum(net)),
         export_kwh=float(np.sum(exported)),
@@ -152,7 +152,7 @@ def oracle_control(
         raise ControlInfeasibleError(
             "dispatch infeasible (energy-coupled: battery cannot honor the floors)")
 
-    trace = dispatch_trace(sol.x, idx, 0, engagement.values_kw, policy.deadband_kw)
+    trace = dispatch_trace(sol.x, idx, 0)
     trace.validate(grid, system)
     econ = day_economics(trace, engagement, policy, grid)
     return ControlResult(trace=trace, economics=econ, objective=sol.objective,

@@ -2,8 +2,8 @@
 
 Conventions used across the package: power in kW (a negative production is a
 withdrawal from the grid), energy in kWh, stored prices in EUR/MWh. Prices are
-converted to EUR/kWh at the point where money is actually computed so that all
-period economics are plain ``kW * h * EUR/kWh``.
+converted to money in one place, :func:`money_coefficients`, so every money
+term of the QPs and of the grading is the price times one coefficient.
 
 All types are immutable after construction (arrays are made read-only), so
 they can be shared freely between worker processes or threads.
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tender rules (fractions of the installed PV capacity) used by the reference
-# CRE-style contract: ramping limits, engagement/production floors and caps,
-# and the tolerance deadband, with tighter floors during the evening peak window.
+# The reference CRE-style tender, defined here only (fractions of the installed
+# PV capacity): ramping limits, engagement/production floors and caps, and the
+# tolerance deadband, with tighter floors during the evening peak window.
 RAMP_FRAC_OFFPEAK = 0.075
 RAMP_FRAC_PEAK = 0.15
 ENG_MIN_FRAC_OFFPEAK = -0.05
@@ -72,20 +72,15 @@ class TimeGrid:
         object.__setattr__(self, "peak_mask", mask)
 
     @classmethod
-    def daily(
-        cls,
-        delta_t_hours: float = 0.25,
-        peak_start_hour: float = PEAK_START_HOUR,
-        peak_end_hour: float = PEAK_END_HOUR,
-    ) -> "TimeGrid":
-        """Build a 24 h grid; peak periods are those starting in [start, end)."""
+    def daily(cls, delta_t_hours: float = 0.25) -> "TimeGrid":
+        """Build a 24 h grid; peak periods start in [PEAK_START_HOUR, PEAK_END_HOUR)."""
         if not delta_t_hours > 0:
             raise InvalidConfigError("delta_t_hours must be > 0")
         n = int(round(24.0 / delta_t_hours))
         if abs(n * delta_t_hours - 24.0) > 1e-9:
             raise InvalidConfigError("delta_t_hours must divide 24 h")
         starts = np.arange(n) * delta_t_hours
-        mask = (starts >= peak_start_hour) & (starts < peak_end_hour)
+        mask = (starts >= PEAK_START_HOUR) & (starts < PEAK_END_HOUR)
         return cls(n_periods=n, delta_t_hours=delta_t_hours, peak_mask=mask)
 
 
@@ -192,12 +187,11 @@ class DispatchTrace:
     charge_kw: np.ndarray
     discharge_kw: np.ndarray
     soc_kwh: np.ndarray
-    underdev_kw: np.ndarray
 
     def __post_init__(self):
         n = np.asarray(self.production_kw).shape[0]
         for name in ("production_kw", "pv_used_kw", "charge_kw",
-                     "discharge_kw", "soc_kwh", "underdev_kw"):
+                     "discharge_kw", "soc_kwh"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), n, name))
 
     def validate(self, grid: TimeGrid, system: SystemConfig) -> None:
@@ -205,7 +199,7 @@ class DispatchTrace:
         tol = 1e-6
         if self.production_kw.shape[0] != grid.n_periods:
             raise ShapeError("trace length does not match the grid")
-        for name in ("pv_used_kw", "charge_kw", "discharge_kw", "underdev_kw"):
+        for name in ("pv_used_kw", "charge_kw", "discharge_kw"):
             if np.any(getattr(self, name) < -tol):
                 raise ValueError(f"{name} has negative entries beyond tolerance")
         balance = self.production_kw - (self.pv_used_kw + self.discharge_kw - self.charge_kw)
@@ -242,16 +236,6 @@ def build_cre_policy(
     price_offpeak_eur_mwh: float,
     price_peak_eur_mwh: float,
     pv_capacity_kw: float,
-    *,
-    ramp_frac_offpeak: float = RAMP_FRAC_OFFPEAK,
-    ramp_frac_peak: float = RAMP_FRAC_PEAK,
-    eng_min_frac_offpeak: float = ENG_MIN_FRAC_OFFPEAK,
-    eng_min_frac_peak: float = ENG_MIN_FRAC_PEAK,
-    prod_min_frac_offpeak: float = PROD_MIN_FRAC_OFFPEAK,
-    prod_min_frac_peak: float = PROD_MIN_FRAC_PEAK,
-    eng_max_frac: float = ENG_MAX_FRAC,
-    prod_max_frac: float = PROD_MAX_FRAC,
-    deadband_frac: float = DEADBAND_FRAC,
 ) -> TariffPolicy:
     """Assemble the CRE-style tender policy for a plant of given capacity.
 
@@ -265,11 +249,11 @@ def build_cre_policy(
         raise InvalidConfigError("prices must be >= 0")
     peak = grid.peak_mask
     price = np.where(peak, price_peak_eur_mwh, price_offpeak_eur_mwh)
-    ramp = pv_capacity_kw * np.where(peak, ramp_frac_peak, ramp_frac_offpeak)
-    eng_min = pv_capacity_kw * np.where(peak, eng_min_frac_peak, eng_min_frac_offpeak)
-    prod_min = pv_capacity_kw * np.where(peak, prod_min_frac_peak, prod_min_frac_offpeak)
-    eng_max = np.full(grid.n_periods, eng_max_frac * pv_capacity_kw)
-    prod_max = np.full(grid.n_periods, prod_max_frac * pv_capacity_kw)
+    ramp = pv_capacity_kw * np.where(peak, RAMP_FRAC_PEAK, RAMP_FRAC_OFFPEAK)
+    eng_min = pv_capacity_kw * np.where(peak, ENG_MIN_FRAC_PEAK, ENG_MIN_FRAC_OFFPEAK)
+    prod_min = pv_capacity_kw * np.where(peak, PROD_MIN_FRAC_PEAK, PROD_MIN_FRAC_OFFPEAK)
+    eng_max = np.full(grid.n_periods, ENG_MAX_FRAC * pv_capacity_kw)
+    prod_max = np.full(grid.n_periods, PROD_MAX_FRAC * pv_capacity_kw)
     return TariffPolicy(
         price_eur_mwh=price,
         ramp_limit_kw=ramp,
@@ -277,7 +261,7 @@ def build_cre_policy(
         eng_max_kw=eng_max,
         prod_min_kw=prod_min,
         prod_max_kw=prod_max,
-        deadband_kw=deadband_frac * pv_capacity_kw,
+        deadband_kw=DEADBAND_FRAC * pv_capacity_kw,
         pv_capacity_kw=float(pv_capacity_kw),
     )
 
@@ -335,6 +319,16 @@ def check_engagement(plan: EngagementPlan, policy: TariffPolicy) -> EngagementCh
     return EngagementCheck(True, None)
 
 
+def money_coefficients(policy: TariffPolicy,
+                       grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """EUR per kW produced (``dt * price``) and EUR per kW^2 of penalized
+    shortfall (that over the PV capacity) in each period; every money term of
+    the QPs and of the grading is one of them times a power.
+    """
+    revenue = grid.delta_t_hours * (policy.price_eur_mwh / 1000.0)
+    return revenue, revenue / policy.pv_capacity_kw
+
+
 def penalty_series(
     engagement_kw: np.ndarray,
     production_kw: np.ndarray,
@@ -344,15 +338,15 @@ def penalty_series(
     """Threshold-quadratic deviation penalty per period, in EUR.
 
     Underproduction deeper than the deadband below the engagement is charged
-    ``(dt * price / capacity) * d * (d + 4 * deadband)`` where ``d`` is the
-    shortfall beyond the deadband. Inside the deadband, and anywhere above
-    it, the penalty is zero: planned and controlled dispatches never produce
-    above ``engagement + deadband``.
+    ``penalty * d * (d + 4 * deadband)``, with the penalty coefficient of
+    :func:`money_coefficients` and ``d`` the shortfall beyond the deadband.
+    Inside the deadband, and anywhere above it, the penalty is zero: planned
+    and controlled dispatches never produce above ``engagement + deadband``.
     """
     band = policy.deadband_kw
-    coef = grid.delta_t_hours * (policy.price_eur_mwh / 1000.0) / policy.pv_capacity_kw
+    _, penalty = money_coefficients(policy, grid)
     under = np.maximum((np.asarray(engagement_kw) - band) - np.asarray(production_kw), 0.0)
-    return coef * under * (under + 4.0 * band)
+    return penalty * under * (under + 4.0 * band)
 
 
 def net_remuneration_series(
@@ -366,6 +360,6 @@ def net_remuneration_series(
     The gross term is signed: withdrawing from the grid (negative production)
     costs money at the same contracted price.
     """
-    price = policy.price_eur_mwh
-    gross = grid.delta_t_hours * (price / 1000.0) * np.asarray(production_kw)
+    revenue, _ = money_coefficients(policy, grid)
+    gross = revenue * np.asarray(production_kw)
     return gross - penalty_series(engagement_kw, production_kw, policy, grid)

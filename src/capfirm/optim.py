@@ -112,6 +112,7 @@ _REG = 1e-9                   # static regularization of the augmented system
 _STEP_FRACTION = 0.995        # fraction-to-boundary
 _MIN_STEP = 1e-12             # a shorter primal and dual step has stalled
 _MAX_ITER = 120
+_NODE_LIMIT = 1000            # branch-and-bound nodes before the search stops
 _TOL = 1e-9                   # scaled KKT stopping tolerance of the IPM
 _PAIR_REL_TOL = 1e-6          # complementarity tolerance relative to the pair bound
 _BAND_MAX = 8                 # widest KKT band factored as a band matrix
@@ -1007,7 +1008,6 @@ def repair_simultaneous_flow(
 
 def solve_miqp(
     problem: QpProblem,
-    node_limit: int = 1000,
     soc_hints: SocChainHints | None = None,
 ) -> QpSolution:
     """Branch-and-bound over complementarity pairs on top of :func:`solve_qp`.
@@ -1015,7 +1015,7 @@ def solve_miqp(
     Relaxations violating a pair are branched by fixing one side of the
     most-violated pair to zero in each child (ties broken by pair order);
     best-bound search stops when the optimality gap falls below
-    ``1e-6 * (1 + |incumbent|)`` or the node limit is reached. When hints are
+    ``1e-6 * (1 + |incumbent|)`` or after ``_NODE_LIMIT`` nodes. When hints are
     supplied, every violating relaxation point is repaired and a repaired
     point serves as an incumbent, which usually closes the gap at the root.
     The repair makes the flux-preserving reduction only: a point with a pair
@@ -1085,7 +1085,7 @@ def solve_miqp(
         if incumbent_x is not None and incumbent_obj - bound <= gap_tol(incumbent_obj):
             heap.clear()
             break
-        if nodes >= node_limit:
+        if nodes >= _NODE_LIMIT:
             heapq.heappush(heap, (bound, -1, fixes))
             break
         ub = problem.ub.copy()

@@ -60,6 +60,7 @@ from .domain import (
     TariffPolicy,
     TimeGrid,
     check_engagement,
+    money_coefficients,
 )
 from .optim import (
     QpProblem,
@@ -200,16 +201,15 @@ def dispatch_block(
     n = first + 6 * t_n * s_n
     idx = dispatch_index(t_n, s_n, first)
     dt = grid.delta_t_hours
-    price_kwh = policy.price_eur_mwh / 1000.0
+    revenue, penalty = money_coefficients(policy, grid)
     weight = np.asarray(weights, dtype=float)[:, None]
     eta_c, eta_d = system.eta_charge, system.eta_discharge
 
     q = np.zeros(n)
     c = np.zeros(n)
-    c[idx.production] = -weight * dt * price_kwh
-    dev_coef = weight * dt * price_kwh / policy.pv_capacity_kw
-    q[idx.underdev] = dev_coef
-    c[idx.underdev] = 4.0 * policy.deadband_kw * dev_coef
+    c[idx.production] = -weight * revenue
+    q[idx.underdev] = weight * penalty
+    c[idx.underdev] = 4.0 * policy.deadband_kw * q[idx.underdev]
 
     lb = np.full(n, -np.inf)
     ub = np.full(n, np.inf)
@@ -249,17 +249,14 @@ def dispatch_block(
                          pairs=pairs, hints=hints)
 
 
-def dispatch_trace(x: np.ndarray, idx: DispatchIndex, scenario: int,
-                   engagement_kw: np.ndarray, deadband_kw: float) -> DispatchTrace:
+def dispatch_trace(x: np.ndarray, idx: DispatchIndex, scenario: int) -> DispatchTrace:
     """Read one scenario's dispatch out of a solution vector."""
-    production = x[idx.production[scenario]]
     return DispatchTrace(
-        production_kw=production,
+        production_kw=x[idx.production[scenario]],
         pv_used_kw=np.maximum(x[idx.pv_used[scenario]], 0.0),
         charge_kw=np.maximum(x[idx.charge[scenario]], 0.0),
         discharge_kw=np.maximum(x[idx.discharge[scenario]], 0.0),
         soc_kwh=x[idx.soc[scenario]],
-        underdev_kw=np.maximum((engagement_kw - deadband_kw) - production, 0.0),
     )
 
 
@@ -356,8 +353,7 @@ def plan(instance: PlanningInstance) -> PlanResult:
 
     traces = []
     for w in range(instance.scenarios.n_scenarios):
-        trace = dispatch_trace(sol.x, idx, w, engagement.values_kw,
-                               instance.policy.deadband_kw)
+        trace = dispatch_trace(sol.x, idx, w)
         trace.validate(instance.grid, instance.system)
         traces.append(trace)
     return PlanResult(engagement=engagement, traces=tuple(traces),

@@ -248,8 +248,7 @@ class TestOracleControl:
         from capfirm.domain import DispatchTrace
         prod = np.array([0.0, 20.0, -5.0, 0.0])
         trace = DispatchTrace(prod, np.maximum(prod, 0.0), np.zeros(4),
-                              np.zeros(4), np.full(4, 5.0),
-                              np.maximum(eng.values_kw - policy.deadband_kw - prod, 0.0))
+                              np.zeros(4), np.full(4, 5.0))
         eco = day_economics(trace, eng, policy, grid)
         assert eco.withdrawal_kwh == pytest.approx(0.25 * 5.0)
         assert eco.export_revenue_eur == pytest.approx(0.25 * 20.0 * 0.1)

@@ -1,5 +1,7 @@
 """Tariff construction, engagement checking and remuneration rules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ class TestBuildCrePolicy:
         with pytest.raises(InvalidConfigError, match="finite"):
             build_cre_policy(grid, 50.0, 100.0, np.inf)
         with pytest.raises(InvalidConfigError, match="finite"):
-            build_cre_policy(grid, 50.0, 100.0, PC, deadband_frac=np.nan)
+            replace(build_cre_policy(grid, 50.0, 100.0, PC), deadband_kw=np.nan)
 
 
 class TestCheckEngagement:
@@ -305,14 +307,14 @@ class TestDispatchTrace:
         soc = 10.0 + np.cumsum(flux)
         pv = np.array([50.0, 20.0, 0.0, 0.0])
         prod = pv + discharge - charge
-        trace = DispatchTrace(prod, pv, charge, discharge, soc, np.zeros(4))
+        trace = DispatchTrace(prod, pv, charge, discharge, soc)
         trace.validate(g, sys)
 
     def test_balance_violation_detected(self):
         g = TimeGrid(2, 0.25, np.zeros(2, dtype=bool))
         sys = self._system()
         trace = DispatchTrace([10.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
-                              [10.0, 10.0], [0.0, 0.0])
+                              [10.0, 10.0])
         with pytest.raises(ValueError, match="balance"):
             trace.validate(g, sys)
 
@@ -320,7 +322,7 @@ class TestDispatchTrace:
         # validate passed an all-NaN trace: every comparison with NaN is False
         nan = np.full(2, np.nan)
         with pytest.raises(ValueError, match="production_kw must be finite"):
-            DispatchTrace(nan, nan, nan, nan, nan, nan)
+            DispatchTrace(nan, nan, nan, nan, nan)
         with pytest.raises(ValueError, match="soc_kwh must be finite"):
             DispatchTrace([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
-                          [10.0, np.inf], [0.0, 0.0])
+                          [10.0, np.inf])

@@ -951,10 +951,11 @@ class TestSolveMiqp:
         self._screen(range(4))
         assert optim._RECENT and all(an.band is None for an in optim._RECENT)
 
-    def test_node_limit_reported(self):
+    def test_node_limit_reported(self, monkeypatch):
+        monkeypatch.setattr(optim, "_NODE_LIMIT", 2)
         rng = np.random.default_rng(9)
         prob = random_storage_miqp(rng, 6)
-        sol = solve_miqp(prob, node_limit=2)
+        sol = solve_miqp(prob)
         assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.NODE_LIMIT_INCUMBENT,
                               SolveStatus.NODE_LIMIT_NO_INCUMBENT,
                               SolveStatus.INFEASIBLE)

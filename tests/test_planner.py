@@ -14,6 +14,7 @@ from capfirm.domain import (
     TimeGrid,
     battery_floor_scale,
     check_engagement,
+    money_coefficients,
     net_remuneration_series,
 )
 from capfirm.planner import (
@@ -57,6 +58,31 @@ class TestBuild:
         prob, _, _ = build_planning_qp(
             PlanningInstance(grid, policy, system, scen, "D"))
         assert prob.n_var == 96 * 7
+
+    def test_costs_are_the_tender_money_times_the_weights(self):
+        # unequal weights and a period of 0.3 h, so a product taken in
+        # another order than money_coefficients' rounds differently
+        grid = toy_grid(8, delta_t=0.3, peak=(6, 7))
+        policy = toy_policy(grid, 70.0, 130.0)
+        system = toy_system(capacity_kwh=20.0)
+        rng = np.random.default_rng(11)
+        base = np.array([0.0, 15.0, 40.0, 70.0, 75.0, 50.0, 25.0, 5.0])
+        values = np.clip(base + rng.normal(0.0, 8.0, (3, 8)), 0.0, 100.0)
+        weights = np.array([0.5, 0.3, 0.2])
+        instance = PlanningInstance(grid, policy, system,
+                                    ScenarioSet(values, weights), "S")
+        prob, _, idx = build_planning_qp(instance)
+        revenue, penalty = money_coefficients(policy, grid)
+        w = weights[:, None]
+        assert np.array_equal(prob.c[idx.production], -w * revenue)
+        assert np.array_equal(prob.q[idx.underdev], w * penalty)
+        assert np.array_equal(prob.c[idx.underdev],
+                              4.0 * policy.deadband_kw * (w * penalty))
+        res = plan(instance)
+        net = sum(wi * float(np.sum(net_remuneration_series(
+            res.engagement.values_kw, trace.production_kw, policy, grid)))
+            for wi, trace in zip(weights, res.traces))
+        assert abs(res.objective + net) <= 1e-6 * (1.0 + abs(net))
 
     def test_sparse_rows_match_the_summing_coo_build(self, monkeypatch):
         # the planning and control matrices, built straight into CSR, have

@@ -1,5 +1,7 @@
 """Small shared fixtures: toy grids, policies and battery systems."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from capfirm.domain import SystemConfig, TimeGrid, build_cre_policy
@@ -13,8 +15,20 @@ def toy_grid(n_periods, delta_t=0.25, peak=None):
 
 
 def toy_policy(grid, price_offpeak=100.0, price_peak=200.0, pv_capacity=100.0,
-               **kwargs):
-    return build_cre_policy(grid, price_offpeak, price_peak, pv_capacity, **kwargs)
+               ramp_frac_offpeak=None, prod_min_frac_peak=None, deadband_frac=None):
+    """The reference tender, with any rule given here set to another fraction."""
+    policy = build_cre_policy(grid, price_offpeak, price_peak, pv_capacity)
+    peak = grid.peak_mask
+    changes = {}
+    if ramp_frac_offpeak is not None:
+        changes["ramp_limit_kw"] = np.where(peak, policy.ramp_limit_kw,
+                                            ramp_frac_offpeak * pv_capacity)
+    if prod_min_frac_peak is not None:
+        changes["prod_min_kw"] = np.where(peak, prod_min_frac_peak * pv_capacity,
+                                          policy.prod_min_kw)
+    if deadband_frac is not None:
+        changes["deadband_kw"] = deadband_frac * pv_capacity
+    return replace(policy, **changes)
 
 
 def toy_system(pv_capacity=100.0, capacity_kwh=30.0, hours_to_full=1.0,
