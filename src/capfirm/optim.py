@@ -46,20 +46,30 @@ bandwidth of at most ``_BAND_MAX``, as for a single-scenario plan
 every six solves of a sizing sweep, the matrix is filled in LAPACK band
 storage in that order and LAPACK ``dgbtrf`` factors it with partial
 pivoting, in about a third of SuperLU's time. A wider pattern (an S=20 plan
-has bandwidth 80) is put in SuperLU's multiple minimum degree order of
-``K + K'`` (Liu 1985), and SuperLU factors it in that order without
-pivoting, so that the fill stays linear in the number of scenarios. The
-order depends on the KKT pattern alone, which plans of different days
-share although their standard forms differ, so a new analysis takes it
-from a held one of an equal KKT pattern. SuperLU runs with panels one
-column wide. The static regularization ``d`` keeps the pivots
-clear of zero, so each Newton direction is one solve with the
-factorization, without refinement. An iteration is redone once with
-SuperLU's partial pivoting when its unpivoted factorization meets an exact
-zero pivot, or when its step collapses (both step lengths below
-``_MIN_STEP``): near the end an unpivoted direction can blow up although
-no pivot is zero, and so can a band LU's, whose pivots are chosen in the
-band's order without regard to the blocks. Both are counted in
+has bandwidth 80 and dimension 5,896) is factored without pivoting, which
+any symmetric order allows on a quasi-definite matrix (Vanderbei 1995). It
+is eliminated in rounds first. Each round takes a greedy independent set
+of columns with few entries and eliminates them together, as multiple
+minimum degree eliminates independent columns of least degree (Liu 1985).
+In an S=20 plan four rounds take 5,340 columns: the production columns,
+the power balance rows, the terminal SoC with its unit row and the first
+SoC row of each scenario, and then every other SoC row of each scenario's
+chain, twice. A round is a few array operations on a value array, whatever
+the number of its columns, where SuperLU pays per column. SuperLU factors
+the 556 columns left, the engagement columns and 23 SoC rows per scenario,
+in its multiple minimum degree order of their pattern, with panels one
+column wide, so that the fill stays linear in the number of scenarios. The
+rounds, their slots and that order depend on the KKT pattern alone, which
+plans of different days share although their standard forms differ, so a
+new analysis takes them from a held one of an equal KKT pattern. The
+static regularization ``d`` keeps the pivots clear of zero, so each Newton
+direction is one solve with the factorization, without refinement. An
+iteration is redone once with SuperLU's partial pivoting of the whole
+matrix when its unpivoted factorization meets an exact zero pivot, in a
+round or in what they leave, or when its step collapses (both step lengths
+below ``_MIN_STEP``): near the end an unpivoted direction can blow up
+although no pivot is zero, and so can a band LU's, whose pivots are chosen
+in the band's order without regard to the blocks. Both are counted in
 ``QpSolution.refactors``. A zero pivot of the band LU means an exactly
 singular matrix, as in a pivoted SuperLU factorization: infeasibility is
 suspected. A floor on the corrector's centering target keeps
@@ -101,6 +111,7 @@ import heapq
 import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,6 +127,7 @@ _NODE_LIMIT = 1000            # branch-and-bound nodes before the search stops
 _TOL = 1e-9                   # scaled KKT stopping tolerance of the IPM
 _PAIR_REL_TOL = 1e-6          # complementarity tolerance relative to the pair bound
 _BAND_MAX = 8                 # widest KKT band factored as a band matrix
+_ROUND_CAPS = (3, 3, 4, 6)    # most entries of a column pivoted in each elimination round
 
 
 class SolverError(RuntimeError):
@@ -335,30 +347,194 @@ def _row_pairs(indptr: np.ndarray, counts: np.ndarray):
     return row, start + j // counts[row], start + j % counts[row]
 
 
+def _mmd_order(kkt: tuple) -> np.ndarray:
+    """SuperLU's MMD ordering of ``K + K'`` for the CSC pattern ``kkt``.
+
+    It reads the pattern alone, from a factorization of a matrix on it that
+    meets no zero pivot: off-diagonals 1, diagonal nnz(K).
+    """
+    indices, indptr, (dim, _) = kkt
+    if not dim:
+        return np.zeros(0, dtype=np.int64)
+    col = np.repeat(np.arange(dim), np.diff(indptr))
+    values = np.where(indices == col, float(indices.size), 1.0)
+    lu = _splu_symmetric(_matrix(values, kkt, sp.csc_matrix), "MMD_AT_PLUS_A")
+    return np.argsort(lu.perm_c)
+
+
+def _independent_rounds(kkt: tuple):
+    """The pivots of the elimination rounds of the symmetric CSC pattern
+    ``kkt``, and what is left.
+
+    Round r visits the columns with at most ``_ROUND_CAPS[r]`` entries in
+    the pattern left by the rounds before it, by increasing count and then
+    index, and takes each that no column taken before it in the round
+    touches: an independent set, whose pivots are eliminated together, each
+    joining its neighbours into a clique (the fill). Returns, per round,
+    its pivots in that order and their neighbours, a ``(n_k, k)`` array per
+    count ``k`` of off-diagonal entries, and then the columns left and the
+    off-diagonal entries among them, as sorted keys ``col * dim + row``.
+    """
+    indices, indptr, (dim, _) = kkt
+    col = np.repeat(np.arange(dim, dtype=np.int64), np.diff(indptr))
+    off = indices != col
+    edges = col[off] * dim + indices[off]
+    alive = np.ones(dim, dtype=bool)
+    rounds = []
+    for cap in _ROUND_CAPS:
+        head, tail = np.divmod(edges, dim)
+        degree = np.bincount(head, minlength=dim)
+        start = np.concatenate([[0], np.cumsum(degree)])
+        candidates = np.flatnonzero(alive & (degree < cap))
+        candidates = candidates[np.argsort(degree[candidates], kind="stable")]
+        ptr, neighbours = start.tolist(), tail.tolist()
+        blocked = bytearray(dim)
+        taken = []
+        for j in candidates.tolist():
+            if not blocked[j]:
+                taken.append(j)
+                for i in neighbours[ptr[j]:ptr[j + 1]]:
+                    blocked[i] = 1
+        if not taken:
+            continue
+        pivots = np.array(taken, dtype=np.int64)
+        counts = degree[pivots]
+        first = np.repeat(start[pivots] - np.cumsum(counts) + counts, counts)
+        nbr = tail[first + np.arange(first.size)]
+        groups, fill, at = [], [], 0
+        for k, n_k in zip(*np.unique(counts, return_counts=True)):
+            block = nbr[at:at + k * n_k].reshape(n_k, k)
+            at += k * n_k
+            groups.append(block)
+            pairs = block[:, None, :] * dim + block[:, :, None]
+            fill.append(pairs[:, ~np.eye(k, dtype=bool)].ravel())
+        gone = np.zeros(dim, dtype=bool)
+        gone[pivots] = True
+        # the edges kept are sorted: a stable sort merges the fill into them
+        edges = np.sort(np.concatenate([edges[~(gone[head] | gone[tail])], *fill]),
+                        kind="stable")
+        edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])[:edges.size]]
+        alive[pivots] = False
+        rounds.append((pivots, groups))
+    return rounds, np.flatnonzero(alive), edges
+
+
+class _Round(NamedTuple):
+    """One elimination round of :class:`_Rounds`; its index arrays run over
+    the round's column entries, group by group."""
+
+    first: int            # the round's pivots are first .. first + n in the order
+    n: int
+    groups: tuple         # (k, n_k): n_k pivots with k off-diagonal entries each
+    v_start: int          # the round's block v[v_start:v_stop]
+    v_stop: int
+    target: np.ndarray    # slot after v_stop of each product l_i c_j, [i, j, pivot]
+    rows: np.ndarray      # row after the round's pivots of each column entry
+    owner: np.ndarray     # pivot, within the round, of each column entry
+
+
+class _Rounds:
+    """The elimination rounds of a wide KKT pattern, fixed by the pattern alone.
+
+    A matrix on the pattern, filled in the ordering that :func:`_ordering`
+    builds with it, has the pivots of each round first, round after round,
+    and the remainder last in its MMD order. Each factorization works on one
+    value array ``v``: the lower entries of each round's pivot columns,
+    block by block in the order of the rounds (a block holds the round's
+    diagonal, then its column entries, a ``(k, n_k)`` array per group of
+    pivots with k off-diagonal entries each), then the remainder's CSC
+    entries, then one slot that takes what nothing reads, the updates of
+    the upper entries outside the remainder. So a round reads a slice of
+    ``v`` and updates only the slots after its block. It holds ``n_elim``,
+    the number of pivots of the rounds, ``size``, the length of ``v``,
+    ``kpos``, the slot in ``v`` of each entry of the matrix's CSC pattern,
+    ``remainder``, the CSC pattern ``(indices, indptr, shape)`` of what the
+    rounds leave, and ``rounds``, a :class:`_Round` each. The index arrays
+    are 32-bit and read-only.
+    """
+
+    def __init__(self, kkt: tuple, rank: np.ndarray, rounds: list, edges: np.ndarray):
+        indices, indptr, (dim, _) = kkt
+        col = np.repeat(np.arange(dim, dtype=np.int64), np.diff(indptr))
+        self.n_elim = n_elim = sum(pivots.size for pivots, _ in rounds)
+        n_rem = dim - n_elim
+
+        # every entry read, by its key col * dim + row in the order, at its slot
+        keys, layout, first, v_start = [], [], 0, 0
+        for pivots, groups in rounds:
+            n = pivots.size
+            at = first + np.arange(n)
+            keys.append(at * (dim + 1))
+            for block in groups:
+                n_k, k = block.shape
+                keys.append((at[:n_k, None] * dim + rank[block]).T.ravel())
+                at = at[n_k:]
+            v_stop = v_start + n + sum(block.size for block in groups)
+            layout.append((first, n, v_start, v_stop))
+            first, v_start = first + n, v_stop
+        rem_keys = np.sort(np.concatenate([rank[edges // dim] * dim + rank[edges % dim],
+                                           np.arange(n_elim, dim) * (dim + 1)]))
+        keys = np.concatenate([*keys, rem_keys])
+        self.size = size = keys.size + 1          # the last slot takes the unread updates
+        by_key = np.argsort(keys)
+        sorted_keys = keys[by_key]
+
+        def slot(key):
+            at = np.minimum(np.searchsorted(sorted_keys, key), keys.size - 1)
+            return np.where(sorted_keys[at] == key, by_key[at], size - 1)
+
+        self.kpos = slot(np.sort(rank[col] * dim + rank[indices])).astype(np.intc)
+        rem_col, rem_row = np.divmod(rem_keys - n_elim * (dim + 1), dim)
+        self.remainder = (*_csc_pattern(rem_col * n_rem + rem_row, n_rem)[:2], (n_rem, n_rem))
+        steps = []
+        for (_, groups), (first, n, v_start, v_stop) in zip(rounds, layout):
+            target, rows, owner, at = [], [], [], 0
+            for block in groups:
+                n_k, k = block.shape
+                ranked = rank[block].T
+                # l_i c_j, at [i, j, pivot], updates entry (row i, column j)
+                target.append(slot(ranked[None, :, :] * dim + ranked[:, None, :]).ravel())
+                rows.append(ranked.ravel())
+                owner.append(np.tile(at + np.arange(n_k), k))
+                at += n_k
+            arrays = (np.concatenate(target) - v_stop, np.concatenate(rows) - first - n,
+                      np.concatenate(owner))
+            steps.append(_Round(first, n, tuple(block.shape[::-1] for block in groups),
+                                v_start, v_stop, *(arr.astype(np.intc) for arr in arrays)))
+        self.rounds = tuple(steps)
+        for arr in (self.kpos, *self.remainder[:2], *(a for r in steps for a in r[5:])):
+            arr.setflags(write=False)
+
+
 def _ordering(kkt: tuple):
-    """``(band, order, rank)``: the order in which every matrix on the
-    structurally symmetric CSC pattern ``kkt`` is filled and factored.
+    """``(band, order, rank, rounds)``: the order in which every matrix on
+    the structurally symmetric CSC pattern ``kkt`` is filled and factored.
 
     Entry (i, j) goes to (rank[i], rank[j]); ``order`` is the inverse. It is
     reverse Cuthill-McKee when that leaves a bandwidth ``band`` of at most
-    ``_BAND_MAX``. Otherwise ``band`` is None, and it is SuperLU's MMD
-    ordering of ``K + K'``, which reads the pattern alone, from a
-    factorization of a matrix on it that meets no zero pivot: off-diagonals
-    1, diagonal nnz(K).
+    ``_BAND_MAX``, and ``rounds`` is None. Otherwise ``band`` is None, and it
+    is the pivots of the elimination rounds (:func:`_independent_rounds`),
+    then the remainder in SuperLU's MMD ordering of its pattern, which
+    ``rounds`` (:class:`_Rounds`) turns into slots.
     """
     indices, indptr, (dim, _) = kkt
-    col = np.repeat(np.arange(dim), np.diff(indptr))
     if dim:
+        col = np.repeat(np.arange(dim), np.diff(indptr))
         order = reverse_cuthill_mckee(_matrix(np.ones(indices.size), kkt, sp.csc_matrix),
                                       symmetric_mode=True)
         rank = np.argsort(order)
         band = int(np.abs(rank[indices] - rank[col]).max())
         if band <= _BAND_MAX:
-            return band, order, rank
-    values = np.where(indices == col, float(indices.size), 1.0)
-    lu = _splu_symmetric(_matrix(values, kkt, sp.csc_matrix), "MMD_AT_PLUS_A")
-    rank = lu.perm_c.astype(np.int64)       # col * dim + row: 32 bits overflow at S=160
-    return None, np.argsort(rank), rank
+            return band, order, rank, None
+    rounds, left, edges = _independent_rounds(kkt)
+    local = np.zeros(dim, dtype=np.int64)
+    local[left] = np.arange(left.size)
+    rem_keys = np.sort(np.concatenate([local[edges // dim] * left.size + local[edges % dim],
+                                       np.arange(left.size) * (left.size + 1)]))
+    order = np.concatenate([pivots for pivots, _ in rounds]
+                           + [left[_mmd_order(_csc_pattern(rem_keys, left.size))]])
+    rank = np.argsort(order)
+    return None, order, rank, _Rounds(kkt, rank, rounds, edges)
 
 
 class _Analysis:
@@ -383,8 +559,9 @@ class _Analysis:
       kept);
     - the order in which every matrix on the pattern of the condensed KKT
       matrix K is filled and factored (:func:`_ordering`: ``band``,
-      ``order``, ``rank``), kept with K's pattern in ``ordering``, which a
-      new analysis of an equal K pattern takes over (:func:`_analyze`);
+      ``order``, ``rank``) and, for a wide pattern, its elimination rounds
+      (``rounds``), kept with K's pattern in ``ordering``, which a new
+      analysis of an equal K pattern takes over (:func:`_analyze`);
     - K's CSC pattern in that order (``kkt``), the slot of every
       contribution in it (``slot``) and, for a band, in LAPACK band
       storage (``band_slot``);
@@ -500,7 +677,7 @@ class _Analysis:
         pattern = _csc_pattern(keys, dim)
         held = [o for o in orderings if all(map(np.array_equal, o[:2], pattern[:2]))]
         self.ordering = held[0] if held else (*pattern[:2], *_ordering(pattern))
-        _, _, self.band, self.order, self.rank = self.ordering
+        _, _, self.band, self.order, self.rank, self.rounds = self.ordering
 
         # entry (i, j) of K is filled at (rank[i], rank[j]): in CSC, and in a
         # band's LAPACK storage at row 2 bw + i - j of column j, column-major
@@ -603,7 +780,8 @@ class _KktAssembler:
     ``-1/D``. The matrix comes in the analysis's order: a narrow band
     (``_Analysis.band``) as a new ``(3 bw + 1, dim)`` array in Fortran order
     in LAPACK band storage, which ``dgbtrf`` factors in place, a wider
-    pattern as a CSC matrix (:meth:`csc`). :meth:`condense` and
+    pattern as a CSC matrix (:meth:`csc`), which :class:`_RoundsLu` factors.
+    :meth:`condense` and
     :meth:`expand` take a right-hand side to the condensed system, in the
     order of the matrix, and its solution back to ``(dx, dy)``, with the
     pivots of the last call: each makes one product with B or B' and scales
@@ -683,21 +861,77 @@ class _KktAssembler:
 
 
 def _splu_symmetric(kkt: sp.csc_matrix, permc_spec: str = "NATURAL"):
-    """LU of the quasi-definite KKT matrix without pivoting.
+    """LU of a quasi-definite matrix without pivoting.
 
-    ``_ipm`` factors every matrix in ``NATURAL`` order: it comes filled in
-    the order of its analysis, a fill-reducing ordering of ``K + K'`` that
-    keeps the fill linear in the number of scenarios, and which
-    :func:`_ordering` reads from one ``MMD_AT_PLUS_A`` factorization of its
-    pattern. Panels one column wide suit the few non-zeros
-    per column of L and U (about 7): on the S=20 planning KKT they take
-    about 40 % less factor time than SuperLU's default width. The diagonal
-    pivots of a quasi-definite matrix are nonzero in exact arithmetic but can
-    still hit zero in floating point, in which case SuperLU raises
-    ``RuntimeError`` and the caller refactors.
+    :class:`_RoundsLu` factors what the elimination rounds leave of a wide
+    KKT matrix in ``NATURAL`` order: it comes in the order of its analysis,
+    a fill-reducing ordering that :func:`_mmd_order` reads from one
+    ``MMD_AT_PLUS_A`` factorization of its pattern. Panels one column wide
+    take about 15 % less factor time than SuperLU's default width on what
+    an S=20 plan leaves. The diagonal pivots of a quasi-definite matrix are
+    nonzero in exact arithmetic but can still hit zero in floating point,
+    in which case SuperLU raises ``RuntimeError`` and the caller refactors.
     """
     return spla.splu(kkt, permc_spec=permc_spec, diag_pivot_thresh=0.0, panel_size=1,
                      options=dict(SymmetricMode=True))
+
+
+class _RoundsLu:
+    """LDL' factorization of a wide KKT matrix without pivoting, in the
+    ordering of its analysis: the elimination rounds of ``rounds``
+    (:class:`_Rounds`), then the remainder by :func:`_splu_symmetric`.
+
+    The pivots of a round are independent, so each round is a few array
+    operations: the pivots and the column entries are a slice of the value
+    array, ``l = c / d`` scales each column, and the Schur-complement
+    updates ``l_i c_j`` of every pivot, an outer product per group of
+    pivots with as many entries, go to their slots in one ``np.bincount``.
+    An exact zero pivot raises ``RuntimeError``, as SuperLU does.
+    """
+
+    def __init__(self, kkt: sp.csc_matrix, rounds: _Rounds):
+        self._rounds = rounds
+        v = np.bincount(rounds.kpos, weights=kkt.data, minlength=rounds.size)
+        self._factors = []
+        for r in rounds.rounds:
+            piv = v[r.v_start:r.v_start + r.n]
+            if not piv.all():
+                raise RuntimeError("Factor is exactly singular")
+            inv = 1.0 / piv
+            col = v[r.v_start + r.n:r.v_stop]
+            lower = np.empty(col.size)
+            update = np.empty(r.target.size)
+            at = pos = out = 0
+            for k, n_k in r.groups:
+                c = col[pos:pos + k * n_k].reshape(k, n_k)
+                l = np.multiply(c, inv[at:at + n_k], out=lower[pos:pos + k * n_k].reshape(k, n_k))
+                np.multiply(l[:, None, :], c[None, :, :],
+                            out=update[out:out + k * k * n_k].reshape(k, k, n_k))
+                at, pos, out = at + n_k, pos + k * n_k, out + k * k * n_k
+            v[r.v_stop:] -= np.bincount(r.target, weights=update, minlength=v.size - r.v_stop)
+            self._factors.append((inv, lower))
+        self._remainder = None
+        if rounds.remainder[2][0]:
+            begin = rounds.size - 1 - rounds.remainder[0].size
+            self._remainder = _splu_symmetric(
+                _matrix(v[begin:-1], rounds.remainder, sp.csc_matrix))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = np.array(rhs, dtype=float)
+        steps = list(zip(self._rounds.rounds, self._factors))
+        for r, (_, lower) in steps:
+            last = r.first + r.n
+            x[last:] -= np.bincount(r.rows, weights=lower * np.take(x[r.first:last], r.owner),
+                                    minlength=x.size - last)
+        if self._remainder is not None:
+            n_elim = self._rounds.n_elim
+            x[n_elim:] = self._remainder.solve(x[n_elim:])
+        for r, (inv, lower) in reversed(steps):
+            last = r.first + r.n
+            xp = x[r.first:last]
+            xp *= inv
+            xp -= np.bincount(r.owner, weights=lower * np.take(x[last:], r.rows), minlength=r.n)
+        return x
 
 
 class _BandLu:
@@ -725,15 +959,16 @@ def _ipm(prob: QpProblem):
     :class:`_KktAssembler`: bound-only variables and single-row slacks are
     eliminated in closed form. The matrix comes in the order of the
     analysis, and is factored in that order: a narrow band by
-    :class:`_BandLu`, a wider pattern by SuperLU without reordering it (see
-    the module note). A frozen variable starts at ``ub`` and no
+    :class:`_BandLu`, a wider pattern by :class:`_RoundsLu`, elimination
+    rounds and then SuperLU on the columns they leave (see the module
+    note). A frozen variable starts at ``ub`` and no
     direction moves it; its entry of the stationarity residual is left out,
     in the stopping test and in ``residuals.dual``, as the multiplier of the
     unit row it does not have would take it up.
     Returns (x, status, residuals, iterations, refactors), where
     ``refactors`` counts the iterations redone with SuperLU's partial
-    pivoting: their symmetric factorization met an exact zero pivot, or
-    their step stalled.
+    pivoting of the whole matrix: their symmetric factorization met an
+    exact zero pivot, or their step stalled.
     The duals start at ``max|c|`` (see the module note). Infeasibility is
     *suspected* (never certified) here; the caller confirms with an elastic
     problem. Without inequality rows (m = 0) the first Newton step solves the
@@ -808,7 +1043,7 @@ def _ipm(prob: QpProblem):
                     lu = _BandLu(kkt, band)
                 else:
                     try:
-                        lu = _splu_symmetric(kkt)
+                        lu = _RoundsLu(kkt, analysis.rounds)
                     except RuntimeError:
                         # exact zero pivot: refactor with partial pivoting
                         lu, pivoted = spla.splu(kkt), True
@@ -1035,6 +1270,7 @@ def solve_miqp(
 
     incumbent_x = None
     incumbent_obj = np.inf
+    incumbent_primal = np.inf
     incumbent_from_repair = False
     heap: list[tuple[float, int, tuple[int, ...]]] = []
     seq = 0
@@ -1042,19 +1278,26 @@ def solve_miqp(
     def gap_tol(value: float) -> float:
         return 1e-6 * (1.0 + abs(value))
 
-    def consider(x: np.ndarray, from_repair: bool) -> None:
-        nonlocal incumbent_x, incumbent_obj, incumbent_from_repair
+    def consider(x: np.ndarray, from_repair: bool, primal=None, obj=None) -> None:
+        """Take a complementary feasible point as incumbent when it is better.
+
+        ``primal`` and ``obj`` are the point's violation of ``problem`` and
+        objective when they are known, as for the root's own point.
+        """
+        nonlocal incumbent_x, incumbent_obj, incumbent_primal, incumbent_from_repair
         if np.max(comp_violations(problem, x) - tols) > 0:
             return
-        if _primal_violation(problem, x) > 1e-6:
+        primal = _primal_violation(problem, x) if primal is None else primal
+        if primal > 1e-6:
             return
-        obj = problem.objective(x)
+        obj = problem.objective(x) if obj is None else obj
         if obj < incumbent_obj - 1e-12:
             if obj < dual_bound - gap_tol(obj):
                 raise SolverError("incumbent below the relaxation bound: "
                                   "weak duality violated")
             incumbent_x = x
             incumbent_obj = obj
+            incumbent_primal = primal
             incumbent_from_repair = from_repair
 
     def visit(sol: QpSolution, node_problem: QpProblem, fixes: tuple[int, ...]) -> None:
@@ -1062,7 +1305,9 @@ def solve_miqp(
         nonlocal seq
         viol = comp_violations(node_problem, sol.x)
         if np.max(viol - tols) <= 0:
-            consider(sol.x, from_repair=False)
+            # the root solve has measured its own point
+            known = (sol.residuals.primal, sol.objective) if node_problem is problem else ()
+            consider(sol.x, False, *known)
             return
         if soc_hints is not None:
             outcome = repair_simultaneous_flow(node_problem, sol.x, soc_hints)
@@ -1116,7 +1361,7 @@ def solve_miqp(
     status = SolveStatus.OPTIMAL if closed else SolveStatus.NODE_LIMIT_INCUMBENT
     return QpSolution(
         incumbent_x, incumbent_obj, status,
-        KktResiduals(primal=_primal_violation(problem, incumbent_x),
-                     dual=root.residuals.dual, comp_gap=root.residuals.comp_gap),
+        KktResiduals(primal=incumbent_primal, dual=root.residuals.dual,
+                     comp_gap=root.residuals.comp_gap),
         iterations=root.iterations, refactors=root.refactors,
         bnb=BnbStats(nodes=nodes, gap=gap, repaired=incumbent_from_repair))

@@ -27,10 +27,14 @@ the solver eliminates them before it factors its KKT matrix (see
 :mod:`capfirm.optim`). A fixed pv_used (no PV available) is frozen at its
 bound, without a unit equality row, since its power balance row keeps the
 production column. The terminal SoC, fixed too, stays with its unit row: its
-SoC row keeps no other factored variable. The factored matrix then has dimension
+SoC row keeps no other factored variable. The KKT matrix then has dimension
 ``T + 3*T*S + 2*S``: the engagement and production columns, the ``2*T*S``
 equality rows, and the terminal SoC and its row per scenario. At S=20 and
-T=96 that is 5,896, against 11,616 variables and 3,840 equality rows.
+T=96 that is 5,896, against 11,616 variables and 3,840 equality rows. Its
+elimination rounds take the production columns, the power balance rows,
+the terminal SoCs with their unit rows and the first SoC row of each
+scenario, and then every other SoC row of each chain, twice, so SuperLU
+factors 556 columns: the engagement and 23 SoC rows per scenario.
 
 The battery ratio and the selling price enter the problem only through its
 values (costs, bounds and right-hand sides), and for a battery of nonzero

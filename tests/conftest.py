@@ -7,7 +7,8 @@ from capfirm import optim
 
 @pytest.fixture
 def superlu_only(monkeypatch):
-    """Factor every KKT matrix on SuperLU, whatever its bandwidth.
+    """Factor every KKT matrix on the wide path, whatever its bandwidth:
+    elimination rounds, then SuperLU on the columns they leave.
 
     An analysis fixes the path of every solve on its pattern, so the held
     analyses are dropped first, and again after the test.

@@ -170,17 +170,21 @@ class TestSolveQpBasics:
 
     def test_exactly_singular_factorizations_route_to_the_certificate(self, monkeypatch,
                                                                      superlu_only):
-        # both the symmetric and the pivoted factorization of the node's KKT
-        # matrix raise as SuperLU does on an exact zero pivot; the IPM must
-        # stop and leave the decision to the elastic certificate, whose KKT
-        # matrix has another dimension and factors normally
+        # both the symmetric factorization of what the node's elimination
+        # rounds leave and the pivoted factorization of its whole KKT matrix
+        # raise as SuperLU does on an exact zero pivot; the IPM must stop and
+        # leave the decision to the elastic certificate, whose factorizations
+        # come after those two and succeed (its KKT matrix has dimension 37,
+        # its remainder 5 as the node's)
         node = _unreachable_floor_node()
-        dim = optim._analyze(node).dim
+        analysis = optim._analyze(node)
+        dims = (analysis.rounds.remainder[2][0], analysis.dim)
+        assert dims == (5, 32)
         calls = []
         splu = optim.spla.splu
 
         def singular_splu(k, **kwargs):
-            if k.shape[0] == dim:
+            if len(calls) < 2 and k.shape[0] in dims:
                 calls.append(bool(kwargs))
                 raise RuntimeError("Factor is exactly singular")
             return splu(k, **kwargs)
@@ -620,12 +624,38 @@ class TestKktAssembly:
         assert assemble._an.band is None
         return assemble, kkt, kkt[rank][:, rank]
 
-    def test_wide_ordering_is_superlus_minimum_degree_ordering(self):
-        # the analysis reads its ordering from a matrix of its own on the
-        # pattern: it is the one SuperLU's MMD takes for K itself
-        assemble, _, kkt = self._wide_kkt()
-        assert np.array_equal(assemble._an.rank,
-                              optim._splu_symmetric(kkt, "MMD_AT_PLUS_A").perm_c)
+    def test_wide_ordering_is_independent_rounds_then_minimum_degree(self):
+        # the analysis of an S=20 plan pivots four rounds of columns first,
+        # each an independent set of columns with at most 3, 3, 4 and 6
+        # entries in the pattern the rounds before it leave, and orders the
+        # 556 columns left as SuperLU's MMD orders the pattern of their
+        # Schur complement, read from a matrix of its own on it
+        assemble, ordered, _ = self._wide_kkt()
+        an = assemble._an
+        pattern = ordered != 0
+        pattern.setdiag(True)
+        done = 0
+        for r, cap in zip(an.rounds.rounds, optim._ROUND_CAPS):
+            n = r.n
+            assert r.first == done
+            done += n
+            pivots = pattern[:n, :n]
+            assert (pivots != sp.eye(n, dtype=bool)).nnz == 0
+            assert np.diff(pattern[:, :n].tocsc().indptr).max() <= cap
+            border = pattern[n:, :n].astype(float)
+            pattern = (pattern[n:, n:] + (border @ border.T != 0)).tocsc()
+        assert [r.n for r in an.rounds.rounds] == [1960, 1940, 960, 480]
+        assert pattern.shape[0] == an.dim - an.rounds.n_elim == 556
+        left = an.order[an.rounds.n_elim:]
+        by_index = np.argsort(left)
+        unordered = pattern[by_index][:, by_index].tocsc()
+        unordered.sort_indices()
+        mmd = optim._mmd_order((unordered.indices, unordered.indptr, unordered.shape))
+        assert np.array_equal(left, left[by_index][mmd])
+        remainder = pattern.tocsc()
+        remainder.sort_indices()
+        assert np.array_equal(remainder.indices, an.rounds.remainder[0])
+        assert np.array_equal(remainder.indptr, an.rounds.remainder[1])
 
     def test_analysis_order_keeps_the_fill_and_the_solution(self):
         # the matrix filled in the analysis's order and factored without
@@ -641,6 +671,88 @@ class TestKktAssembly:
         ref = fresh.solve(b)
         got = reused.solve(b[an.order])[an.rank]
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @staticmethod
+    def _newton_systems(prob):
+        """The weights and right-hand sides of every Newton direction of
+        ``solve_qp(prob)``, predictor and corrector, in order."""
+        seen = []
+
+        class Recorded(optim._KktAssembler):
+            def __call__(self, w):
+                self.w = w
+                return super().__call__(w)
+
+            def condense(self, r1, r2):
+                seen.append((self.w, r1, r2))
+                return super().condense(r1, r2)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optim, "_KktAssembler", Recorded)
+            assert solve_qp(prob).status is SolveStatus.OPTIMAL
+        return seen
+
+    @staticmethod
+    def _condensed_solves(prob, analyses, w, r1, r2):
+        """The solution of the condensed system at weights w by the rounds of
+        each analysis, and by SuperLU without pivoting on the whole matrix of
+        the last one, in the same order."""
+        got = []
+        for analysis in analyses:
+            a_all, _, _, _, _, g_t = analysis.standard_form(prob)
+            hdiag = 2.0 * prob.q
+            reg = optim._REG * max(1.0, float(np.max(hdiag, initial=0.0)))
+            assemble = optim._KktAssembler(analysis, a_all, g_t, hdiag + reg, reg)
+            kkt = assemble(w)
+            rhs = assemble.condense(r1, r2)
+            got.append(optim._RoundsLu(kkt, analysis.rounds).solve(rhs))
+        return got, optim._splu_symmetric(kkt).solve(rhs)
+
+    def test_rounds_solve_matches_a_whole_matrix_solve(self):
+        # the Newton systems of the first 8 iterations of the S=20 plan of
+        # season 4, day 132, solved by the rounds of an analysis of its own
+        # and of one that takes the ordering of the same day without PV in
+        # one more period (another standard form, the same KKT pattern):
+        # bitwise alike, and as SuperLU solves the whole matrix. (In the last
+        # iterations the two differ by up to 3e-8, as the conditioning of
+        # those matrices allows.)
+        with np.load(DATA / "s20_season4_day132.npz") as data:
+            values, weights = data["values_kw"], data["weights"]
+        grid = TimeGrid.daily()
+        policy, system = toy_policy(grid, pv_capacity=466.4), toy_system(466.4, 233.2)
+        darker = values.copy()
+        darker[:, np.flatnonzero(values.min(axis=0) > 0)[0]] = 0.0
+        prob, other = (build_planning_qp(PlanningInstance(
+            grid, policy, system, ScenarioSet(v, weights), "S"))[0] for v in (values, darker))
+        cold = optim._Analysis(optim._pattern_key(prob))
+        held = optim._Analysis(optim._pattern_key(other))
+        warm = optim._Analysis(optim._pattern_key(prob), [held.ordering])
+        assert cold.band is None and warm.ordering is held.ordering
+        assert not np.array_equal(cold.frozen, held.frozen)
+        systems = self._newton_systems(prob)
+        assert len(systems) >= 20
+        for w, r1, r2 in systems[:16]:
+            (x_cold, x_warm), ref = self._condensed_solves(prob, (cold, warm), w, r1, r2)
+            assert np.array_equal(x_cold, x_warm)
+            assert np.max(np.abs(x_cold - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_rounds_solve_matches_on_random_storage_kkts(self, superlu_only):
+        # the random storage MIQPs of the screens below and a node of each
+        # with its first charge fixed at 0, forced off the band path: the
+        # Newton systems of their first 4 iterations. (These solves end in 7
+        # to 10 iterations; in the last ones the two differ by up to 7e-8.)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                prob = random_storage_miqp(rng, int(rng.integers(2, 7)))
+                ub = prob.ub.copy()
+                ub[prob.comp_pairs[0, 0]] = 0.0
+                for p in (prob, replace(prob, ub=ub)):
+                    analysis = optim._analyze(p)
+                    assert analysis.band is None
+                    for w, r1, r2 in self._newton_systems(p)[:8]:
+                        (got,), ref = self._condensed_solves(p, (analysis,), w, r1, r2)
+                        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def _fixed_beside(lb0, ub0):
@@ -747,7 +859,10 @@ class TestSharedAnalysis:
         analysis = optim._analyze(second)
         assert analysis is not held and analysis.ordering is held.ordering
         assert analysis.band is None
-        assert all(np.array_equal(*pair) for pair in zip(own[3:], held.ordering[3:]))
+        own_arrays, held_arrays = ([*o[3:5], *_arrays(tuple(vars(o[5]).values()))]
+                                   for o in (own, held.ordering))
+        assert len(own_arrays) == len(held_arrays) > 10
+        assert all(np.array_equal(*pair) for pair in zip(own_arrays, held_arrays))
         assert specs and set(specs) == {"NATURAL"}
         assert cold.status is warm.status is SolveStatus.OPTIMAL
         assert np.array_equal(warm.x, cold.x)
@@ -759,6 +874,7 @@ class TestSharedAnalysis:
         assert solve_qp(prob).status is SolveStatus.OPTIMAL
         analysis = optim._analyze(prob)
         arrays = [arr for value in vars(analysis).values() for arr in _arrays(value)]
+        arrays += _arrays(tuple(vars(analysis.rounds).values()))
         assert len(arrays) > 40 and analysis.band is None
         assert not any(arr.flags.writeable for arr in arrays)
         with pytest.raises(ValueError, match="read-only"):
@@ -947,9 +1063,34 @@ class TestSolveMiqp:
     def test_random_storage_screen_is_optimal_on_superlu(self, superlu_only):
         # every one of these KKT patterns is a band of at most 8, so the
         # screen above never reaches SuperLU; here seeds 0-3 are forced onto
-        # it, ordered by minimum degree from the first factorization on
+        # the wide path: elimination rounds, then SuperLU on what they leave
         self._screen(range(4))
         assert optim._RECENT and all(an.band is None for an in optim._RECENT)
+
+    def test_incumbent_within_the_root_duality_gap_is_accepted(self, monkeypatch):
+        # min (x0 - 1)^2 + (x1 - 1)^2 - 2 with at most one of x0, x1 positive.
+        # The root relaxation stops early, as an interior point may, at
+        # (2, 2) with objective 0 and a total duality gap s.z of 2, whose
+        # dual bound is the relaxation's optimum -2. The first incumbent,
+        # (0, 1) at -1, lies below the root objective by far more than
+        # 1e-6 * (1 + |obj|) but above the dual bound: weak duality holds,
+        # and checking it against the root objective alone raised
+        # SolverError here.
+        prob = QpProblem(q=[1.0, 1.0], c=[-2.0, -2.0], lb=[0.0, 0.0], ub=[5.0, 5.0],
+                         comp_pairs=[(0, 1)])
+        x_root = np.array([2.0, 2.0])
+        root = optim.QpSolution(x_root, prob.objective(x_root), SolveStatus.OPTIMAL,
+                                optim.KktResiduals(primal=0.0, dual=0.0, comp_gap=2.0),
+                                iterations=3)
+        solve_qp = optim.solve_qp
+        monkeypatch.setattr(optim, "solve_qp", lambda p: root if p is prob else solve_qp(p))
+        sol = solve_miqp(prob)
+        assert root.objective == 0.0
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(-1.0, abs=1e-8)
+        assert sol.objective < root.objective - 1e-6 * (1.0 + abs(sol.objective))
+        assert (sol.bnb.nodes, sol.bnb.gap, sol.iterations) == (2, 0.0, 3)
+        assert np.max(comp_violations(prob, sol.x)) <= 1e-6
 
     def test_node_limit_reported(self, monkeypatch):
         monkeypatch.setattr(optim, "_NODE_LIMIT", 2)
