@@ -373,7 +373,8 @@ def _independent_rounds(kkt: tuple):
     joining its neighbours into a clique (the fill). Returns, per round,
     its pivots in that order and their neighbours, a ``(n_k, k)`` array per
     count ``k`` of off-diagonal entries, and then the columns left and the
-    off-diagonal entries among them, as sorted keys ``col * dim + row``.
+    pattern of what is left, as sorted keys ``col * n_left + row`` of
+    positions among those columns.
     """
     indices, indptr, (dim, _) = kkt
     col = np.repeat(np.arange(dim, dtype=np.int64), np.diff(indptr))
@@ -416,7 +417,12 @@ def _independent_rounds(kkt: tuple):
         edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])[:edges.size]]
         alive[pivots] = False
         rounds.append((pivots, groups))
-    return rounds, np.flatnonzero(alive), edges
+    left = np.flatnonzero(alive)
+    local = np.zeros(dim, dtype=np.int64)
+    local[left] = np.arange(left.size)
+    keys = np.concatenate([local[edges // dim] * left.size + local[edges % dim],
+                           np.arange(left.size) * (left.size + 1)])
+    return rounds, left, np.sort(keys)
 
 
 class _Round(NamedTuple):
@@ -450,10 +456,13 @@ class _Rounds:
     ``kpos``, the slot in ``v`` of each entry of the matrix's CSC pattern,
     ``remainder``, the CSC pattern ``(indices, indptr, shape)`` of what the
     rounds leave, and ``rounds``, a :class:`_Round` each. The index arrays
-    are 32-bit and read-only.
+    are 32-bit and read-only. It is built from the rounds and the
+    remainder's keys of :func:`_independent_rounds`, with ``rem_rank``, the
+    rank of each column left within the remainder's order.
     """
 
-    def __init__(self, kkt: tuple, rank: np.ndarray, rounds: list, edges: np.ndarray):
+    def __init__(self, kkt: tuple, rank: np.ndarray, rounds: list, rem_keys: np.ndarray,
+                 rem_rank: np.ndarray):
         indices, indptr, (dim, _) = kkt
         col = np.repeat(np.arange(dim, dtype=np.int64), np.diff(indptr))
         self.n_elim = n_elim = sum(pivots.size for pivots, _ in rounds)
@@ -472,9 +481,12 @@ class _Rounds:
             v_stop = v_start + n + sum(block.size for block in groups)
             layout.append((first, n, v_start, v_stop))
             first, v_start = first + n, v_stop
-        rem_keys = np.sort(np.concatenate([rank[edges // dim] * dim + rank[edges % dim],
-                                           np.arange(n_elim, dim) * (dim + 1)]))
-        keys = np.concatenate([*keys, rem_keys])
+        # the remainder's keys, from its columns to their ranks in its order
+        rem_col, rem_row = np.divmod(rem_keys, n_rem)
+        rem_keys = np.sort(rem_rank[rem_col] * n_rem + rem_rank[rem_row])
+        self.remainder = (*_csc_pattern(rem_keys, n_rem)[:2], (n_rem, n_rem))
+        rem_col, rem_row = np.divmod(rem_keys, n_rem)
+        keys = np.concatenate([*keys, (n_elim + rem_col) * dim + n_elim + rem_row])
         self.size = size = keys.size + 1          # the last slot takes the unread updates
         by_key = np.argsort(keys)
         sorted_keys = keys[by_key]
@@ -484,8 +496,6 @@ class _Rounds:
             return np.where(sorted_keys[at] == key, by_key[at], size - 1)
 
         self.kpos = slot(np.sort(rank[col] * dim + rank[indices])).astype(np.intc)
-        rem_col, rem_row = np.divmod(rem_keys - n_elim * (dim + 1), dim)
-        self.remainder = (*_csc_pattern(rem_col * n_rem + rem_row, n_rem)[:2], (n_rem, n_rem))
         steps = []
         for (_, groups), (first, n, v_start, v_stop) in zip(rounds, layout):
             target, rows, owner, at = [], [], [], 0
@@ -526,15 +536,11 @@ def _ordering(kkt: tuple):
         band = int(np.abs(rank[indices] - rank[col]).max())
         if band <= _BAND_MAX:
             return band, order, rank, None
-    rounds, left, edges = _independent_rounds(kkt)
-    local = np.zeros(dim, dtype=np.int64)
-    local[left] = np.arange(left.size)
-    rem_keys = np.sort(np.concatenate([local[edges // dim] * left.size + local[edges % dim],
-                                       np.arange(left.size) * (left.size + 1)]))
-    order = np.concatenate([pivots for pivots, _ in rounds]
-                           + [left[_mmd_order(_csc_pattern(rem_keys, left.size))]])
+    rounds, left, rem_keys = _independent_rounds(kkt)
+    mmd = _mmd_order(_csc_pattern(rem_keys, left.size))
+    order = np.concatenate([pivots for pivots, _ in rounds] + [left[mmd]])
     rank = np.argsort(order)
-    return None, order, rank, _Rounds(kkt, rank, rounds, edges)
+    return None, order, rank, _Rounds(kkt, rank, rounds, rem_keys, np.argsort(mmd))
 
 
 class _Analysis:

@@ -170,28 +170,36 @@ class TestSolveQpBasics:
 
     def test_exactly_singular_factorizations_route_to_the_certificate(self, monkeypatch,
                                                                      superlu_only):
-        # both the symmetric factorization of what the node's elimination
-        # rounds leave and the pivoted factorization of its whole KKT matrix
-        # raise as SuperLU does on an exact zero pivot; the IPM must stop and
-        # leave the decision to the elastic certificate, whose factorizations
-        # come after those two and succeed (its KKT matrix has dimension 37,
-        # its remainder 5 as the node's)
+        # while the IPM runs on the node, every SuperLU factorization raises
+        # as on an exact zero pivot: the symmetric one of what the node's
+        # elimination rounds leave, then the pivoted one of its whole KKT
+        # matrix. The IPM must stop there and leave the decision to the
+        # elastic certificate, whose own IPM factors normally (its remainder
+        # has the node's pattern, so only the running IPM tells them apart)
         node = _unreachable_floor_node()
         analysis = optim._analyze(node)
         dims = (analysis.rounds.remainder[2][0], analysis.dim)
         assert dims == (5, 32)
-        calls = []
-        splu = optim.spla.splu
+        on_node, calls = [], []
+        ipm, splu = optim._ipm, optim.spla.splu
+
+        def tracked_ipm(prob):
+            on_node.append(prob is node)
+            try:
+                return ipm(prob)
+            finally:
+                on_node.pop()
 
         def singular_splu(k, **kwargs):
-            if len(calls) < 2 and k.shape[0] in dims:
-                calls.append(bool(kwargs))
+            if on_node[-1]:
+                calls.append((k.shape[0], bool(kwargs)))
                 raise RuntimeError("Factor is exactly singular")
             return splu(k, **kwargs)
 
+        monkeypatch.setattr(optim, "_ipm", tracked_ipm)
         monkeypatch.setattr(optim.spla, "splu", singular_splu)
         sol = solve_qp(node)
-        assert calls == [True, False]          # symmetric, then pivoted, then stop
+        assert calls == [(5, True), (32, False)]   # symmetric, then pivoted, then stop
         assert sol.status is SolveStatus.INFEASIBLE
         assert "certificate" in sol.message
 
@@ -696,7 +704,8 @@ class TestKktAssembly:
     def _condensed_solves(prob, analyses, w, r1, r2):
         """The solution of the condensed system at weights w by the rounds of
         each analysis, and by SuperLU without pivoting on the whole matrix of
-        the last one, in the same order."""
+        the last one, in the same order, with that matrix and right-hand
+        side."""
         got = []
         for analysis in analyses:
             a_all, _, _, _, _, g_t = analysis.standard_form(prob)
@@ -706,16 +715,32 @@ class TestKktAssembly:
             kkt = assemble(w)
             rhs = assemble.condense(r1, r2)
             got.append(optim._RoundsLu(kkt, analysis.rounds).solve(rhs))
-        return got, optim._splu_symmetric(kkt).solve(rhs)
+        return got, optim._splu_symmetric(kkt).solve(rhs), kkt, rhs
+
+    @staticmethod
+    def _backward_error(kkt, x, rhs):
+        """The componentwise backward error ``max |K x - b| / (|K| |x| + |b|)``
+        of the solution x of ``K x = b``."""
+        scale = abs(kkt) @ np.abs(x) + np.abs(rhs)
+        residual = np.abs(kkt @ x - rhs)
+        return float(np.max(residual / np.where(scale > 0, scale, 1.0)))
+
+    def _assert_as_accurate(self, got, ref, kkt, rhs):
+        """The rounds' solution ``got`` of ``K x = b`` has a componentwise
+        backward error no worse than 4 times that of SuperLU's whole-matrix
+        solution ``ref``, or than 1e-13 where that one is smaller."""
+        worst = 4.0 * self._backward_error(kkt, ref, rhs) + 1e-13
+        assert self._backward_error(kkt, got, rhs) <= worst
 
     def test_rounds_solve_matches_a_whole_matrix_solve(self):
-        # the Newton systems of the first 8 iterations of the S=20 plan of
-        # season 4, day 132, solved by the rounds of an analysis of its own
-        # and of one that takes the ordering of the same day without PV in
-        # one more period (another standard form, the same KKT pattern):
-        # bitwise alike, and as SuperLU solves the whole matrix. (In the last
-        # iterations the two differ by up to 3e-8, as the conditioning of
-        # those matrices allows.)
+        # the Newton systems of the S=20 plan of season 4, day 132, solved by
+        # the rounds of an analysis of its own and of one that takes the
+        # ordering of the same day without PV in one more period (another
+        # standard form, the same KKT pattern): bitwise alike, and as
+        # accurate as SuperLU's solve of the whole matrix. In the first 8
+        # iterations the two solutions agree to 1e-10; in the last ones,
+        # where the componentwise backward errors of both reach 1e-10, they
+        # differ by up to 4e-8, as the conditioning of those matrices allows.
         with np.load(DATA / "s20_season4_day132.npz") as data:
             values, weights = data["values_kw"], data["weights"]
         grid = TimeGrid.daily()
@@ -731,16 +756,21 @@ class TestKktAssembly:
         assert not np.array_equal(cold.frozen, held.frozen)
         systems = self._newton_systems(prob)
         assert len(systems) >= 20
-        for w, r1, r2 in systems[:16]:
-            (x_cold, x_warm), ref = self._condensed_solves(prob, (cold, warm), w, r1, r2)
+        for i, (w, r1, r2) in enumerate(systems):
+            (x_cold, x_warm), ref, kkt, rhs = self._condensed_solves(
+                prob, (cold, warm), w, r1, r2)
             assert np.array_equal(x_cold, x_warm)
-            assert np.max(np.abs(x_cold - ref)) <= 1e-10 * np.max(np.abs(ref))
+            self._assert_as_accurate(x_cold, ref, kkt, rhs)
+            if i < 16:
+                assert np.max(np.abs(x_cold - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_rounds_solve_matches_on_random_storage_kkts(self, superlu_only):
         # the random storage MIQPs of the screens below and a node of each
-        # with its first charge fixed at 0, forced off the band path: the
-        # Newton systems of their first 4 iterations. (These solves end in 7
-        # to 10 iterations; in the last ones the two differ by up to 7e-8.)
+        # with its first charge fixed at 0, forced off the band path: every
+        # Newton system as accurate as SuperLU's whole-matrix solve, and the
+        # solutions of the first 4 iterations within 1e-10 of it. (These
+        # solves end in 7 to 10 iterations; in the last ones the two differ
+        # by up to 7e-8.)
         for seed in range(4):
             rng = np.random.default_rng(seed)
             for _ in range(5):
@@ -750,9 +780,12 @@ class TestKktAssembly:
                 for p in (prob, replace(prob, ub=ub)):
                     analysis = optim._analyze(p)
                     assert analysis.band is None
-                    for w, r1, r2 in self._newton_systems(p)[:8]:
-                        (got,), ref = self._condensed_solves(p, (analysis,), w, r1, r2)
-                        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+                    for i, (w, r1, r2) in enumerate(self._newton_systems(p)):
+                        (got,), ref, kkt, rhs = self._condensed_solves(
+                            p, (analysis,), w, r1, r2)
+                        self._assert_as_accurate(got, ref, kkt, rhs)
+                        if i < 8:
+                            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def _fixed_beside(lb0, ub0):
