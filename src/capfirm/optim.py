@@ -36,6 +36,9 @@ nodes differ from their root: a variable fixed at zero moves to the
 equality rows.) What follows from the pattern alone is analyzed once
 (:class:`_Analysis`), and the analyses of the two patterns solved most
 recently are held and found again by comparing those arrays, not a hash.
+Branch-and-bound nodes and certificate problems, whose patterns do not
+repeat, use a held analysis when one fits but never join the held ones, so
+they cannot push out the analysis of a root.
 Each solve then reads every value from its own problem, and each iteration
 only fills in the matrix.
 The matrix is quasi-definite, and the analysis fixes the order in which
@@ -725,13 +728,15 @@ _RECENT: list[_Analysis] = []
 _RECENT_LOCK = threading.Lock()
 
 
-def _analyze(prob: QpProblem) -> _Analysis:
+def _analyze(prob: QpProblem, hold: bool = True) -> _Analysis:
     """The analysis of the pattern of ``prob``.
 
     A recent analysis serves when each array of its key equals that of
-    ``prob``. Otherwise the least recent of two is dropped before a new one
-    is built, so no more than two are held at any time; the new one is
-    handed the orderings of both, and takes one of an equal KKT pattern.
+    ``prob``. Otherwise a new one is built, handed the orderings of the held
+    ones, and takes one of an equal KKT pattern. With ``hold`` the least
+    recent of two is dropped before the new one is built and the new one is
+    held, so no more than two are held at any time; without, the new one
+    serves this solve only.
     """
     key = _pattern_key(prob)
     with _RECENT_LOCK:
@@ -740,6 +745,8 @@ def _analyze(prob: QpProblem) -> _Analysis:
                 _RECENT.append(_RECENT.pop(i))
                 return analysis
         orderings = [analysis.ordering for analysis in _RECENT]
+        if not hold:
+            return _Analysis(key, orderings)
         if len(_RECENT) == 2:
             del _RECENT[0]
         _RECENT.append(_Analysis(key, orderings))
@@ -958,7 +965,7 @@ class _BandLu:
         return dgbtrs(self._lu, self._bw, self._bw, rhs, self._piv)[0]
 
 
-def _ipm(prob: QpProblem):
+def _ipm(prob: QpProblem, *, hold: bool = True):
     """Mehrotra predictor-corrector on the slack standard form.
 
     Each Newton direction is one solve with the condensed KKT matrix of
@@ -983,9 +990,10 @@ def _ipm(prob: QpProblem):
     The per-solve set-up is kept to array operations on values: the pattern
     of the standard form, its transposes and the condensed KKT matrix come
     from the :class:`_Analysis` of a recent solve of the same pattern when
-    there is one (:func:`_analyze`), and from a new one otherwise.
+    there is one (:func:`_analyze`), and from a new one otherwise, held for
+    later solves when ``hold`` is set.
     """
-    analysis = _analyze(prob)
+    analysis = _analyze(prob, hold)
     a_all, b_all, g_all, h_all, a_t, g_t = analysis.standard_form(prob)
     m = a_all.shape[0]
     p = g_all.shape[0]
@@ -1119,7 +1127,8 @@ def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
     Bounds stay hard (they are consistent by construction); every inequality
     and equality row receives a nonnegative elastic variable. A strictly
     positive optimum is a Farkas-style certificate of primal infeasibility;
-    its value is returned as the certificate residual.
+    its value is returned as the certificate residual. The elastic problem's
+    analysis is not held.
     """
     n = prob.n_var
     m = prob.b_ub.size
@@ -1142,26 +1151,29 @@ def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
     ub = np.concatenate([prob.ub, np.full(n_el, np.inf)])
     elastic = QpProblem(q=q, c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
                         lb=lb, ub=ub)
-    x = _ipm(elastic)[0]
+    x = _ipm(elastic, hold=False)[0]
     mass = float(np.sum(x[n:]))
     scale = 1.0 + max(float(np.max(np.abs(prob.b_ub))) if m else 0.0,
                       float(np.max(np.abs(prob.b_eq))) if peq else 0.0)
     return mass > 1e-7 * scale, mass
 
 
-def solve_qp(problem: QpProblem) -> QpSolution:
+def solve_qp(problem: QpProblem, *, hold: bool = True) -> QpSolution:
     """Solve the continuous relaxation (complementarity pairs are ignored).
 
     Infeasible problems are reported through the solution status, with an
     elastic certificate. Raises :class:`SolverError` when the interior point
     does not converge on a problem that is not certified infeasible; the QPs
     this package builds are bounded, and an unbounded one ends here too.
+    ``hold=False`` keeps a new analysis of the problem's pattern out of the
+    held ones (see :func:`_analyze`); :func:`solve_miqp` passes it for its
+    nodes.
     """
     if np.any(problem.lb > problem.ub + 1e-12):
         return QpSolution(np.zeros(problem.n_var), np.inf, SolveStatus.INFEASIBLE,
                           KktResiduals(np.inf, np.inf, np.inf),
                           message="inconsistent bounds")
-    x, status, res, it, refactors = _ipm(problem)
+    x, status, res, it, refactors = _ipm(problem, hold=hold)
     if status is SolveStatus.OPTIMAL:
         return QpSolution(x, problem.objective(x), status, res, iterations=it,
                           refactors=refactors)
@@ -1342,7 +1354,7 @@ def solve_miqp(
         ub = problem.ub.copy()
         ub[list(fixes)] = 0.0
         node_problem = replace(problem, ub=ub)
-        sol = solve_qp(node_problem)
+        sol = solve_qp(node_problem, hold=False)
         nodes += 1
         if sol.status is not SolveStatus.OPTIMAL:
             continue

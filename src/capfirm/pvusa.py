@@ -7,11 +7,15 @@ Estimation runs a sign-constrained least squares over a sliding window of
 power measurements, refit on a fixed cadence; nighttime samples carry no
 information about the coefficients and are excluded. The windows are solved
 in batches: each window's daytime samples fill one slice of a zero-padded
-stack of design and target, one batched QR reduces every window to a 3x3
-triangular ``R`` and ``Q^T y``, the rank test runs on the singular values of
-``R``, and the sign constraints are met by enumerating the active sets on
-``R``. The pooled fit over the whole history is the same kernel on a stack of
-one.
+stack of design and target, and one batched QR reduces every window to a 3x3
+triangular ``R`` and ``Q^T y``. The rest is elementwise across windows: the
+rank test bounds the condition number of ``R`` in closed form and takes the
+singular values only of the windows the bound cannot decide, and the sign
+constraints are met by enumerating the eight active sets, each a
+least-squares problem on ``R`` solved in closed form. That is one LAPACK call
+per window, where a call per active set would cost more in overhead than in
+arithmetic. The pooled fit over the whole history is the same kernel on a
+stack of one.
 
 A Haurwitz-style clear-sky irradiance helper is included for synthetic data
 generation and daytime masking; timestamps are interpreted as local solar
@@ -42,12 +46,9 @@ _SIGNS = np.array([1.0, -1.0, -1.0])
 _FLOORS = np.array([_A_FLOOR, _BC_FLOOR, _BC_FLOOR])
 _BOUNDS = _SIGNS * _FLOORS
 # The candidate active sets in enumeration order, True where a coefficient is
-# pinned at its bound; the last pins all three. They are solved in groups of
-# equal free count (3, 2, 1), each group with its free columns.
+# pinned at its bound: free {a, b, c}, {a, b}, {a, c}, {a}, {b, c}, {b}, {c},
+# and last none.
 _PINNED = np.array(list(product((False, True), repeat=3)))
-_FREE_GROUPS = [(group, np.array([np.flatnonzero(~_PINNED[p]) for p in group]))
-                for group in (np.flatnonzero((~_PINNED).sum(axis=1) == k)
-                              for k in (3, 2, 1))]
 # Padded rows per batched solve of fit_pvusa's windows (512 KiB of stack), so
 # that its working memory stays small whatever the series length.
 _BLOCK_ROWS = 1 << 14
@@ -136,6 +137,34 @@ def pvusa_eval(params: PvusaParams, irradiance_wm2, temperature_c,
     return power
 
 
+def _full_rank(r: np.ndarray) -> np.ndarray:
+    """The rank test of 3x3 upper-triangular ``R``, problems last: (3, 3, W).
+
+    A design is rank deficient when its smallest singular value is at most
+    1e-12 times its largest. The singular values are taken only where that
+    test can be close: ``kappa_2(R) <= |R|_F * |R^-1|_F``, with the inverse of
+    the triangle in closed form, so a problem whose bound is below 1e11 is
+    full rank under the test as well. The inverse's entries are products and
+    quotients of entries of ``R``, except ``(R^-1)_02``, whose cancellation
+    errs by a few ulps times the bound relative to ``|R^-1|_F``; a computed
+    bound below 1e11 is the exact one to about 1e-5. The other problems (a
+    bound of 1e11 or more, or none on an exact zero pivot) go to the batched
+    SVD. Returns the (W,) mask of the full-rank problems.
+    """
+    (r00, r01, r02), (r11, r12), r22 = r[0], r[1, 1:], r[2, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        i00, i11, i22 = 1.0 / r00, 1.0 / r11, 1.0 / r22
+        i01, i12 = -r01 * i00 * i11, -r12 * i11 * i22
+        i02 = (r01 * r12 - r02 * r11) * i00 * i11 * i22
+        inv_sq = i00 ** 2 + i11 ** 2 + i22 ** 2 + i01 ** 2 + i12 ** 2 + i02 ** 2
+        unsure = ~(np.sum(r * r, axis=(0, 1)) * inv_sq < 1e22)
+    full_rank = np.ones(r.shape[2], dtype=bool)
+    if unsure.any():
+        sv = np.linalg.svd(r[..., unsure].transpose(2, 0, 1), compute_uv=False)
+        full_rank[unsure] = sv[:, -1] > 1e-12 * sv[:, 0]
+    return full_rank
+
+
 def _sign_constrained_ls(stack: np.ndarray):
     """Least squares with a > 0, b < 0, c < 0 for a stack of problems at once.
 
@@ -146,13 +175,18 @@ def _sign_constrained_ls(stack: np.ndarray):
 
     One batched QR of ``[X | y]`` gives every problem's 3x3 ``R`` and, in its
     last column, ``Q^T y``. ``R`` has the design's singular values; a design is
-    rank deficient when the smallest is at most 1e-12 times the largest, and
-    otherwise every column subset has full rank as well.
+    rank deficient when the smallest is at most 1e-12 times the largest (see
+    ``_full_rank``), and otherwise every column subset has full rank as well.
+    Everything after the QR is elementwise across the problems.
 
     With only three sign constraints the candidate active sets can be
     enumerated: each coefficient is either free or pinned at its (tiny)
-    bound. Each candidate is a least-squares problem on ``R`` and ``Q^T y``;
-    those with the same number of free coefficients share one batched QR.
+    bound. Each candidate is a least-squares problem on ``R`` and ``Q^T y``
+    with the pinned columns moved to the right-hand side, solved in closed
+    form (Lawson & Hanson 1974): back-substitution on the leading triangle
+    when the free set is {a, b, c}, {a, b} or {a}; one Givens rotation of
+    rows 1 and 2 for {a, c}; rotations of rows 0 and 1, then 1 and 2, for
+    {b, c}; and the projection on the one column for {b} or {c}.
     All candidates of a problem share the residual outside range(X), so
     residuals are compared on ``|R beta - Q^T y|^2``. The optimum of the
     convex problem is the feasible candidate with the smallest residual:
@@ -163,29 +197,50 @@ def _sign_constrained_ls(stack: np.ndarray):
     Returns ``(beta, full_rank)``: the (W, 3) coefficients, NaN where the
     (W,) mask ``full_rank`` is False.
     """
-    r_aug = np.linalg.qr(stack, mode="r")
-    sv = np.linalg.svd(r_aug[:, :3, :3], compute_uv=False)
-    full_rank = sv[:, -1] > 1e-12 * sv[:, 0]
-    r, qty = r_aug[full_rank, :3, :3], r_aug[full_rank, :3, 3]
-    n = r.shape[0]
-    # beta[w, p]: candidate p of problem w, pinned coefficients at their bound
-    beta = np.tile(_BOUNDS, (n, len(_PINNED), 1))
-    rhs = qty[:, None] - np.einsum("wij,pj->wpi", r, np.where(_PINNED, _BOUNDS, 0.0))
-    for group, free in _FREE_GROUPS:
-        # the QR of [R_F | rhs] gives R_F's triangle and, last, Q^T rhs
-        k = free.shape[1]
-        r_free = np.linalg.qr(np.concatenate(
-            [r[:, :, free].transpose(0, 2, 1, 3), rhs[:, group, :, None]], axis=3), mode="r")
-        beta[:, group[:, None], free] = np.linalg.solve(
-            r_free[..., :k, :k], r_free[..., :k, k:])[..., 0]
-    feasible = np.all(beta * _SIGNS >= _FLOORS, axis=2)
-    sse = np.sum((np.einsum("wij,wpj->wpi", r, beta) - qty[:, None]) ** 2, axis=2)
-    best, best_sse = np.full(n, len(_PINNED) - 1), np.full(n, np.inf)
+    # problems last: r[i, j] is a row over the problems, r[:, 3] is Q^T y
+    r = np.linalg.qr(stack, mode="r")[:, :3].transpose(1, 2, 0)
+    full_rank = _full_rank(r[:, :3])
+    r = r[..., full_rank]
+    qty = r[:, 3]
+    (r00, r01, r02), (r11, r12), r22 = r[0, :3], r[1, 1:3], r[2, 2]
+    # u[i, p] and beta[j, p]: right-hand side row i and coefficient j of
+    # candidate p, with the pinned coefficients at their bound
+    u = qty[:, None] - np.where(_PINNED, _BOUNDS, 0.0) @ r[:, :3]
+    beta = np.broadcast_to(_BOUNDS[:, None, None], u.shape).copy()
+    # free {a, b, c}, {a, b}, {a}: back-substitution
+    c = u[2, 0] / r22
+    b = (u[1, 0] - r12 * c) / r11
+    beta[:, 0] = (u[0, 0] - r01 * b - r02 * c) / r00, b, c
+    b = u[1, 1] / r11
+    beta[:2, 1] = (u[0, 1] - r01 * b) / r00, b
+    beta[0, 3] = u[0, 3] / r00
+    # free {a, c}: rotating rows 1 and 2 turns column c into (r02, rho, 0)
+    rho = np.hypot(r12, r22)
+    c = (r12 * u[1, 2] + r22 * u[2, 2]) / rho / rho
+    beta[::2, 2] = (u[0, 2] - r02 * c) / r00, c
+    # free {b, c}: rotating rows 0 and 1 turns column b into (rho, 0, 0) and
+    # column c into (top, low, r22); rotating rows 1 and 2 then zeroes r22
+    rho = np.hypot(r01, r11)
+    top, low = (r01 * r02 + r11 * r12) / rho, (r11 * r02 - r01 * r12) / rho
+    u_top, u_low = (r01 * u[0, 4] + r11 * u[1, 4]) / rho, (r11 * u[0, 4] - r01 * u[1, 4]) / rho
+    rho_c = np.hypot(low, r22)
+    c = (low * u_low + r22 * u[2, 4]) / rho_c / rho_c
+    beta[1:, 4] = (u_top - top * c) / rho, c
+    # free {b} or {c}: the projection on the one column, (r01, r11, 0) of
+    # norm rho or (r02, r12, r22)
+    beta[1, 5] = (r01 * u[0, 5] + r11 * u[1, 5]) / rho / rho
+    rho_c = np.hypot(r02, np.hypot(r12, r22))
+    beta[2, 6] = (r02 * u[0, 6] + r12 * u[1, 6] + r22 * u[2, 6]) / rho_c / rho_c
+    feasible = np.all(beta * _SIGNS[:, None, None] >= _FLOORS[:, None, None], axis=0)
+    sse = ((r00 * beta[0] + r01 * beta[1] + r02 * beta[2] - qty[0]) ** 2
+           + (r11 * beta[1] + r12 * beta[2] - qty[1]) ** 2
+           + (r22 * beta[2] - qty[2]) ** 2)
+    best, best_sse = np.full(qty.shape[1], len(_PINNED) - 1), np.full(qty.shape[1], np.inf)
     for p in range(len(_PINNED)):
-        better = feasible[:, p] & (sse[:, p] < best_sse - 1e-15)
-        best, best_sse = np.where(better, p, best), np.where(better, sse[:, p], best_sse)
+        better = feasible[p] & (sse[p] < best_sse - 1e-15)
+        best, best_sse = np.where(better, p, best), np.where(better, sse[p], best_sse)
     out = np.full((stack.shape[0], 3), np.nan)
-    out[full_rank] = beta[np.arange(n), best]
+    out[full_rank] = beta[:, best, np.arange(best.size)].T
     return out, full_rank
 
 
@@ -227,10 +282,10 @@ def fit_pvusa(
 
     The windows are fitted in batches rather than one by one: their daytime
     samples are gathered into a zero-padded (windows, longest window, 4)
-    stack of design and target, reduced by one batched QR and rank-tested on
-    the singular values of each ``R`` (see ``_sign_constrained_ls``). A batch
-    holds up to ``_BLOCK_ROWS`` padded rows; on 60 days of quarter-hour data
-    with 12-hour windows that is about 330 windows.
+    stack of design and target, reduced by one batched QR and solved on each
+    ``R`` (see ``_sign_constrained_ls``). A batch holds up to ``_BLOCK_ROWS``
+    padded rows; on 60 days of quarter-hour data with 12-hour windows that is
+    about 330 windows.
 
     Raises WeatherShapeError when the power series does not match the
     weather or is not finite, and ValueError when the step rounds to less

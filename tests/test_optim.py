@@ -183,10 +183,10 @@ class TestSolveQpBasics:
         on_node, calls = [], []
         ipm, splu = optim._ipm, optim.spla.splu
 
-        def tracked_ipm(prob):
+        def tracked_ipm(prob, **kwargs):
             on_node.append(prob is node)
             try:
-                return ipm(prob)
+                return ipm(prob, **kwargs)
             finally:
                 on_node.pop()
 
@@ -860,6 +860,45 @@ class TestSharedAnalysis:
         assert optim._analyze(moved) is not optim._analyze(prob)
         assert optim._analyze(moved).a[0][k] == 2 and optim._analyze(prob).a[0][k] == 0
 
+    def test_nodes_and_certificates_are_not_held(self, monkeypatch):
+        # a branched MIQP's nodes build analyses of patterns that never
+        # repeat (a fixed side moves to the equality rows), and so does an
+        # infeasible problem's elastic certificate. Neither joins the held
+        # analyses, so the root's stays held and solving the root again
+        # builds none; each node still passes through the module's
+        # solve_qp, where a tracer wraps it.
+        rng = np.random.default_rng(0)
+        prob = [random_storage_miqp(rng, int(rng.integers(2, 7))) for _ in range(4)][-1]
+        built, nodes = [], []
+
+        class Recorded(optim._Analysis):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        solve = optim.solve_qp
+
+        def recorded_solve_qp(p, **kwargs):
+            nodes.append(p)
+            return solve(p, **kwargs)
+
+        monkeypatch.setattr(optim, "_RECENT", [])
+        monkeypatch.setattr(optim, "_Analysis", Recorded)
+        monkeypatch.setattr(optim, "solve_qp", recorded_solve_qp)
+        sol = solve_miqp(prob)
+        assert sol.status is SolveStatus.OPTIMAL and sol.bnb.nodes >= 3
+        assert len(nodes) == sol.bnb.nodes and len(built) == sol.bnb.nodes
+        assert len(optim._RECENT) == 1 and optim._RECENT[0] is built[0]
+        again = solve(prob)
+        assert len(built) == sol.bnb.nodes
+        assert again.status is SolveStatus.OPTIMAL
+
+        infeasible = _unreachable_floor_node()
+        assert solve(infeasible).status is SolveStatus.INFEASIBLE
+        assert len(built) == sol.bnb.nodes + 2         # the problem, its certificate
+        assert len(optim._RECENT) == 2
+        assert optim._RECENT[0] is built[0] and optim._RECENT[1] is built[-2]
+
     def test_new_day_takes_the_held_ordering(self, monkeypatch):
         # two S=20 plans whose scenarios lack PV in different periods: their
         # standard forms differ in the frozen pv_used, their KKT patterns do
@@ -1116,7 +1155,8 @@ class TestSolveMiqp:
                                 optim.KktResiduals(primal=0.0, dual=0.0, comp_gap=2.0),
                                 iterations=3)
         solve_qp = optim.solve_qp
-        monkeypatch.setattr(optim, "solve_qp", lambda p: root if p is prob else solve_qp(p))
+        monkeypatch.setattr(optim, "solve_qp",
+                            lambda p, **kwargs: root if p is prob else solve_qp(p, **kwargs))
         sol = solve_miqp(prob)
         assert root.objective == 0.0
         assert sol.status is SolveStatus.OPTIMAL

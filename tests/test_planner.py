@@ -667,8 +667,8 @@ class TestPaperScaleDay:
         solves = []
         solve_qp = optim.solve_qp
 
-        def recording_solve_qp(problem):
-            solves.append(solve_qp(problem))
+        def recording_solve_qp(problem, **kwargs):
+            solves.append(solve_qp(problem, **kwargs))
             return solves[-1]
 
         with pytest.MonkeyPatch.context() as mp:

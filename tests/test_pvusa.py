@@ -1,8 +1,12 @@
 """PVUSA evaluation, sign-constrained fitting, clear-sky helper."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from capfirm import pvusa
 from capfirm.pvusa import (
     REFERENCE_PARAMS,
     PvusaParams,
@@ -14,7 +18,14 @@ from capfirm.pvusa import (
     steady_state_fit,
 )
 
-from oracles import fit_pvusa_per_window
+from oracles import fit_pvusa_per_window, sign_constrained_ls_enumeration
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import season as gen  # noqa: E402
+import workloads  # noqa: E402
 
 
 def _solar_weather(days=3, step_minutes=15, latitude=50.6, start="2019-08-01"):
@@ -286,6 +297,105 @@ class TestFit:
                            weather.temperature_c)
         with pytest.raises(ValueError):
             fit_pvusa(power, weather, window_hours, step_hours)
+
+
+class TestKernel:
+    """The batched kernel on designs built to reach each of its cases."""
+
+    def test_every_closed_form_active_set_matches_enumeration(self):
+        # generating coefficients of random signs, e^U(-2, 2) times the
+        # reference ones: the optimum lands in each of the eight active
+        # sets, and each closed form gives the answer of the lstsq
+        # enumeration, with the same coefficients pinned
+        rng = np.random.default_rng(2)
+        n, rows = 400, 20
+        irr = rng.uniform(100.0, 900.0, (n, rows))
+        design = np.stack([irr, irr ** 2, irr * rng.uniform(0.0, 30.0, (n, rows))], axis=2)
+        truth = (rng.choice([-1.0, 1.0], (n, 3)) * REFERENCE_PARAMS.as_array()
+                 * np.exp(rng.uniform(-2.0, 2.0, (n, 3))))
+        power = (design @ truth[..., None])[..., 0] + rng.normal(0.0, 5.0, (n, rows))
+        beta, full_rank = pvusa._sign_constrained_ls(
+            np.concatenate([design, power[..., None]], axis=2))
+        assert full_rank.all()
+        pinned = set()
+        for k in range(n):
+            expected = sign_constrained_ls_enumeration(design[k], power[k])
+            pinned.add(tuple(expected == pvusa._BOUNDS))
+            assert np.array_equal(beta[k] == pvusa._BOUNDS, expected == pvusa._BOUNDS)
+            assert np.max(np.abs(design[k] @ (beta[k] - expected))) <= 1e-8
+        assert pinned == {tuple(p) for p in pvusa._PINNED.tolist()}
+
+    def test_rank_decision_matches_the_singular_value_rule(self):
+        # designs U diag(sigma) V^T with condition numbers from 1e9 to 1e14,
+        # the middle singular value between the others, scaled as
+        # irradiance designs are; the R of each has those singular values.
+        # Every window gets the decision of the 1e-12 test on the singular
+        # values of its R, on both sides of 1e12
+        rng = np.random.default_rng(7)
+        kappa = np.logspace(9.0, 14.0, 401)
+        rows = 12
+        u = np.linalg.qr(rng.standard_normal((kappa.size, rows, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((kappa.size, 3, 3)))[0]
+        sigma = np.column_stack([np.ones_like(kappa), kappa ** -rng.uniform(0.0, 1.0, kappa.size),
+                                 1.0 / kappa]) * 1e4
+        design = u * sigma[:, None, :] @ v.transpose(0, 2, 1)
+        stack = np.concatenate([design, rng.standard_normal((kappa.size, rows, 1))], axis=2)
+
+        beta, full_rank = pvusa._sign_constrained_ls(stack)
+        sv = np.linalg.svd(np.linalg.qr(stack, mode="r")[:, :3, :3], compute_uv=False)
+        expected = sv[:, -1] > 1e-12 * sv[:, 0]
+        assert np.array_equal(full_rank, expected)
+        assert 150 < expected.sum() < 250
+        assert np.isfinite(beta[full_rank]).all() and np.isnan(beta[~full_rank]).all()
+
+    def test_only_windows_the_bound_cannot_decide_reach_the_svd(self, monkeypatch):
+        # well-conditioned windows are decided by the bound alone; the
+        # nearly collinear stretch of the batched-fit test (singular value
+        # ratio ~2e-14) still goes to the SVD and is found rank deficient
+        rng = np.random.default_rng(8)
+        good = rng.uniform(100.0, 900.0, (5, 20))
+        irr = np.concatenate([good, np.full((1, 20), 500.0) + np.arange(20) % 3])
+        tmp = np.concatenate([rng.uniform(5.0, 25.0, (5, 20)),
+                              20.0 + 4e-10 * (np.arange(20) % 2)[None]])
+        stack = np.stack([irr, irr ** 2, irr * tmp, 0.5 * irr], axis=2)
+        svd = np.linalg.svd
+        seen = []
+
+        def recorded_svd(a, *args, **kwargs):
+            seen.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        _, full_rank = pvusa._sign_constrained_ls(stack)
+        assert seen == [1]
+        assert full_rank.tolist() == [True] * 5 + [False]
+
+
+class TestBenchmarkSeasonFit:
+    """The rolling fit of the forecast_s100 workload, on its own input."""
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_workload_day_matches_per_window_enumeration(self, seed):
+        season = gen.make_season(seed)
+        workload = workloads.ForecastS100(season, seed)
+        day = int(season.target_days[seed * 20])
+        weather, power = workload._history(day)
+        traj = fit_pvusa(power, weather, workloads.WINDOW_HOURS, workloads.STEP_HOURS)
+        ref, _ = fit_pvusa_per_window(power, weather, workloads.WINDOW_HOURS,
+                                      workloads.STEP_HOURS)
+        assert len(traj) > 1000
+        assert [t for t, _ in traj] == [t for t, _ in ref]
+        assert ([p is q for (_, p), (_, q) in zip(traj, traj[1:])]
+                == [p is q for (_, p), (_, q) in zip(ref, ref[1:])])
+        window = np.timedelta64(int(workloads.WINDOW_HOURS * 3600), "s")
+        irr, tmp, ts = weather.irradiance_wm2, weather.temperature_c, weather.timestamps
+        day_mask = irr > 5.0
+        gap = 0.0
+        for (end, fitted), (_, expected) in zip(traj, ref):
+            sel = day_mask & (ts >= end - window) & (ts <= end)
+            gap = max(gap, float(np.max(np.abs(pvusa_eval(fitted, irr[sel], tmp[sel])
+                                                - pvusa_eval(expected, irr[sel], tmp[sel])))))
+        assert gap <= 1e-8
 
 
 class TestNonFiniteInput:
