@@ -22,31 +22,19 @@ carries finite bounds, which the solver folds into slack rows (about
 through its bounds.
 
 The pv_used, charge, discharge and soc series appear in no inequality row
-but their bounds, and underdev in one deadband row besides its bound, so
-the solver eliminates them before it factors its KKT matrix (see
-:mod:`capfirm.optim`). A fixed pv_used (no PV available) is frozen at its
-bound, without a unit equality row, since its power balance row keeps the
-production column. The terminal SoC, fixed too, stays with its unit row: its
-SoC row keeps no other factored variable. The KKT matrix then has dimension
-``T + 3*T*S + 2*S``: the engagement and production columns, the ``2*T*S``
-equality rows, and the terminal SoC and its row per scenario. At S=20 and
-T=96 that is 5,896, against 11,616 variables and 3,840 equality rows. Its
-elimination rounds take the production columns, the power balance rows,
-the terminal SoCs with their unit rows and the first SoC row of each
-scenario, and then every other SoC row of each chain, twice, so SuperLU
-factors 556 columns: the engagement and 23 SoC rows per scenario.
+but their bounds, and underdev in one deadband row besides its bound. The
+fixed variables are the pv_used of a period where a scenario has no PV and
+the terminal SoC. How the solver eliminates, freezes and factors these, and
+the size of what it factors, is described in :mod:`capfirm.optim`'s module
+note.
 
 The battery ratio and the selling price enter the problem only through its
 values (costs, bounds and right-hand sides), and for a battery of nonzero
 size they change neither which bounds are finite nor which variables are
-fixed (the pv_used where a scenario has no PV, and the terminal SoC). So one
-day's plans on one scenario set share a sparsity pattern at every ratio and
-price, and the solver reuses its analysis of that pattern when they are
-solved one after another, alternating with the day's control QPs, which
-share one pattern of their own. Plans of different days do not share a
-standard form, as their PV-free periods, and so their fixed pv_used,
-differ. But those are frozen, so the plans share a KKT pattern, and the
-solver carries its ordering of that pattern from one day to the next.
+fixed. So one day's plans on one scenario set share a sparsity pattern at
+every ratio and price, and the solver reuses its analysis of that pattern
+(see :mod:`capfirm.optim`). Plans of different days differ only in which
+pv_used are fixed, as their PV-free periods differ.
 """
 
 from __future__ import annotations
@@ -164,21 +152,18 @@ def sparse_rows(entries, n_rows: int, n_cols: int) -> sp.csr_matrix:
     """CSR matrix from (row indices, column indices, values) triples.
 
     The values broadcast against the index arrays, so one triple sets a whole
-    family of coefficients at once. The entries are sorted by row, then
-    column, into the canonical CSR arrays directly. A (row, column) given
-    twice raises ``ValueError``: no coefficient here is a sum.
+    family of coefficients at once. A (row, column) given twice, which the
+    COO conversion would sum, raises ``ValueError``: no coefficient here is a
+    sum.
     """
-    shapes = [np.shape(rows) for rows, _, _ in entries]
     rows = np.concatenate([np.ravel(r) for r, _, _ in entries])
     cols = np.concatenate([np.ravel(cc) for _, cc, _ in entries])
-    data = np.concatenate([np.broadcast_to(v, s).ravel()
-                           for (_, _, v), s in zip(entries, shapes)])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+    data = np.concatenate([np.broadcast_to(v, np.shape(r)).ravel()
+                           for r, _, v in entries])
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
+    if mat.nnz < data.size:
         raise ValueError("a (row, column) entry is given twice")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
-    return sp.csr_matrix((data[order], cols, indptr), shape=(n_rows, n_cols))
+    return mat
 
 
 def dispatch_block(

@@ -33,10 +33,6 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-#: Steady-state coefficients of the reference ~466 kW rooftop plant; used as
-#: the generating parameters of the synthetic dataset.
-REFERENCE_PARAMS = None  # set below, after the dataclass exists
-
 _DAYTIME_WM2 = 5.0
 _A_FLOOR = 1e-9
 _BC_FLOOR = 1e-12
@@ -74,6 +70,8 @@ class PvusaParams:
         return np.array([self.a, self.b, self.c])
 
 
+#: Steady-state coefficients of the reference ~466 kW rooftop plant; used as
+#: the generating parameters of the synthetic dataset.
 REFERENCE_PARAMS = PvusaParams(a=0.573, b=-7.68e-5, c=-1.86e-3)
 
 

@@ -18,7 +18,7 @@ whether scenario indices are drawn sequentially or concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -39,13 +39,13 @@ class CopulaModel:
     sorted ascending: column k is the empirical marginal of lead time k, read
     at the plotting positions ``(i - 0.5)/days`` that all columns share.
     ``degenerate`` (T,) flags the lead times that emit exactly zero error.
-    ``correlation`` and its lower Cholesky factor are T x T.
+    ``correlation`` is T x T; its lower Cholesky factor is derived, not given.
     """
 
     sorted_errors_kw: np.ndarray
     degenerate: np.ndarray
     correlation: np.ndarray
-    cholesky_factor: np.ndarray
+    cholesky_factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
         z = np.asarray(self.sorted_errors_kw, dtype=float).copy()
@@ -70,9 +70,10 @@ class CopulaModel:
             raise ValueError("correlation must have a unit diagonal")
         if np.max(np.abs(r)) > 1.0 + 1e-10:
             raise ValueError("correlation entries must lie in [-1, 1]")
-        low = np.asarray(self.cholesky_factor, dtype=float).copy()
-        if low.shape != (t_n, t_n) or not np.all(np.isfinite(low)):
-            raise ValueError("Cholesky factor must be a finite T x T matrix")
+        try:
+            low = np.linalg.cholesky(r)
+        except np.linalg.LinAlgError:
+            raise ValueError("correlation must be positive definite") from None
         for name, arr in (("sorted_errors_kw", z), ("degenerate", flags),
                           ("correlation", r), ("cholesky_factor", low)):
             arr.setflags(write=False)
@@ -176,10 +177,9 @@ def fit_copula(errors_kw, pv_capacity_kw: float) -> CopulaModel:
     corr = np.clip(corr, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
 
-    repaired = _repair_positive_definite(corr)
     return CopulaModel(sorted_errors_kw=np.sort(errors, axis=0),
-                       degenerate=degenerate, correlation=repaired,
-                       cholesky_factor=np.linalg.cholesky(repaired))
+                       degenerate=degenerate,
+                       correlation=_repair_positive_definite(corr))
 
 
 def sample_scenarios(

@@ -1,9 +1,12 @@
-"""Import weight of the package's modules, and references to them."""
+"""Import weight of the package's modules, references to them, and the
+dependencies they import."""
 
+import ast
 import pkgutil
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import capfirm
@@ -36,3 +39,20 @@ def test_every_package_reference_names_a_module():
                       if name not in MODULES and not name.startswith("__")]
     assert {"domain", "optim"} <= set(MODULES)
     assert stale == []
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    # the top-level modules the package imports, less the standard library
+    # and itself, are exactly the distributions pyproject.toml declares
+    imported = set()
+    for path in (ROOT / "src" / "capfirm").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= {*sys.stdlib_module_names, "capfirm"}
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group()
+                    for spec in tomllib.load(f)["project"]["dependencies"]}
+    assert imported == declared == {"numpy", "scipy"}

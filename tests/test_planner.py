@@ -84,10 +84,12 @@ class TestBuild:
             for wi, trace in zip(weights, res.traces))
         assert abs(res.objective + net) <= 1e-6 * (1.0 + abs(net))
 
-    def test_sparse_rows_match_the_summing_coo_build(self, monkeypatch):
-        # the planning and control matrices, built straight into CSR, have
-        # the arrays of scipy's COO conversion; a (row, column) given twice,
-        # which COO would sum, raises
+    def test_sparse_rows_are_canonical_int32_csr(self, monkeypatch):
+        # the solver compares the indptr and indices of these matrices across
+        # days (optim._pattern_key), so every plan and control matrix must
+        # come out in one form: canonical CSR (sorted, no duplicates) with
+        # int32 indices, holding each given value at its (row, column); a
+        # (row, column) given twice, which the COO build would sum, raises
         grid = toy_grid(24, peak=range(18, 20))
         policy = toy_policy(grid, pv_capacity=466.4)
         system = toy_system(pv_capacity=466.4, capacity_kwh=233.2)
@@ -104,15 +106,23 @@ class TestBuild:
         res = plan(PlanningInstance(grid, policy, system,
                                     ScenarioSet(values, np.full(3, 1.0 / 3)), "S"))
         build_control_qp(res.engagement, values[0], policy, system, grid)
-        assert len(calls) == 4        # a_eq and a_ub of the plan and of its control
+        with np.load(DATA / "s20_season4_day132.npz") as stored:
+            scen = ScenarioSet(stored["values_kw"], stored["weights"])
+        daily = TimeGrid.daily()
+        build_planning_qp(PlanningInstance(
+            daily, toy_policy(daily, pv_capacity=466.4), toy_system(466.4, 233.2), scen, "S"))
+        # a_eq and a_ub of the toy plan, of its control and of the S=20 plan
+        assert len(calls) == 6
+        assert [got.shape for *_, got in calls[4:]] == [(3840, 11616), (4030, 11616)]
         for entries, n_rows, n_cols, got in calls:
             rows, cols, data = (np.concatenate([np.broadcast_to(e[k], np.shape(e[0])).ravel()
                                                 for e in entries]) for k in range(3))
-            ref = sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
-            assert got.shape == ref.shape
-            for name in ("indptr", "indices", "data"):
-                assert getattr(got, name).dtype == getattr(ref, name).dtype
-                assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert got.shape == (n_rows, n_cols) and got.nnz == data.size
+            assert got.indptr.dtype == got.indices.dtype == np.int32
+            # rewrapped, so that scipy checks the arrays rather than a flag
+            assert sp.csr_matrix((got.data, got.indices, got.indptr),
+                                 shape=got.shape).has_canonical_format
+            assert np.array_equal(np.asarray(got[rows, cols]).ravel(), data)
         rows = np.arange(3)
         with pytest.raises(ValueError, match="twice"):
             sparse_rows([(rows, rows, 1.0), (rows[1:], rows[1:], 2.0)], 3, 3)

@@ -42,19 +42,18 @@ def _night_history(whole_kw, days=61, t_n=96):
 def _model_fields(t_n=3, days=40):
     return dict(sorted_errors_kw=np.zeros((days, t_n)),
                 degenerate=np.ones(t_n, dtype=bool),
-                correlation=np.eye(t_n), cholesky_factor=np.eye(t_n))
+                correlation=np.eye(t_n))
 
 
 class TestCopulaModel:
     @pytest.mark.parametrize("field, value", [
         ("correlation", np.array([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]])),
-        ("cholesky_factor", np.diag([1.0, np.nan, 1.0])),
-        ("cholesky_factor", np.eye(2)),
+        ("correlation", np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
         ("sorted_errors_kw", np.zeros((1, 3))),
         ("sorted_errors_kw", np.array([[0.0, 0.0, -np.inf]] + [[0.0, 0.0, 1.0]] * 39)),
         ("sorted_errors_kw", np.array([[0.0, 0.0, 1.0]] + [[0.0, 0.0, 0.0]] * 39)),
         ("degenerate", np.ones(2, dtype=bool)),
-    ], ids=["nan_correlation", "nan_factor", "factor_not_t_by_t", "one_history_row",
+    ], ids=["nan_correlation", "singular_correlation", "one_history_row",
             "non_finite_errors", "unsorted_errors", "degenerate_flags_not_t"])
     def test_invalid_field_rejected(self, field, value):
         CopulaModel(**_model_fields())
@@ -186,7 +185,7 @@ class TestSampleScenarios:
         t_n = 5
         model = CopulaModel(sorted_errors_kw=np.zeros((40, t_n)),
                             degenerate=np.ones(t_n, dtype=bool),
-                            correlation=np.eye(t_n), cholesky_factor=np.eye(t_n))
+                            correlation=np.eye(t_n))
         forecast = np.array([0.0, 100.0, 500.0, 300.0, -20.0])
         out = sample_scenarios(model, forecast, 7, seed=3, pv_capacity_kw=PC)
         expected = np.clip(forecast, 0.0, PC)
@@ -292,7 +291,7 @@ class TestSampleScenarios:
     def test_zero_scenarios_rejected(self):
         model = CopulaModel(sorted_errors_kw=np.zeros((40, 1)),
                             degenerate=np.ones(1, dtype=bool),
-                            correlation=np.eye(1), cholesky_factor=np.eye(1))
+                            correlation=np.eye(1))
         with pytest.raises(ValueError):
             sample_scenarios(model, np.array([100.0]), 0, seed=0, pv_capacity_kw=PC)
 
