@@ -37,9 +37,9 @@ from .optim import (
 )
 from .planner import (
     DispatchIndex,
-    dispatch_block,
-    dispatch_trace,
-    sparse_rows,
+    dispatch_index,
+    dispatch_problem,
+    dispatch_traces,
     unreachable_floor_period,
 )
 
@@ -115,17 +115,14 @@ def build_control_qp(
     if eng.shape[0] != t_n or pv.shape[0] != t_n or policy.n_periods != t_n:
         raise ShapeError("engagement/realized PV/policy length must match the grid")
 
-    block = dispatch_block(pv[None, :], np.ones(1), 0, grid, policy, system)
-    idx = block.index
+    idx = dispatch_index(t_n, 1, 0)
     band = policy.deadband_kw
-    block.ub[idx.production[0]] = np.minimum(policy.prod_max_kw, eng + band)
     rows = np.arange(t_n)
-    a_ub = sparse_rows([(rows, idx.production[0], -1.0), (rows, idx.underdev[0], -1.0)],
-                       t_n, block.c.shape[0])
-    problem = QpProblem(q=block.q, c=block.c, a_ub=a_ub, b_ub=band - eng,
-                        a_eq=block.a_eq, b_eq=block.b_eq, lb=block.lb, ub=block.ub,
-                        comp_pairs=block.pairs)
-    return problem, block.hints, idx
+    problem, hints = dispatch_problem(
+        idx, pv[None, :], np.ones(1), grid, policy, system,
+        [(rows, idx.production[0], -1.0), (rows, idx.underdev[0], -1.0)], band - eng,
+        (idx.production[0], policy.prod_min_kw, np.minimum(policy.prod_max_kw, eng + band)))
+    return problem, hints, idx
 
 
 def oracle_control(
@@ -152,8 +149,7 @@ def oracle_control(
         raise ControlInfeasibleError(
             "dispatch infeasible (energy-coupled: battery cannot honor the floors)")
 
-    trace = dispatch_trace(sol.x, idx, 0)
-    trace.validate(grid, system)
+    trace, = dispatch_traces(sol.x, idx, grid, system)
     econ = day_economics(trace, engagement, policy, grid)
     return ControlResult(trace=trace, economics=econ, objective=sol.objective,
                          status=sol.status, solution=sol)

@@ -11,7 +11,9 @@ pv_used, charge, discharge, soc, scenario after scenario, starting at a
 first column. :func:`dispatch_index` is the one definition of these flat
 indices. Planning puts the T engagement variables in the first columns and
 the block after them; control has no engagement variables and one scenario,
-so its block starts at column 0.
+so its block starts at column 0. :func:`dispatch_problem` is the one builder
+of every planning and control QP, and :func:`dispatch_traces` the one
+read-out of a solution, which validates every scenario's trace.
 
 With T periods and S scenarios the planning problem has ``T + 6*T*S``
 variables, ``2*(T-1) + 2*T*S`` inequality rows (engagement ramps plus the
@@ -47,6 +49,7 @@ import scipy.sparse as sp
 from .domain import (
     DispatchTrace,
     EngagementPlan,
+    InvalidConfigError,
     ShapeError,
     SystemConfig,
     TariffPolicy,
@@ -113,26 +116,6 @@ class DispatchIndex:
 
 
 @dataclass(frozen=True)
-class DispatchBlock:
-    """Cost, bounds, equality rows, pairs and hints of the dispatch variables.
-
-    The vectors span every problem variable and belong to the caller, who
-    sets the engagement columns (zero cost, infinite bounds here) and may
-    tighten bounds before building the problem.
-    """
-
-    index: DispatchIndex
-    q: np.ndarray
-    c: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    a_eq: sp.csr_matrix
-    b_eq: np.ndarray
-    pairs: np.ndarray
-    hints: SocChainHints
-
-
-@dataclass(frozen=True)
 class PlanResult:
     engagement: EngagementPlan
     traces: tuple[DispatchTrace, ...]
@@ -156,6 +139,8 @@ def sparse_rows(entries, n_rows: int, n_cols: int) -> sp.csr_matrix:
     COO conversion would sum, raises ``ValueError``: no coefficient here is a
     sum.
     """
+    if not entries:
+        return sp.csr_matrix((n_rows, n_cols))
     rows = np.concatenate([np.ravel(r) for r, _, _ in entries])
     cols = np.concatenate([np.ravel(cc) for _, cc, _ in entries])
     data = np.concatenate([np.broadcast_to(v, np.shape(r)).ravel()
@@ -166,29 +151,38 @@ def sparse_rows(entries, n_rows: int, n_cols: int) -> sp.csr_matrix:
     return mat
 
 
-def dispatch_block(
+def dispatch_problem(
+    idx: DispatchIndex,
     pv_kw: np.ndarray,
     weights: np.ndarray,
-    first: int,
     grid: TimeGrid,
     policy: TariffPolicy,
     system: SystemConfig,
-) -> DispatchBlock:
-    """Build the dispatch part of a planning or control problem.
+    rows,
+    b_ub: np.ndarray,
+    bounds: tuple,
+) -> tuple[QpProblem, SocChainHints]:
+    """Build a planning or control problem around the dispatch block at ``idx``.
 
-    ``pv_kw`` is the (S, T) PV available per scenario and ``weights`` the
-    scenario probabilities; the block starts at column ``first``. Negative PV
-    (scenario values may carry round-off below zero) is clipped to zero, so
-    the pv_used bounds stay consistent. Equality rows come scenario-major,
-    per period the power balance then the SoC recursion. The complementarity
-    pairs are the (k, 2) array of (charge, discharge) columns, period-major
-    (pair ``t*S + w`` is scenario w's period t), so branching ties resolve
-    toward the earliest period; ``hints.pv_used`` lists each pair's pv_used
-    column in the same order.
+    ``pv_kw`` is the (S, T) PV per scenario, clipped at zero (round-off may
+    put it below), and ``weights`` the scenario probabilities. The columns
+    ahead of the block get zero cost and infinite bounds. The inequality rows
+    ``rows`` are :func:`sparse_rows` triples, with right-hand sides ``b_ub``,
+    and may name any column of ``idx``, engagement included; the one
+    ``(columns, lower, upper)`` override ``bounds`` applies after the block's
+    own bounds. Equality rows come scenario-major, per period the power
+    balance then the SoC recursion. The (charge, discharge) pairs are
+    period-major (pair ``t*S + w`` is scenario w's period t), so branching
+    ties resolve toward the earliest period; ``hints.pv_used`` follows the
+    same order. ``policy`` and ``system`` must state one PV capacity, to
+    1e-12 relative, else ``InvalidConfigError``.
     """
+    cap = policy.pv_capacity_kw
+    if abs(system.pv_capacity_kw - cap) > 1e-12 * max(cap, system.pv_capacity_kw):
+        raise InvalidConfigError(f"system PV capacity {system.pv_capacity_kw} kW "
+                                 f"differs from the tender's {cap} kW")
     s_n, t_n = pv_kw.shape
-    n = first + 6 * t_n * s_n
-    idx = dispatch_index(t_n, s_n, first)
+    n = idx.eng.size + 6 * t_n * s_n
     dt = grid.delta_t_hours
     revenue, penalty = money_coefficients(policy, grid)
     weight = np.asarray(weights, dtype=float)[:, None]
@@ -215,6 +209,9 @@ def dispatch_block(
     ub[idx.soc] = system.soc_max_kwh
     lb[idx.soc[:, -1]] = system.soc_end_kwh
     ub[idx.soc[:, -1]] = system.soc_end_kwh
+    columns, lower, upper = bounds
+    lb[columns] = lower
+    ub[columns] = upper
 
     balance = 2 * np.arange(s_n * t_n).reshape(s_n, t_n)
     soc_row = balance + 1
@@ -232,21 +229,29 @@ def dispatch_block(
     b_eq[soc_row[:, 0]] = system.soc_init_kwh
 
     pairs = np.stack((idx.charge.T.ravel(), idx.discharge.T.ravel()), axis=1)
+    problem = QpProblem(q=q, c=c, a_ub=sparse_rows(rows, b_ub.size, n), b_ub=b_ub,
+                        a_eq=a_eq, b_eq=b_eq, lb=lb, ub=ub, comp_pairs=pairs)
     hints = SocChainHints(pv_used=idx.pv_used.T.ravel(), eta_charge=eta_c,
                           eta_discharge=eta_d)
-    return DispatchBlock(index=idx, q=q, c=c, lb=lb, ub=ub, a_eq=a_eq, b_eq=b_eq,
-                         pairs=pairs, hints=hints)
+    return problem, hints
 
 
-def dispatch_trace(x: np.ndarray, idx: DispatchIndex, scenario: int) -> DispatchTrace:
-    """Read one scenario's dispatch out of a solution vector."""
-    return DispatchTrace(
-        production_kw=x[idx.production[scenario]],
-        pv_used_kw=np.maximum(x[idx.pv_used[scenario]], 0.0),
-        charge_kw=np.maximum(x[idx.charge[scenario]], 0.0),
-        discharge_kw=np.maximum(x[idx.discharge[scenario]], 0.0),
-        soc_kwh=x[idx.soc[scenario]],
-    )
+def dispatch_traces(x: np.ndarray, idx: DispatchIndex, grid: TimeGrid,
+                    system: SystemConfig) -> tuple[DispatchTrace, ...]:
+    """Read every scenario's dispatch out of a solution vector, validated.
+
+    Each trace must meet balance, SoC recursion and bounds to 1e-6
+    (:meth:`~capfirm.domain.DispatchTrace.validate`), which raises otherwise.
+    """
+    traces = tuple(
+        DispatchTrace(production_kw=x[p], pv_used_kw=np.maximum(x[u], 0.0),
+                      charge_kw=np.maximum(x[c], 0.0),
+                      discharge_kw=np.maximum(x[d], 0.0), soc_kwh=x[s])
+        for p, u, c, d, s in zip(idx.production, idx.pv_used, idx.charge,
+                                 idx.discharge, idx.soc))
+    for trace in traces:
+        trace.validate(grid, system)
+    return traces
 
 
 def unreachable_floor_period(pv_kw: np.ndarray, policy: TariffPolicy,
@@ -266,15 +271,8 @@ def build_planning_qp(
 ) -> tuple[QpProblem, SocChainHints, DispatchIndex]:
     """Assemble the day-ahead problem; see the module docstring for sizes."""
     grid, policy = instance.grid, instance.policy
-    t_n = grid.n_periods
-    block = dispatch_block(instance.scenarios.values_kw, instance.scenarios.weights,
-                           t_n, grid, policy, instance.system)
-    idx = block.index
-    s_n = instance.scenarios.n_scenarios
-    n = block.c.shape[0]
-    band = policy.deadband_kw
-    block.lb[idx.eng] = policy.eng_min_kw
-    block.ub[idx.eng] = policy.eng_max_kw
+    t_n, s_n = grid.n_periods, instance.scenarios.n_scenarios
+    idx = dispatch_index(t_n, s_n, t_n)
 
     # engagement ramps (both signs), deactivated at the first period; then
     # per scenario and period the deadband rows: underdev >= (eng - band) -
@@ -284,19 +282,18 @@ def build_planning_qp(
     eng_now, eng_prev = idx.eng[1:], idx.eng[:-1]
     dead = 2 * (t_n - 1) + 2 * np.arange(s_n * t_n).reshape(s_n, t_n)
     eng = np.broadcast_to(idx.eng, (s_n, t_n))
-    a_ub = sparse_rows([
+    rows = [
         (up, eng_now, 1.0), (up, eng_prev, -1.0),
         (up + 1, eng_prev, 1.0), (up + 1, eng_now, -1.0),
         (dead, eng, 1.0), (dead, idx.production, -1.0), (dead, idx.underdev, -1.0),
         (dead + 1, idx.production, 1.0), (dead + 1, eng, -1.0),
-    ], 2 * (t_n - 1) + 2 * t_n * s_n, n)
+    ]
     b_ub = np.concatenate([np.repeat(policy.ramp_limit_kw[1:], 2),
-                           np.full(2 * t_n * s_n, band)])
-
-    problem = QpProblem(q=block.q, c=block.c, a_ub=a_ub, b_ub=b_ub,
-                        a_eq=block.a_eq, b_eq=block.b_eq, lb=block.lb, ub=block.ub,
-                        comp_pairs=block.pairs)
-    return problem, block.hints, idx
+                           np.full(2 * t_n * s_n, policy.deadband_kw)])
+    problem, hints = dispatch_problem(
+        idx, instance.scenarios.values_kw, instance.scenarios.weights, grid, policy,
+        instance.system, rows, b_ub, (idx.eng, policy.eng_min_kw, policy.eng_max_kw))
+    return problem, hints, idx
 
 
 def _diagnose_infeasibility(instance: PlanningInstance) -> tuple[str, int | None]:
@@ -340,12 +337,8 @@ def plan(instance: PlanningInstance) -> PlanResult:
             f"at period {verdict.violation.period}",
             kind=verdict.violation.kind, period=verdict.violation.period)
 
-    traces = []
-    for w in range(instance.scenarios.n_scenarios):
-        trace = dispatch_trace(sol.x, idx, w)
-        trace.validate(instance.grid, instance.system)
-        traces.append(trace)
-    return PlanResult(engagement=engagement, traces=tuple(traces),
+    traces = dispatch_traces(sol.x, idx, instance.grid, instance.system)
+    return PlanResult(engagement=engagement, traces=traces,
                       objective=sol.objective, status=sol.status, solution=sol)
 
 

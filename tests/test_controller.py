@@ -129,7 +129,7 @@ class TestOracleControl:
         assert res.economics.gross_revenue_eur == pytest.approx(0.0, abs=1e-9)
 
     def test_policy_length_must_match_grid(self):
-        # a 48-period policy on a 96-period grid failed inside dispatch_block
+        # a 48-period policy on a 96-period grid failed inside dispatch_problem
         # with numpy's broadcast error
         grid = toy_grid(96)
         with pytest.raises(ShapeError, match="policy"):

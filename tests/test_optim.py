@@ -22,8 +22,8 @@ from capfirm.optim import (
 from capfirm.planner import (
     PlanningInstance,
     build_planning_qp,
-    dispatch_block,
     dispatch_index,
+    dispatch_problem,
 )
 from capfirm.scenarios import ScenarioSet
 
@@ -1282,10 +1282,10 @@ class TestRepairSimultaneousFlow:
         system = toy_system(pv_capacity=466.4, capacity_kwh=233.2)
         rng = np.random.default_rng(3)
         pv = rng.uniform(50.0, 400.0, (s_n, t_n))
-        block = dispatch_block(pv, np.full(s_n, 1.0 / s_n), t_n, grid, policy, system)
-        prob = QpProblem(q=block.q, c=block.c, a_eq=block.a_eq, b_eq=block.b_eq,
-                         lb=block.lb, ub=block.ub, comp_pairs=block.pairs)
-        idx, dt = block.index, grid.delta_t_hours
+        idx, dt = dispatch_index(t_n, s_n, t_n), grid.delta_t_hours
+        # equality rows only, the engagement columns free
+        prob, hints = dispatch_problem(idx, pv, np.full(s_n, 1.0 / s_n), grid, policy,
+                                       system, [], np.zeros(0), (idx.eng, -np.inf, np.inf))
         eta_c, eta_d = system.eta_charge, system.eta_discharge
         rate = np.repeat(rng.uniform(0.0, 50.0, (s_n, t_n // 2)), 2, axis=1)
         rate[:, 1::2] *= -1.0                    # SoC rate eta_c*cha - dis/eta_d
@@ -1318,7 +1318,7 @@ class TestRepairSimultaneousFlow:
             ref[d] = max(ref[d] - frac * dd, 0.0)
             ref[p] = max(ref[p] - frac * need, 0.0)
 
-        out = repair_simultaneous_flow(prob, x, block.hints)
+        out = repair_simultaneous_flow(prob, x, hints)
         assert out.resolved
         assert np.array_equal(out.x, ref)
         assert np.max(np.abs(prob.a_eq @ out.x - prob.a_eq @ x)) <= 1e-12 * np.max(np.abs(x))

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from capfirm import controller, optim, planner
+from capfirm import optim, planner
 from capfirm.controller import build_control_qp, oracle_control
 from capfirm.domain import (
+    DispatchTrace,
+    EngagementPlan,
+    InvalidConfigError,
     ShapeError,
     TimeGrid,
     battery_floor_scale,
@@ -102,7 +105,6 @@ class TestBuild:
             return calls[-1][-1]
 
         monkeypatch.setattr(planner, "sparse_rows", recorded)
-        monkeypatch.setattr(controller, "sparse_rows", recorded)
         res = plan(PlanningInstance(grid, policy, system,
                                     ScenarioSet(values, np.full(3, 1.0 / 3)), "S"))
         build_control_qp(res.engagement, values[0], policy, system, grid)
@@ -126,6 +128,30 @@ class TestBuild:
         rows = np.arange(3)
         with pytest.raises(ValueError, match="twice"):
             sparse_rows([(rows, rows, 1.0), (rows[1:], rows[1:], 2.0)], 3, 3)
+        # no triples: an empty matrix of the given shape, in the same form
+        empty = sparse_rows([], 4, 5)
+        assert empty.shape == (4, 5) and empty.nnz == 0
+        assert empty.indptr.dtype == empty.indices.dtype == np.int32
+        assert np.array_equal(empty.indptr, np.zeros(5))
+
+    def test_system_and_tender_pv_capacity_must_agree(self):
+        # the tender's capacity sets the production bounds and the penalty,
+        # the system's describes the plant: a 466.4 kW tender on a 100 kW
+        # plant is a mistake, whichever entry point receives it
+        grid = toy_grid(8)
+        policy = toy_policy(grid, pv_capacity=466.4)
+        system = toy_system(pv_capacity=100.0)
+        pv = np.array([0.0, 10.0, 35.0, 70.0, 80.0, 45.0, 15.0, 0.0])
+        with pytest.raises(InvalidConfigError, match="PV capacity"):
+            plan(PlanningInstance(grid, policy, system,
+                                  ScenarioSet(np.stack([pv, 0.5 * pv]), np.full(2, 0.5)), "S"))
+        with pytest.raises(InvalidConfigError, match="PV capacity"):
+            plan_deterministic(pv, grid, policy, system, mode="D")
+        with pytest.raises(InvalidConfigError, match="PV capacity"):
+            oracle_control(EngagementPlan(np.zeros(8)), pv, policy, system, grid)
+        # round-off in a capacity computed another way is no mismatch
+        close = toy_system(pv_capacity=466.4 * (1.0 + 4e-16))
+        build_planning_qp(PlanningInstance(grid, policy, close, ScenarioSet.single(pv), "D"))
 
     def test_round_off_negative_pv_is_clipped(self):
         # scenario values may sit a hair below zero; the pv_used bound must
@@ -150,7 +176,7 @@ class TestBuild:
             PlanningInstance(grid, policy, system, two, "X")
 
     def test_policy_length_must_match_grid(self):
-        # a 48-period policy on a 96-period grid failed inside dispatch_block
+        # a 48-period policy on a 96-period grid failed inside dispatch_problem
         # with numpy's broadcast error
         grid = toy_grid(96)
         with pytest.raises(ShapeError, match="policy"):
@@ -280,12 +306,40 @@ class TestPlanProperties:
 
     def test_every_trace_and_engagement_verified(self):
         res = plan(self._noisy_instance())
-        assert check_engagement(res.engagement, res.solution and
-                                self._noisy_instance().policy).ok
+        assert check_engagement(res.engagement, self._noisy_instance().policy).ok
         sys = toy_system(capacity_kwh=20.0)
         for trace in res.traces:
             trace.validate(toy_grid(8), sys)
             assert np.max(np.minimum(trace.charge_kw, trace.discharge_kw)) <= 1e-6 * 20.0
+
+    def test_every_returned_trace_is_validated(self, monkeypatch):
+        # plan validates each of its S traces and oracle_control its one, so
+        # neither returns a trace that DispatchTrace.validate has not passed
+        validated = []
+        validate = DispatchTrace.validate
+
+        def recorded(trace, grid, system):
+            validate(trace, grid, system)
+            validated.append(trace)
+
+        monkeypatch.setattr(DispatchTrace, "validate", recorded)
+
+        def same(returned):
+            return list(map(id, validated)) == list(map(id, returned))
+
+        toy = plan(self._noisy_instance())
+        assert len(toy.traces) == 3 and same(toy.traces)
+        with np.load(DATA / "s20_season4_day132.npz") as data:
+            scen = ScenarioSet(data["values_kw"], data["weights"])
+        daily = TimeGrid.daily()
+        policy = toy_policy(daily, pv_capacity=466.4)
+        system = toy_system(466.4, 233.2)
+        validated.clear()
+        day = plan(PlanningInstance(daily, policy, system, scen, "S"))
+        assert len(day.traces) == 20 and same(day.traces)
+        validated.clear()
+        ctl = oracle_control(day.engagement, scen.values_kw[0], policy, system, daily)
+        assert same([ctl.trace])
 
     def test_status_reported(self):
         res = plan(self._noisy_instance())
