@@ -95,13 +95,14 @@ slightly different points. Without this start, the early iterations are
 spent reconciling a dual of size 1 with a cost of size ``max|c|``.
 
 ``solve_miqp`` adds best-bound branch-and-bound over the pairs. Each pair is
-a row (charge, discharge) of ``QpProblem.comp_pairs``. When the caller
-passes the battery structure (:class:`SocChainHints`: the PV-used variable
-of each pair's period, aligned with those rows, and the two efficiencies),
-a one-stage repair, the flux-preserving reduction paid for by PV
-curtailment, turns a relaxation point into a feasible incumbent without
-touching the coupling-point production; a pair it cannot clear is left to
-branching.
+a row (charge, discharge) of ``QpProblem.comp_pairs``. The root relaxation
+is the search's first node, and every result is the root's solution with the
+search's fields replaced. When the caller passes the battery structure
+(:class:`SocChainHints`: the PV-used variable of each pair's period, aligned
+with those rows, and the two efficiencies), a one-stage repair, the
+flux-preserving reduction paid for by PV curtailment, turns a relaxation
+point into a feasible incumbent without touching the coupling-point
+production; a pair it cannot clear is left to branching.
 
 Everything is deterministic: a fixed input yields a bit-identical solution
 path, whatever was solved before it. A held analysis holds no value, and a
@@ -1138,23 +1139,17 @@ def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
     n_el = m + 2 * peq
     q = np.concatenate([np.full(n, 1e-12), np.zeros(n_el)])
     c = np.concatenate([np.zeros(n), np.ones(n_el)])
-    a_ub = sp.hstack([prob.a_ub,
-                      -sp.eye(m, format="csr"),
-                      sp.csr_matrix((m, 2 * peq))], format="csr") if m else None
-    b_ub = prob.b_ub if m else None
-    a_eq = sp.hstack([prob.a_eq,
-                      sp.csr_matrix((peq, m)),
-                      sp.eye(peq, format="csr"),
-                      -sp.eye(peq, format="csr")], format="csr") if peq else None
-    b_eq = prob.b_eq if peq else None
+    a_ub = sp.hstack([prob.a_ub, -sp.eye(m, format="csr"),
+                      sp.csr_matrix((m, 2 * peq))], format="csr")
+    a_eq = sp.hstack([prob.a_eq, sp.csr_matrix((peq, m)),
+                      sp.eye(peq, format="csr"), -sp.eye(peq, format="csr")], format="csr")
     lb = np.concatenate([prob.lb, np.zeros(n_el)])
     ub = np.concatenate([prob.ub, np.full(n_el, np.inf)])
-    elastic = QpProblem(q=q, c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
+    elastic = QpProblem(q=q, c=c, a_ub=a_ub, b_ub=prob.b_ub, a_eq=a_eq, b_eq=prob.b_eq,
                         lb=lb, ub=ub)
     x = _ipm(elastic, hold=False)[0]
     mass = float(np.sum(x[n:]))
-    scale = 1.0 + max(float(np.max(np.abs(prob.b_ub))) if m else 0.0,
-                      float(np.max(np.abs(prob.b_eq))) if peq else 0.0)
+    scale = 1.0 + float(np.max(np.abs(np.concatenate([prob.b_ub, prob.b_eq]))))
     return mass > 1e-7 * scale, mass
 
 
@@ -1263,18 +1258,20 @@ def solve_miqp(
     problem: QpProblem,
     soc_hints: SocChainHints | None = None,
 ) -> QpSolution:
-    """Branch-and-bound over complementarity pairs on top of :func:`solve_qp`.
+    """Best-bound branch-and-bound over complementarity pairs on :func:`solve_qp`.
 
-    Relaxations violating a pair are branched by fixing one side of the
-    most-violated pair to zero in each child (ties broken by pair order);
-    best-bound search stops when the optimality gap falls below
-    ``1e-6 * (1 + |incumbent|)`` or after ``_NODE_LIMIT`` nodes. When hints are
-    supplied, every violating relaxation point is repaired and a repaired
-    point serves as an incumbent, which usually closes the gap at the root.
-    The repair makes the flux-preserving reduction only: a point with a pair
-    it cannot clear is no incumbent, and branching goes on from it. A closed
-    search is ``OPTIMAL`` either way; ``bnb.repaired`` tells whether its
-    incumbent came from the repair.
+    The search's first node is the root, the relaxation itself. A node whose
+    point violates a pair is branched by fixing one side of the most-violated
+    pair to zero in each child (ties broken by pair order); the search stops
+    when the optimality gap falls below ``1e-6 * (1 + |incumbent|)`` or after
+    ``_NODE_LIMIT`` nodes. When hints are supplied, every violating relaxation
+    point is repaired and a repaired point serves as an incumbent, which
+    usually closes the gap at the root. The repair makes the flux-preserving
+    reduction only: a point with a pair it cannot clear is no incumbent, and
+    branching goes on from it. A closed search is ``OPTIMAL`` either way;
+    ``bnb.repaired`` tells whether its incumbent came from the repair. Every
+    result is the root's solution with the search's fields replaced: ``x``,
+    ``objective``, ``status``, ``residuals.primal``, ``bnb`` and ``message``.
     """
     root = solve_qp(problem)
     if root.status is SolveStatus.INFEASIBLE or not problem.comp_pairs.size:
@@ -1283,25 +1280,21 @@ def solve_miqp(
     tols = _pair_tols(problem)
     # weak duality: no feasible point lies below the root objective minus
     # the root's remaining duality gap s.z
-    root_bound = root.objective
-    dual_bound = root_bound - root.residuals.comp_gap * (1.0 + abs(root_bound))
+    dual_bound = root.objective - root.residuals.comp_gap * (1.0 + abs(root.objective))
 
     incumbent_x = None
     incumbent_obj = np.inf
     incumbent_primal = np.inf
     incumbent_from_repair = False
-    heap: list[tuple[float, int, tuple[int, ...]]] = []
-    seq = 0
+    heap: list[tuple[float, int, tuple[int, ...]]] = [(root.objective, 0, ())]
+    seq = 1
 
     def gap_tol(value: float) -> float:
         return 1e-6 * (1.0 + abs(value))
 
     def consider(x: np.ndarray, from_repair: bool, primal=None, obj=None) -> None:
-        """Take a complementary feasible point as incumbent when it is better.
-
-        ``primal`` and ``obj`` are the point's violation of ``problem`` and
-        objective when they are known, as for the root's own point.
-        """
+        """Take a complementary feasible point as incumbent when it is better;
+        ``primal`` and ``obj`` are given when measured, as for the root's point."""
         nonlocal incumbent_x, incumbent_obj, incumbent_primal, incumbent_from_repair
         if np.max(comp_violations(problem, x) - tols) > 0:
             return
@@ -1318,30 +1311,7 @@ def solve_miqp(
             incumbent_primal = primal
             incumbent_from_repair = from_repair
 
-    def visit(sol: QpSolution, node_problem: QpProblem, fixes: tuple[int, ...]) -> None:
-        """Take a complementary point as incumbent, else repair it and branch."""
-        nonlocal seq
-        viol = comp_violations(node_problem, sol.x)
-        if np.max(viol - tols) <= 0:
-            # the root solve has measured its own point
-            known = (sol.residuals.primal, sol.objective) if node_problem is problem else ()
-            consider(sol.x, False, *known)
-            return
-        if soc_hints is not None:
-            outcome = repair_simultaneous_flow(node_problem, sol.x, soc_hints)
-            if outcome.resolved:
-                consider(outcome.x, from_repair=True)
-        scaled = viol / np.maximum(tols / _PAIR_REL_TOL, 1.0)
-        best = float(np.max(scaled))
-        j = int(np.flatnonzero(scaled >= best - 1e-12)[0])
-        i_var, j_var = problem.comp_pairs[j]
-        heapq.heappush(heap, (sol.objective, seq, fixes + (i_var,)))
-        heapq.heappush(heap, (sol.objective, seq + 1, fixes + (j_var,)))
-        seq += 2
-
-    nodes = 1
-    visit(root, problem, ())
-    best_bound = root_bound
+    nodes = 0
     while heap:
         bound, _, fixes = heapq.heappop(heap)
         best_bound = bound
@@ -1353,33 +1323,44 @@ def solve_miqp(
             break
         ub = problem.ub.copy()
         ub[list(fixes)] = 0.0
-        node_problem = replace(problem, ub=ub)
-        sol = solve_qp(node_problem, hold=False)
+        sol = solve_qp(replace(problem, ub=ub), hold=False) if fixes else root
         nodes += 1
         if sol.status is not SolveStatus.OPTIMAL:
             continue
         if incumbent_x is not None and sol.objective >= incumbent_obj - gap_tol(incumbent_obj):
             continue
-        visit(sol, node_problem, fixes)
+        # a node only fixes pair sides at zero, below every pair tolerance,
+        # so its point is judged and repaired on problem
+        viol = comp_violations(problem, sol.x)
+        if np.max(viol - tols) <= 0:
+            # the root solve has measured its own point
+            consider(sol.x, False, *(() if fixes else (sol.residuals.primal, sol.objective)))
+            continue
+        if soc_hints is not None:
+            outcome = repair_simultaneous_flow(problem, sol.x, soc_hints)
+            if outcome.resolved:
+                consider(outcome.x, from_repair=True)
+        scaled = viol / np.maximum(tols / _PAIR_REL_TOL, 1.0)
+        best = float(np.max(scaled))
+        j = int(np.flatnonzero(scaled >= best - 1e-12)[0])
+        i_var, j_var = problem.comp_pairs[j]
+        heapq.heappush(heap, (sol.objective, seq, fixes + (i_var,)))
+        heapq.heappush(heap, (sol.objective, seq + 1, fixes + (j_var,)))
+        seq += 2
 
     if incumbent_x is None:
         if heap:
-            return QpSolution(root.x, np.inf, SolveStatus.NODE_LIMIT_NO_INCUMBENT,
-                              root.residuals, iterations=root.iterations,
-                              refactors=root.refactors,
-                              bnb=BnbStats(nodes=nodes, gap=np.inf),
-                              message="node limit reached without incumbent")
-        return QpSolution(root.x, np.inf, SolveStatus.INFEASIBLE, root.residuals,
-                          iterations=root.iterations, refactors=root.refactors,
-                          bnb=BnbStats(nodes=nodes),
-                          message="all branches infeasible")
+            return replace(root, objective=np.inf,
+                           status=SolveStatus.NODE_LIMIT_NO_INCUMBENT,
+                           bnb=BnbStats(nodes=nodes, gap=np.inf),
+                           message="node limit reached without incumbent")
+        return replace(root, objective=np.inf, status=SolveStatus.INFEASIBLE,
+                       bnb=BnbStats(nodes=nodes), message="all branches infeasible")
 
     gap = max(incumbent_obj - best_bound, 0.0) if heap else 0.0
     closed = not heap or gap <= gap_tol(incumbent_obj)
-    status = SolveStatus.OPTIMAL if closed else SolveStatus.NODE_LIMIT_INCUMBENT
-    return QpSolution(
-        incumbent_x, incumbent_obj, status,
-        KktResiduals(primal=incumbent_primal, dual=root.residuals.dual,
-                     comp_gap=root.residuals.comp_gap),
-        iterations=root.iterations, refactors=root.refactors,
-        bnb=BnbStats(nodes=nodes, gap=gap, repaired=incumbent_from_repair))
+    return replace(
+        root, x=incumbent_x, objective=incumbent_obj,
+        status=SolveStatus.OPTIMAL if closed else SolveStatus.NODE_LIMIT_INCUMBENT,
+        residuals=replace(root.residuals, primal=incumbent_primal),
+        bnb=BnbStats(nodes=nodes, gap=gap, repaired=incumbent_from_repair), message="")

@@ -121,8 +121,11 @@ def pvusa_eval(params: PvusaParams, irradiance_wm2, temperature_c,
         Air temperature.
     capacity_kw : float, optional
         When given, the result is clipped to [0, capacity_kw] (inverter
-        limits and the impossibility of negative generation).
+        limits and the impossibility of negative generation); it must be
+        finite and > 0.
     """
+    if capacity_kw is not None and not (np.isfinite(capacity_kw) and capacity_kw > 0):
+        raise ValueError("capacity_kw must be finite and > 0")
     irr = np.asarray(irradiance_wm2, dtype=float)
     if np.any(irr < 0):
         raise ValueError("irradiance must be >= 0")

@@ -156,8 +156,10 @@ def fit_copula(errors_kw, pv_capacity_kw: float) -> CopulaModel:
     later emit exactly zero error. Average ranks (ties share their mean
     position) are mapped through ``(rank - 0.5)/n`` before the normal
     quantile, and the estimated correlation is repaired to positive definite
-    by eigenvalue flooring.
+    by eigenvalue flooring. ``pv_capacity_kw`` must be finite and > 0.
     """
+    if not (np.isfinite(pv_capacity_kw) and pv_capacity_kw > 0):
+        raise EstimationError("pv_capacity_kw must be finite and > 0")
     errors = np.asarray(errors_kw, dtype=float)
     if errors.ndim != 2:
         raise EstimationError("error history must be a (days x T) matrix")
@@ -195,10 +197,13 @@ def sample_scenarios(
     draws a correlated normal vector through the Cholesky factor, transforms
     coordinates to uniforms and applies the inverse empirical marginals;
     degenerate lead times contribute exactly zero error. Results are clipped
-    to [0, pv_capacity_kw] and carry equal weights 1/n.
+    to [0, pv_capacity_kw], which must be finite and > 0, and carry equal
+    weights 1/n.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
+    if not (np.isfinite(pv_capacity_kw) and pv_capacity_kw > 0):
+        raise ValueError("pv_capacity_kw must be finite and > 0")
     forecast = np.asarray(forecast_kw, dtype=float)
     z = model.sorted_errors_kw
     days, t_n = z.shape

@@ -1166,13 +1166,39 @@ class TestSolveMiqp:
         assert np.max(comp_violations(prob, sol.x)) <= 1e-6
 
     def test_node_limit_reported(self, monkeypatch):
+        # the root and one child are searched before the limit stops the
+        # search; neither gives an incumbent, so the result is the root's
+        # relaxation with the search's fields replaced
         monkeypatch.setattr(optim, "_NODE_LIMIT", 2)
         rng = np.random.default_rng(9)
         prob = random_storage_miqp(rng, 6)
         sol = solve_miqp(prob)
-        assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.NODE_LIMIT_INCUMBENT,
-                              SolveStatus.NODE_LIMIT_NO_INCUMBENT,
-                              SolveStatus.INFEASIBLE)
+        root = solve_qp(prob)
+        assert sol.status is SolveStatus.NODE_LIMIT_NO_INCUMBENT
+        assert sol.bnb == optim.BnbStats(nodes=2, gap=np.inf)
+        assert sol.objective == np.inf
+        assert sol.message == "node limit reached without incumbent"
+        assert np.array_equal(sol.x, root.x)
+        assert (sol.iterations, sol.refactors) == (root.iterations, root.refactors) == (9, 0)
+        assert sol.residuals == root.residuals
+
+    def test_all_branches_infeasible(self):
+        # min x0 + x1 over [0, 1]^2 with x0 + x1 >= 1.5: the relaxation is
+        # optimal at (0.75, 0.75), but either side of the pair at zero
+        # leaves the other at most 1
+        prob = QpProblem(q=[0.0, 0.0], c=[1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.5],
+                         lb=[0.0, 0.0], ub=[1.0, 1.0], comp_pairs=[(0, 1)])
+        root = solve_qp(prob)
+        assert root.status is SolveStatus.OPTIMAL
+        assert np.allclose(root.x, 0.75) and root.iterations == 6
+        sol = solve_miqp(prob)
+        assert sol.status is SolveStatus.INFEASIBLE
+        assert sol.message == "all branches infeasible"
+        assert sol.bnb.nodes == 3
+        assert sol.objective == np.inf
+        assert np.array_equal(sol.x, root.x)
+        assert sol.residuals == root.residuals
+        assert (sol.iterations, sol.refactors) == (root.iterations, root.refactors)
 
     def test_determinism(self):
         rng = np.random.default_rng(31)

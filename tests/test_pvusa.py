@@ -86,6 +86,12 @@ class TestEval:
         with pytest.raises(ValueError):
             pvusa_eval(REFERENCE_PARAMS, -1.0, 20.0)
 
+    @pytest.mark.parametrize("capacity", [-1.0, 0.0, np.nan, np.inf])
+    def test_invalid_capacity_rejected(self, capacity):
+        # a clip to [0, -1] reads -1 kW at every point, and one to NaN reads NaN
+        with pytest.raises(ValueError, match="capacity_kw"):
+            pvusa_eval(REFERENCE_PARAMS, [500.0, 800.0], [20.0, 25.0], capacity_kw=capacity)
+
     def test_concave_in_irradiance(self):
         irr = np.linspace(0.0, 1100.0, 200)
         p = pvusa_eval(REFERENCE_PARAMS, irr, 15.0)

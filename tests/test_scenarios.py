@@ -100,6 +100,15 @@ class TestFitCopula:
         with pytest.raises(EstimationError):
             fit_copula(bad, PC)
 
+    @pytest.mark.parametrize("capacity", [0.0, -1.0, np.nan])
+    def test_invalid_capacity_rejected(self, capacity):
+        # at such a capacity no lead time reads as degenerate, so the all-zero
+        # ones would give NaN correlations and fail the eigenvalue repair
+        errors = np.random.default_rng(0).standard_normal((40, 8)) * 10.0
+        errors[:, :2] = 0.0
+        with pytest.raises(EstimationError, match="pv_capacity_kw"):
+            fit_copula(errors, capacity)
+
     def test_repaired_matrix_positive_definite(self):
         # strongly dependent short history: raw normal-score correlation is
         # typically indefinite or barely PSD before the repair
@@ -294,6 +303,14 @@ class TestSampleScenarios:
                             correlation=np.eye(1))
         with pytest.raises(ValueError):
             sample_scenarios(model, np.array([100.0]), 0, seed=0, pv_capacity_kw=PC)
+
+    @pytest.mark.parametrize("capacity", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_capacity_rejected(self, capacity):
+        # clipped to [0, 0], every scenario would be a valid-looking zero
+        errors, _ = _correlated_errors(40, 8, 0.5, np.random.default_rng(4))
+        model = fit_copula(errors, PC)
+        with pytest.raises(ValueError, match="pv_capacity_kw"):
+            sample_scenarios(model, np.full(8, 100.0), 3, seed=0, pv_capacity_kw=capacity)
 
 
 class TestScenarioSet:
