@@ -14,8 +14,8 @@ singular values only of the windows the bound cannot decide, and the sign
 constraints are met by enumerating the eight active sets, each a
 least-squares problem on ``R`` solved in closed form. That is one LAPACK call
 per window, where a call per active set would cost more in overhead than in
-arithmetic. The pooled fit over the whole history is the same kernel on a
-stack of one.
+arithmetic. The trajectory is three arrays, with no object per window. The
+pooled fit over the whole history is the same kernel on a stack of one.
 
 A Haurwitz-style clear-sky irradiance helper is included for synthetic data
 generation and daytime masking; timestamps are interpreted as local solar
@@ -68,6 +68,24 @@ class PvusaParams:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
+
+
+@dataclass(frozen=True)
+class PvusaTrajectory:
+    """A rolling fit's estimates in time order, as read-only arrays: window
+    ``ends`` (W,), ``coefficients`` (W, 3) of a, b, c, and ``fitted`` (W,),
+    False where a rank-deficient window repeats the row before."""
+
+    ends: np.ndarray
+    coefficients: np.ndarray
+    fitted: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.ends, self.coefficients, self.fitted):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.ends.shape[0]
 
 
 #: Steady-state coefficients of the reference ~466 kW rooftop plant; used as
@@ -267,7 +285,7 @@ def fit_pvusa(
     weather: WeatherSeries,
     window_hours: float = 12.0,
     step_hours: float = 1.0,
-) -> list[tuple[np.datetime64, PvusaParams]]:
+) -> PvusaTrajectory:
     """Sliding-window sign-constrained estimation of the PVUSA coefficients.
 
     Each window minimizes the squared power residual over its daytime samples
@@ -275,11 +293,11 @@ def fit_pvusa(
     timestamp and windows advance by ``step_hours``; a window covers its
     start and end inclusively and counts while its end is at most one second
     past the last timestamp. Windows with fewer than 3 daytime samples
-    (irradiance above 5 W/m^2) are skipped with a diagnostic; windows whose
-    design matrix is rank deficient repeat the previous estimate (the same
-    object). Returns the estimate trajectory as
-    ``[(window_end_timestamp, params), ...]`` in time order; the last entry is
-    the steady-state estimate.
+    (irradiance above 5 W/m^2) are skipped with a diagnostic; a window whose
+    design matrix is rank deficient repeats the previous row, with ``fitted``
+    False, and is dropped while there is no previous row. Returns the
+    trajectory in time order as one ``PvusaTrajectory``; its last row is the
+    steady-state estimate.
 
     The windows are fitted in batches rather than one by one: their daytime
     samples are gathered into a zero-padded (windows, longest window, 4)
@@ -301,7 +319,7 @@ def fit_pvusa(
         raise ValueError(f"step_hours must be at least one second, got {step_hours}")
     ts = weather.timestamps
     if ts.size == 0:
-        return []
+        return PvusaTrajectory(ts, np.empty((0, 3)), np.empty(0, dtype=bool))
     window = np.timedelta64(window_s, "s")
     step = np.timedelta64(step_s, "s")
 
@@ -312,34 +330,34 @@ def fit_pvusa(
     first = np.searchsorted(day, np.searchsorted(ts, ends - window, side="left"))
     n_day = np.searchsorted(day, np.searchsorted(ts, ends, side="right")) - first
 
-    fitted = np.flatnonzero(n_day >= 3)
+    windows = np.flatnonzero(n_day >= 3)
     padded = np.vstack([rows, np.zeros(4)])     # index -1 reads a zero row
     per_block = max(1, _BLOCK_ROWS // int(n_day.max(initial=1)))
-    fits = []
-    for lo in range(0, fitted.size, per_block):
-        block = fitted[lo:lo + per_block]
+    beta, full_rank = np.empty((windows.size, 3)), np.empty(windows.size, dtype=bool)
+    for lo in range(0, windows.size, per_block):
+        block = windows[lo:lo + per_block]
         offsets = np.arange(n_day[block].max())
         index = np.where(offsets < n_day[block, None], first[block, None] + offsets, -1)
-        beta, full_rank = _sign_constrained_ls(np.take(padded, index, axis=0))
-        fits.extend(zip(beta.tolist(), full_rank.tolist()))
+        beta[lo:lo + per_block], full_rank[lo:lo + per_block] = \
+            _sign_constrained_ls(np.take(padded, index, axis=0))
 
-    trajectory: list[tuple[np.datetime64, PvusaParams]] = []
-    previous: PvusaParams | None = None
-    solved = iter(fits)
-    for end, n in zip(ends, n_day.tolist()):
-        if n < 3:
-            logger.debug("window ending %s skipped: %d daytime samples", end, n)
-            continue
-        coef, ok = next(solved)
-        if ok:
-            previous = PvusaParams(*coef)
-        elif previous is None:
-            logger.debug("window ending %s rank deficient, no fallback", end)
-            continue
-        else:
-            logger.debug("window ending %s rank deficient, keeping previous", end)
-        trajectory.append((end, previous))
-    return trajectory
+    # row k copies the last full-rank window at or before window k
+    source = np.maximum.accumulate(np.where(full_rank, np.arange(windows.size), -1))
+    kept = source >= 0
+    if logger.isEnabledFor(logging.DEBUG):
+        deficient = dict(zip(windows[~full_rank].tolist(), kept[~full_rank].tolist()))
+        for k, (end, n) in enumerate(zip(ends, n_day.tolist())):
+            if n < 3:
+                logger.debug("window ending %s skipped: %d daytime samples", end, n)
+            elif k in deficient:
+                logger.debug("window ending %s rank deficient, %s", end,
+                             "keeping previous" if deficient[k] else "no fallback")
+    coefficients = beta[source[kept]]
+    valid = np.all(coefficients * _SIGNS > 0, axis=1)
+    if not valid.all():
+        a, b, c = coefficients[np.argmin(valid)].tolist()
+        raise ValueError(f"invalid PVUSA signs: a={a}, b={b}, c={c}")
+    return PvusaTrajectory(ends[windows[kept]], coefficients, full_rank[kept])
 
 
 def steady_state_fit(power_kw, weather: WeatherSeries) -> PvusaParams:

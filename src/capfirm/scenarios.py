@@ -4,8 +4,9 @@ The dependence model couples per-lead-time empirical error distributions
 (error = measurement - forecast, in kW) through a multivariate normal
 correlation structure estimated from normal scores of the historical errors.
 The marginals are one (days x T) matrix of column-sorted errors, so every
-step runs on all lead times at once. Sampling draws correlated normals
-through the Cholesky factor, pushes them through the standard normal CDF and
+step runs on all lead times at once, ranks included: one stable sort per lead
+time. Sampling correlates every scenario's normals in one stacked product
+with the Cholesky factor, pushes them through the standard normal CDF and
 maps each coordinate through the inverse empirical marginal; adding the
 sampled errors to the forecast and clipping to the plant's feasible range
 yields one scenario.
@@ -122,6 +123,11 @@ class ScenarioSet:
 def _repair_positive_definite(r: np.ndarray) -> np.ndarray:
     """Floor the eigenvalues, then renormalize the diagonal back to one."""
     out = 0.5 * (r + r.T)
+    try:    # out - floor*I has a Cholesky factor: every eigenvalue is above the floor
+        np.linalg.cholesky(out - _EIG_FLOOR * np.eye(out.shape[0]))
+        return out
+    except np.linalg.LinAlgError:
+        pass
     for _ in range(5):
         vals, vecs = np.linalg.eigh(out)
         if vals.min() >= _EIG_FLOOR:
@@ -140,11 +146,21 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
     Tied values share the mean of their positions, as
     ``scipy.stats.rankdata(values, axis=0, method="average")`` ranks them:
-    ``(#{v_j < v_i} + #{v_j <= v_i} + 1) / 2``, where ``#{v_j <= v_i}`` is
-    ``days - #{v_j > v_i}``, read from the same comparison.
+    ``(#{v_j < v_i} + #{v_j <= v_i} + 1) / 2``: in a column's sorted order,
+    the first position of a value's run of ties and one past its last. The
+    result is Fortran-ordered: ``np.corrcoef`` rounds otherwise on C order.
     """
-    below = values[None, :, :] < values[:, None, :]    # [i, j, k]: v_jk < v_ik
-    return (below.sum(axis=1) + values.shape[0] - below.sum(axis=0) + 1) / 2.0
+    cols = values.T
+    order = np.argsort(cols, axis=1, kind="stable")
+    ordered = np.take_along_axis(cols, order, axis=1)
+    pos = np.arange(cols.shape[1])
+    run = np.ones((cols.shape[0], pos.size + 1), dtype=bool)    # a run of ties starts at k
+    run[:, 1:-1] = ordered[:, 1:] != ordered[:, :-1]
+    below = np.maximum.accumulate(np.where(run[:, :-1], pos, 0), axis=1)
+    upto = np.minimum.accumulate(np.where(run[:, :0:-1], pos[::-1] + 1, pos.size), axis=1)
+    ranks = np.empty(cols.shape)
+    np.put_along_axis(ranks, order, (below + upto[:, ::-1] + 1) / 2.0, axis=1)
+    return ranks.T
 
 
 def fit_copula(errors_kw, pv_capacity_kw: float) -> CopulaModel:
@@ -212,8 +228,9 @@ def sample_scenarios(
 
     children = np.random.SeedSequence(seed).spawn(n_scenarios)
     rngs = (np.random.Generator(np.random.PCG64(child)) for child in children)
-    u = special.ndtr(np.array([model.cholesky_factor @ rng.standard_normal(t_n)
-                               for rng in rngs]))
+    normals = np.array([rng.standard_normal(t_n) for rng in rngs])
+    # the same gemv per scenario as ``cholesky_factor @ normal``, so the bits are too
+    u = special.ndtr((model.cholesky_factor[None] @ normals[:, :, None])[..., 0])
     # Inverse marginals as np.interp evaluates them: the order statistics
     # joined linearly between plotting positions, flat beyond the ends.
     grid = (np.arange(1, days + 1) - 0.5) / days

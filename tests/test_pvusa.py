@@ -1,5 +1,7 @@
 """PVUSA evaluation, sign-constrained fitting, clear-sky helper."""
 
+import gc
+import logging
 import sys
 from pathlib import Path
 
@@ -49,6 +51,22 @@ def _seasonal_weather(days=46, step_minutes=15, latitude=50.6, start="2019-08-03
     temp = (18.0 - 16.0 * frac + offsets
             + 8.0 * np.sin(2.0 * np.pi * ((hours % 24) - 9.0) / 24.0))
     return WeatherSeries(ts, irr, temp)
+
+
+def _oracle_arrays(ref):
+    """The oracle's list trajectory as ``fit_pvusa``'s arrays: the window
+    ends, the estimates, and ``fitted`` True unless a window holds the same
+    object as the window before."""
+    ends = np.array([t for t, _ in ref], dtype="datetime64[ns]")
+    fitted = np.array([k == 0 or p is not ref[k - 1][1] for k, (_, p) in enumerate(ref)],
+                      dtype=bool)
+    return ends, [p for _, p in ref], fitted
+
+
+def _repeats_previous_row(traj):
+    """Every row with ``fitted`` False is bitwise the row before it."""
+    repeat = np.flatnonzero(~traj.fitted)
+    return traj.coefficients[repeat].tobytes() == traj.coefficients[repeat - 1].tobytes()
 
 
 def _daylight_weather(n, step_minutes=15, start="2019-08-01T00:00"):
@@ -112,7 +130,7 @@ class TestFit:
                            weather.temperature_c)
         traj = fit_pvusa(power, weather)
         assert len(traj) > 10
-        final = traj[-1][1]
+        final = PvusaParams(*traj.coefficients[-1])
         rel = np.abs(final.as_array() / REFERENCE_PARAMS.as_array() - 1.0)
         assert np.max(rel) < 1e-6
 
@@ -151,7 +169,7 @@ class TestFit:
         ts = np.datetime64("2019-08-01T00:00") + np.arange(n) * np.timedelta64(15, "m")
         weather = WeatherSeries(ts, np.zeros(n), np.full(n, 12.0))
         traj = fit_pvusa(np.zeros(n), weather, window_hours=4.0)
-        assert traj == []
+        assert len(traj) == 0
 
     def test_night_gap_keeps_previous(self):
         weather = _solar_weather(days=2)
@@ -160,8 +178,7 @@ class TestFit:
         traj = fit_pvusa(power, weather, window_hours=6.0)
         # overnight windows are skipped entirely, so consecutive estimates
         # may be more than one step apart but the trajectory stays ordered
-        times = [t for t, _ in traj]
-        assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+        assert (np.diff(traj.ends) > np.timedelta64(0)).all()
 
     def test_fit_residual_zero_for_linear_generator(self):
         # the model is linear in (a, b, c): an exact generator leaves
@@ -170,7 +187,7 @@ class TestFit:
         power = pvusa_eval(REFERENCE_PARAMS, weather.irradiance_wm2,
                            weather.temperature_c)
         traj = fit_pvusa(power, weather)
-        fitted = traj[-1][1]
+        fitted = PvusaParams(*traj.coefficients[-1])
         day = weather.irradiance_wm2 > 5.0
         resid = power[day] - pvusa_eval(fitted, weather.irradiance_wm2[day],
                                         weather.temperature_c[day])
@@ -207,11 +224,36 @@ class TestFit:
         power = pvusa_eval(REFERENCE_PARAMS, irr, tmp)
         power[24:] = 200.0      # inconsistent with the first stretch
         traj = fit_pvusa(power, weather, window_hours=3.0)
-        ends = np.array([t for t, _ in traj])
-        constant = ends - np.timedelta64(3, "h") >= ts[24]
+        constant = traj.ends - np.timedelta64(3, "h") >= ts[24]
         assert constant.sum() >= 3 and not constant[0]
         first = int(np.argmax(constant))
-        assert all(p is traj[first - 1][1] for _, p in traj[first:])
+        assert not traj.fitted[first:].any() and _repeats_previous_row(traj)
+
+    def test_debug_lines_name_every_window_without_its_own_fit(self, caplog):
+        # 3-hour windows over night, constant weather (rank deficient with
+        # nothing to repeat yet), varying weather, then constant weather
+        # again (rank deficient, repeating the row before)
+        hours = np.arange(20 * 4) / 4.0
+        ts = np.datetime64("2019-08-01T00:00") + np.arange(hours.size) * np.timedelta64(15, "m")
+        irr = np.where(hours < 4.0, 0.0, 500.0)
+        tmp = np.full(hours.size, 20.0)
+        vary = (hours >= 10.0) & (hours < 16.0)
+        irr[vary] = np.linspace(100.0, 900.0, vary.sum())
+        tmp[vary] = np.linspace(12.0, 24.0, vary.sum())
+        weather = WeatherSeries(ts, irr, tmp)
+        power = pvusa_eval(REFERENCE_PARAMS, irr, tmp)
+        with caplog.at_level(logging.DEBUG, logger="capfirm.pvusa"):
+            traj = fit_pvusa(power, weather, window_hours=3.0)
+        ref, windows = fit_pvusa_per_window(power, weather, 3.0, 1.0)
+        skipped = sum(m.endswith("daytime samples") for m in caplog.messages)
+        no_fallback = sum(m.endswith("no fallback") for m in caplog.messages)
+        keeping = sum(m.endswith("keeping previous") for m in caplog.messages)
+        assert min(skipped, no_fallback, keeping) >= 1
+        assert skipped + no_fallback + keeping == len(caplog.messages)
+        assert skipped + no_fallback + len(traj) == windows
+        assert keeping == (~traj.fitted).sum() == (~_oracle_arrays(ref)[2]).sum()
+        # one line per window, in time order
+        assert caplog.messages == sorted(caplog.messages)
 
     @pytest.mark.parametrize("window_hours, step_hours",
                              [(12.0, 1.0), (6.0, 0.25), (3.0, 1.0)])
@@ -233,24 +275,22 @@ class TestFit:
 
         traj = fit_pvusa(power, weather, window_hours, step_hours)
         ref, _ = fit_pvusa_per_window(power, weather, window_hours, step_hours)
-        assert [t for t, _ in traj] == [t for t, _ in ref]
-
-        def repeats(trajectory):
-            return [p is q for (_, p), (_, q) in zip(trajectory, trajectory[1:])]
-
-        assert repeats(traj) == repeats(ref)
-        assert any(repeats(traj))
+        ends, params, fitted = _oracle_arrays(ref)
+        assert np.array_equal(traj.ends, ends)
+        assert np.array_equal(traj.fitted, fitted)
+        assert not traj.fitted.all() and _repeats_previous_row(traj)
         window = np.timedelta64(int(window_hours * 3600), "s")
         day = irr > 5.0
-        for (end, fitted), (_, expected) in zip(traj, ref):
+        for end, row, expected in zip(traj.ends, traj.coefficients, params):
             sel = day & (weather.timestamps >= end - window) & (weather.timestamps <= end)
-            gap = (pvusa_eval(fitted, irr[sel], tmp[sel])
+            gap = (pvusa_eval(PvusaParams(*row), irr[sel], tmp[sel])
                    - pvusa_eval(expected, irr[sel], tmp[sel]))
             assert np.max(np.abs(gap)) <= 1e-8
 
         again = fit_pvusa(power, weather, window_hours, step_hours)
-        assert [(t, p.as_array().tobytes()) for t, p in again] \
-            == [(t, p.as_array().tobytes()) for t, p in traj]
+        assert np.array_equal(again.ends, traj.ends)
+        assert np.array_equal(again.fitted, traj.fitted)
+        assert again.coefficients.tobytes() == traj.coefficients.tobytes()
 
     def test_window_ending_at_last_timestamp_counts(self):
         # 8 hours of samples: 3-hour windows end at 3, 4, ..., 8 hours, and
@@ -260,7 +300,7 @@ class TestFit:
                            weather.temperature_c)
         traj = fit_pvusa(power, weather, window_hours=3.0, step_hours=1.0)
         assert len(traj) == 6
-        assert traj[-1][0] == weather.timestamps[-1]
+        assert traj.ends[-1] == weather.timestamps[-1]
         shorter = fit_pvusa(power[:-1], _daylight_weather(4 * 8),
                             window_hours=3.0, step_hours=1.0)
         assert len(shorter) == 5
@@ -277,9 +317,9 @@ class TestFit:
         weather = _daylight_weather(4 * 3)
         power = pvusa_eval(REFERENCE_PARAMS, weather.irradiance_wm2,
                            weather.temperature_c)
-        assert fit_pvusa(power, weather, window_hours=3.0, step_hours=1.0) == []
+        assert len(fit_pvusa(power, weather, window_hours=3.0, step_hours=1.0)) == 0
         empty = WeatherSeries(np.array([], dtype="datetime64[ns]"), [], [])
-        assert fit_pvusa([], empty) == []
+        assert len(fit_pvusa([], empty)) == 0
 
     @pytest.mark.parametrize("samples", [12, 13, 33, 34, 50, 97])
     @pytest.mark.parametrize("window_hours, step_hours",
@@ -291,7 +331,7 @@ class TestFit:
         traj = fit_pvusa(power, weather, window_hours, step_hours)
         ref, windows = fit_pvusa_per_window(power, weather, window_hours, step_hours)
         assert len(traj) == windows
-        assert [t for t, _ in traj] == [t for t, _ in ref]
+        assert np.array_equal(traj.ends, _oracle_arrays(ref)[0])
 
     @pytest.mark.parametrize("window_hours, step_hours",
                              [(12.0, 1e-4), (12.0, 0.0), (12.0, -1.0),
@@ -303,6 +343,23 @@ class TestFit:
                            weather.temperature_c)
         with pytest.raises(ValueError):
             fit_pvusa(power, weather, window_hours, step_hours)
+
+    def test_window_with_invalid_signs_rejected(self, monkeypatch):
+        # every row is checked as PvusaParams checks one estimate: a kernel
+        # returning b > 0 for the last window fails the fit
+        weather = _daylight_weather(4 * 8 + 1)
+        power = pvusa_eval(REFERENCE_PARAMS, weather.irradiance_wm2,
+                           weather.temperature_c)
+        kernel = pvusa._sign_constrained_ls
+
+        def positive_b(stack):
+            beta, full_rank = kernel(stack)
+            beta[-1, 1] = 1e-5
+            return beta, full_rank
+
+        monkeypatch.setattr(pvusa, "_sign_constrained_ls", positive_b)
+        with pytest.raises(ValueError, match="invalid PVUSA signs: a=.*, b=1e-05"):
+            fit_pvusa(power, weather, window_hours=3.0, step_hours=1.0)
 
 
 class TestKernel:
@@ -390,18 +447,41 @@ class TestBenchmarkSeasonFit:
         ref, _ = fit_pvusa_per_window(power, weather, workloads.WINDOW_HOURS,
                                       workloads.STEP_HOURS)
         assert len(traj) > 1000
-        assert [t for t, _ in traj] == [t for t, _ in ref]
-        assert ([p is q for (_, p), (_, q) in zip(traj, traj[1:])]
-                == [p is q for (_, p), (_, q) in zip(ref, ref[1:])])
+        ends, params, fitted = _oracle_arrays(ref)
+        assert np.array_equal(traj.ends, ends)
+        assert np.array_equal(traj.fitted, fitted) and _repeats_previous_row(traj)
         window = np.timedelta64(int(workloads.WINDOW_HOURS * 3600), "s")
         irr, tmp, ts = weather.irradiance_wm2, weather.temperature_c, weather.timestamps
         day_mask = irr > 5.0
         gap = 0.0
-        for (end, fitted), (_, expected) in zip(traj, ref):
+        for end, row, expected in zip(traj.ends, traj.coefficients, params):
             sel = day_mask & (ts >= end - window) & (ts <= end)
-            gap = max(gap, float(np.max(np.abs(pvusa_eval(fitted, irr[sel], tmp[sel])
-                                                - pvusa_eval(expected, irr[sel], tmp[sel])))))
+            gap = max(gap, float(np.max(np.abs(
+                pvusa_eval(PvusaParams(*row), irr[sel], tmp[sel])
+                - pvusa_eval(expected, irr[sel], tmp[sel])))))
         assert gap <= 1e-8
+
+    def test_rolling_fit_allocates_no_per_window_objects(self):
+        # the trajectory is three arrays, not an object per window; a fit of
+        # this history that built a PvusaParams and a tuple per window left
+        # 2,675 new objects for the cyclic collector to scan
+        season = gen.make_season(1)
+        day = int(season.target_days[20])
+        weather, power = workloads.ForecastS100(season, 1)._history(day)
+        args = (power, weather, workloads.WINDOW_HOURS, workloads.STEP_HOURS)
+        fit_pvusa(*args)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            traj = fit_pvusa(*args)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(traj) > 1000 and added <= 5
+        assert traj.ends.dtype == np.dtype("datetime64[ns]") and traj.fitted.dtype == bool
+        assert traj.coefficients.shape == (len(traj), 3)
+        assert not any(a.flags.writeable for a in (traj.ends, traj.coefficients, traj.fitted))
 
 
 class TestNonFiniteInput:

@@ -120,6 +120,33 @@ class TestFitCopula:
         recon = model.cholesky_factor @ model.cholesky_factor.T
         assert np.max(np.abs(recon - model.correlation)) < 1e-10
 
+    @pytest.mark.parametrize("smallest, repaired", [(0.5e-8, True), (2e-8, False)])
+    def test_positive_definiteness_test_at_its_floor(self, monkeypatch, smallest, repaired):
+        # a 5-day, 8-lead-time correlation has four zero eigenvalues; the
+        # diagonal shift and rescaling lift them to `smallest` and keep the
+        # unit diagonal. Below the 1e-8 floor the matrix is repaired; above
+        # it, the Cholesky test returns it without an eigendecomposition
+        r0 = np.corrcoef(np.random.default_rng(16).standard_normal((5, 8)), rowvar=False)
+        r0 = 0.5 * (r0 + r0.T)
+        np.fill_diagonal(r0, 1.0)
+        shift = smallest / (1.0 - smallest)
+        r = (r0 + shift * np.eye(8)) / (1.0 + shift)
+        assert np.array_equal(np.diag(r), np.ones(8))
+        assert np.linalg.eigvalsh(r).min() == pytest.approx(smallest, rel=1e-4)
+        eigh, calls = np.linalg.eigh, []
+
+        def recorded_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        out = scenarios._repair_positive_definite(r)
+        if repaired:
+            assert calls and np.linalg.eigvalsh(out).min() >= 1e-8
+            assert np.array_equal(np.diag(out), np.ones(8))
+        else:
+            assert calls == [] and out.tobytes() == r.tobytes()
+
     def test_average_ranks_match_rankdata(self):
         # whole-kW errors tie often; the ranks, and through them the fitted
         # correlation, must be bit-identical to scipy's average ranks
