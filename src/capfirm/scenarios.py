@@ -11,14 +11,19 @@ maps each coordinate through the inverse empirical marginal; adding the
 sampled errors to the forecast and clipping to the plant's feasible range
 yields one scenario.
 
-Reproducibility: sampling derives one independent substream per scenario
-index by spawning children of ``numpy.random.SeedSequence(seed)``, so results
-are bit-identical for a fixed (model, forecast, n, seed) regardless of
-whether scenario indices are drawn sequentially or concurrently.
+Reproducibility: scenario i draws its normals from its own ``PCG64``
+substream, seeded with the words of child i of
+``numpy.random.SeedSequence(seed).spawn(n)``. Those words are numpy's own
+spawn hash, computed for all scenario indices at once in array passes, so
+results are bit-identical for a fixed (model, forecast, n, seed) whether
+scenario indices are drawn sequentially or concurrently, and scenario sets
+are nested: the first m scenarios of an n-scenario draw are the m-scenario
+draw.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +31,11 @@ from scipy import special
 
 MIN_HISTORY_DAYS = 30
 _EIG_FLOOR = 1e-8
+# numpy's SeedSequence hash: the seeds and multipliers of its two constant
+# sequences (A mixes entropy into the pool, B draws the state) and the mix
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 class EstimationError(ValueError):
@@ -200,6 +210,67 @@ def fit_copula(errors_kw, pv_capacity_kw: float) -> CopulaModel:
                        correlation=_repair_positive_definite(corr))
 
 
+def _hashed(values: np.ndarray, init: int, mult: int, start: int) -> np.ndarray:
+    """numpy's SeedSequence hash of each column k of the (n x K) uint32 ``values``.
+
+    The constants are ``init * mult**i`` mod 2**32: column k is xored with
+    constant ``start + k`` and multiplied by the next, then folded by a shift.
+    Array arithmetic wraps modulo 2**32 without a warning.
+    """
+    c = np.array([init * pow(mult, i, 1 << 32) % (1 << 32)
+                  for i in range(start, start + values.shape[1] + 1)], dtype=np.uint32)
+    out = values ^ c[:-1]
+    out *= c[1:]
+    out ^= out >> 16
+    return out
+
+
+def _substream_words(seed: int, n: int) -> np.ndarray:
+    """Row i is ``SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64)``.
+
+    Child i's entropy is its parent's, padded to the 4-word pool, followed by
+    its spawn key i. So its pool is the parent's with i hashed into each word,
+    by the A constants that follow the parent's own mixing (4 to fill the pool,
+    12 to mix it, 4 per entropy word beyond it). Its state hashes its pool
+    twice round with the B constants, read as little-endian word pairs.
+    """
+    parent = np.random.SeedSequence(seed).pool
+    entropy_words = max(1, -(-seed.bit_length() // 32))
+    keys = np.arange(n, dtype=np.uint32)[:, None].repeat(parent.size, axis=1)
+    spawned = _hashed(keys, _INIT_A, _MULT_A, 16 + 4 * max(0, entropy_words - 4))
+    pool = parent * np.uint32(_MIX_L) - spawned * np.uint32(_MIX_R)
+    pool ^= pool >> 16
+    state = _hashed(np.tile(pool, 2), _INIT_B, _MULT_B, 0)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SpawnedWords(np.random.bit_generator.ISeedSequence):
+    """The four uint64 words one spawned child gives ``PCG64`` to seed from."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _segments(u: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The interpolation segment of each uniform in [0, 1], as np.interp picks it.
+
+    ``grid`` is the ``days`` plotting positions ``(i - 0.5)/days`` and a
+    trailing +inf. Returns ``searchsorted(grid[:-1], u, "right") - 1`` clipped
+    to [0, days - 2] without a binary search: rounding ``u * days`` counts the
+    positions at or below u to within one, so a step each way settles the
+    count. At a count of 0 the downward step reads the +inf pad; the clip
+    maps the -1 it gives back to segment 0.
+    """
+    days = grid.size - 1
+    k = np.clip((u * days + 0.5).astype(np.intp), 0, days)     # u >= 0: truncation floors
+    k += grid[k] <= u
+    k -= grid[k - 1] > u
+    return np.clip(k - 1, 0, days - 2)
+
+
 def sample_scenarios(
     model: CopulaModel,
     forecast_kw,
@@ -209,13 +280,17 @@ def sample_scenarios(
 ) -> ScenarioSet:
     """Draw a scenario set around a day-ahead point forecast.
 
-    Each scenario uses its own spawned random substream (see module note),
-    draws a correlated normal vector through the Cholesky factor, transforms
-    coordinates to uniforms and applies the inverse empirical marginals;
-    degenerate lead times contribute exactly zero error. Results are clipped
-    to [0, pv_capacity_kw], which must be finite and > 0, and carry equal
-    weights 1/n.
+    Scenario i draws from a ``PCG64`` seeded as child i of
+    ``SeedSequence(seed).spawn(n_scenarios)`` would seed it, its words
+    computed for all children at once (see module note); so the first m
+    scenarios do not depend on ``n_scenarios``. Each draws a correlated
+    normal vector through the Cholesky factor, transforms coordinates to
+    uniforms and applies the inverse empirical marginals; degenerate lead
+    times contribute exactly zero error. Results are clipped to
+    [0, pv_capacity_kw], which must be finite and > 0, and carry equal
+    weights 1/n. ``n_scenarios`` and ``seed`` are integers, ``seed`` >= 0.
     """
+    n_scenarios = operator.index(n_scenarios)
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
     if not (np.isfinite(pv_capacity_kw) and pv_capacity_kw > 0):
@@ -226,18 +301,18 @@ def sample_scenarios(
     if forecast.shape != (t_n,):
         raise ValueError(f"forecast must have length {t_n}")
 
-    children = np.random.SeedSequence(seed).spawn(n_scenarios)
-    rngs = (np.random.Generator(np.random.PCG64(child)) for child in children)
-    normals = np.array([rng.standard_normal(t_n) for rng in rngs])
+    normals = np.empty((n_scenarios, t_n))
+    for words, row in zip(_substream_words(operator.index(seed), n_scenarios), normals):
+        np.random.Generator(np.random.PCG64(_SpawnedWords(words))).standard_normal(out=row)
     # the same gemv per scenario as ``cholesky_factor @ normal``, so the bits are too
     u = special.ndtr((model.cholesky_factor[None] @ normals[:, :, None])[..., 0])
     # Inverse marginals as np.interp evaluates them: the order statistics
     # joined linearly between plotting positions, flat beyond the ends.
-    grid = (np.arange(1, days + 1) - 0.5) / days
-    j = np.clip(np.searchsorted(grid, u, "right") - 1, 0, days - 2)
+    grid = np.append((np.arange(1, days + 1) - 0.5) / days, np.inf)
+    j = _segments(u, grid)
     lo, hi = np.take_along_axis(z, j, 0), np.take_along_axis(z, j + 1, 0)
     inside = (hi - lo) / (grid[j + 1] - grid[j]) * (u - grid[j]) + lo
-    err = np.where(u < grid[0], z[0], np.where(u >= grid[-1], z[-1], inside))
+    err = np.where(u < grid[0], z[0], np.where(u >= grid[days - 1], z[-1], inside))
     err[:, model.degenerate] = 0.0
     values = np.clip(forecast + err, 0.0, pv_capacity_kw)
     weights = np.full(n_scenarios, 1.0 / n_scenarios)

@@ -217,6 +217,47 @@ class TestSampleScenarios:
         assert np.array_equal(out.values_kw[-2:, 1:], order_stats[[-1, -1]])
         assert np.all(out.values_kw[:, 0] == 0.0)
 
+    @pytest.mark.parametrize("days", [30, 61, 365])
+    def test_inverse_marginals_one_and_two_ulps_from_every_plotting_position(self, days):
+        # the sampler brackets u by rounding u * days, which can land one
+        # position off exactly here; every value must still be np.interp's.
+        # Column 3 has ties; the errors are positive, so nothing is clipped
+        rng = np.random.default_rng(days)
+        errors = rng.standard_normal((days, 4)) * 10.0 + 100.0
+        errors[:, 3] = np.round(errors[:, 3] / 5.0) * 5.0
+        model = fit_copula(errors, PC)
+        grid = (np.arange(1, days + 1) - 0.5) / days
+        below, above = np.nextafter(grid, 0.0), np.nextafter(grid, 1.0)
+        u_col = np.concatenate([grid, below, np.nextafter(below, 0.0),
+                                above, np.nextafter(above, 1.0),
+                                [0.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), 1.0]])
+        u = np.tile(u_col[:, None], (1, 4))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenarios, "special",
+                       SimpleNamespace(ndtr=lambda _: u, ndtri=special.ndtri))
+            out = sample_scenarios(model, np.zeros(4), u.shape[0], seed=0,
+                                   pv_capacity_kw=1e9)
+        expected = inverse_marginals_reference(model.sorted_errors_kw, model.degenerate, u)
+        assert np.all(expected > 0.0)
+        assert out.values_kw.tobytes() == expected.tobytes()
+
+    def test_segments_equal_the_binary_search(self):
+        # a segment one off changes a value by an ulp at most, and for some
+        # inputs not at all, so the index itself is checked: rounding u * days
+        # counts one position short exactly at some plotting positions (index
+        # 23 of 35 days) and one too many an ulp below others (index 11 of 30)
+        rng = np.random.default_rng(17)
+        smallest = np.nextafter(0.0, 1.0)
+        for days in [*range(30, 400), 1000, 4096, 10007]:
+            grid = (np.arange(1, days + 1) - 0.5) / days
+            below, above = np.nextafter(grid, 0.0), np.nextafter(grid, 1.0)
+            u = np.concatenate([grid, below, np.nextafter(below, 0.0),
+                                above, np.nextafter(above, 1.0), rng.random(2000),
+                                [0.0, smallest, np.nextafter(1.0, 0.0), 1.0]])
+            expected = np.clip(np.searchsorted(grid, u, "right") - 1, 0, days - 2)
+            j = scenarios._segments(u, np.append(grid, np.inf))
+            assert np.array_equal(j, expected), days
+
     def test_point_mass_marginals_reproduce_forecast(self):
         t_n = 5
         model = CopulaModel(sorted_errors_kw=np.zeros((40, t_n)),
@@ -338,6 +379,50 @@ class TestSampleScenarios:
         model = fit_copula(errors, PC)
         with pytest.raises(ValueError, match="pv_capacity_kw"):
             sample_scenarios(model, np.full(8, 100.0), 3, seed=0, pv_capacity_kw=capacity)
+
+
+# entropy of one to five 32-bit words, and benchmark seeds season * 1000 + day
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11, 1060, 4107, 7150]
+
+
+class TestSubstreams:
+    @pytest.mark.parametrize("n", [1, 20, 100, 257, 1000])
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_child_words_equal_numpys_spawn(self, seed, n):
+        # a numpy whose SeedSequence hash changes fails here, loudly
+        expected = np.array([child.generate_state(4, np.uint64)
+                             for child in np.random.SeedSequence(seed).spawn(n)])
+        words = scenarios._substream_words(seed, n)
+        assert words.dtype == np.uint64 and words.shape == (n, 4)
+        assert words.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_scenario_sets_are_nested(self, seed):
+        model = fit_copula(_night_history(False), PC)
+        forecast = np.full(96, 200.0)
+        small = sample_scenarios(model, forecast, 20, seed, PC)
+        large = sample_scenarios(model, forecast, 100, seed, PC)
+        assert small.values_kw.tobytes() == large.values_kw[:20].tobytes()
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        model = fit_copula(_night_history(False), PC)
+        forecast = np.full(96, 200.0)
+        a = sample_scenarios(model, forecast, 5, np.int64(7150), PC)
+        b = sample_scenarios(model, forecast, 5, 7150, PC)
+        assert a.values_kw.tobytes() == b.values_kw.tobytes()
+
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (1.5, TypeError), ([1, 2], TypeError), (None, TypeError),
+    ], ids=["negative", "float", "sequence", "none"])
+    def test_invalid_seed_rejected(self, seed, error):
+        model = fit_copula(_night_history(False), PC)
+        with pytest.raises(error):
+            sample_scenarios(model, np.full(96, 200.0), 3, seed, PC)
+
+    def test_non_integer_scenario_count_rejected(self):
+        model = fit_copula(_night_history(False), PC)
+        with pytest.raises(TypeError):
+            sample_scenarios(model, np.full(96, 200.0), 20.0, 0, PC)
 
 
 class TestScenarioSet:
