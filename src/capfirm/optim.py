@@ -36,9 +36,8 @@ nodes differ from their root: a variable fixed at zero moves to the
 equality rows.) What follows from the pattern alone is analyzed once
 (:class:`_Analysis`), and the analyses of the two patterns solved most
 recently are held and found again by comparing those arrays, not a hash.
-Branch-and-bound nodes and certificate problems, whose patterns do not
-repeat, use a held analysis when one fits but never join the held ones, so
-they cannot push out the analysis of a root.
+One rule serves every solve, a branch-and-bound node or a certificate
+problem too: its analysis joins the held ones, and the least recent goes.
 Each solve then reads every value from its own problem, and each iteration
 only fills in the matrix.
 The matrix is quasi-definite, and the analysis fixes the order in which
@@ -75,9 +74,12 @@ although no pivot is zero, and so can a band LU's, whose pivots are chosen
 in the band's order without regard to the blocks. Both are counted in
 ``QpSolution.refactors``. A zero pivot of the band LU means an exactly
 singular matrix, as in a pivoted SuperLU factorization: infeasibility is
-suspected. A floor on the corrector's centering target keeps
-the total gap ``s.z`` at or above a tenth of the stopping tolerance, where
-the direction still meets the linearized stationarity, so it needs no
+suspected. The IPM stops when every scaled residual and the total gap
+``s.z / (1 + |obj|)``, the ``comp_gap`` it reports and ``solve_miqp``'s
+weak-duality bound reads, are within ``_TOL``; the mean gap ``s.z / m``
+only sets Mehrotra's centering. A floor on the corrector's centering
+target keeps the total gap at or above a tenth of ``_TOL``, where the
+direction still meets the linearized stationarity, so it needs no
 correction step.
 
 The duals of the inequality rows start at ``max|c|`` (1 when ``c = 0``),
@@ -223,7 +225,7 @@ class QpProblem:
 class KktResiduals:
     primal: float      # max violation of A x <= b, G x = h and bounds (scaled)
     dual: float        # stationarity residual (scaled)
-    comp_gap: float    # total duality gap s.z / (1 + |objective|)
+    comp_gap: float    # total duality gap s.z / (1 + |objective|), <= _TOL at OPTIMAL
 
 
 @dataclass(frozen=True)
@@ -729,15 +731,14 @@ _RECENT: list[_Analysis] = []
 _RECENT_LOCK = threading.Lock()
 
 
-def _analyze(prob: QpProblem, hold: bool = True) -> _Analysis:
+def _analyze(prob: QpProblem) -> _Analysis:
     """The analysis of the pattern of ``prob``.
 
     A recent analysis serves when each array of its key equals that of
     ``prob``. Otherwise a new one is built, handed the orderings of the held
-    ones, and takes one of an equal KKT pattern. With ``hold`` the least
-    recent of two is dropped before the new one is built and the new one is
-    held, so no more than two are held at any time; without, the new one
-    serves this solve only.
+    ones, and takes one of an equal KKT pattern. The least recent of two is
+    dropped before it is built, and it is held, so no more than two are held
+    at any time.
     """
     key = _pattern_key(prob)
     with _RECENT_LOCK:
@@ -746,8 +747,6 @@ def _analyze(prob: QpProblem, hold: bool = True) -> _Analysis:
                 _RECENT.append(_RECENT.pop(i))
                 return analysis
         orderings = [analysis.ordering for analysis in _RECENT]
-        if not hold:
-            return _Analysis(key, orderings)
         if len(_RECENT) == 2:
             del _RECENT[0]
         _RECENT.append(_Analysis(key, orderings))
@@ -966,7 +965,7 @@ class _BandLu:
         return dgbtrs(self._lu, self._bw, self._bw, rhs, self._piv)[0]
 
 
-def _ipm(prob: QpProblem, *, hold: bool = True):
+def _ipm(prob: QpProblem):
     """Mehrotra predictor-corrector on the slack standard form.
 
     Each Newton direction is one solve with the condensed KKT matrix of
@@ -979,6 +978,8 @@ def _ipm(prob: QpProblem, *, hold: bool = True):
     direction moves it; its entry of the stationarity residual is left out,
     in the stopping test and in ``residuals.dual``, as the multiplier of the
     unit row it does not have would take it up.
+    It is ``OPTIMAL`` when the scaled residuals and the total gap, returned
+    as ``residuals.comp_gap``, are within ``_TOL`` (see the module note).
     Returns (x, status, residuals, iterations, refactors), where
     ``refactors`` counts the iterations redone with SuperLU's partial
     pivoting of the whole matrix: their symmetric factorization met an
@@ -992,9 +993,9 @@ def _ipm(prob: QpProblem, *, hold: bool = True):
     of the standard form, its transposes and the condensed KKT matrix come
     from the :class:`_Analysis` of a recent solve of the same pattern when
     there is one (:func:`_analyze`), and from a new one otherwise, held for
-    later solves when ``hold`` is set.
+    later solves.
     """
-    analysis = _analyze(prob, hold)
+    analysis = _analyze(prob)
     a_all, b_all, g_all, h_all, a_t, g_t = analysis.standard_form(prob)
     m = a_all.shape[0]
     p = g_all.shape[0]
@@ -1035,13 +1036,14 @@ def _ipm(prob: QpProblem, *, hold: bool = True):
         r_d = stationarity()
         r_p = a_all @ x + s - b_all
         r_e = g_all @ x - h_all
-        mu = float(s @ z) / m_mean
+        gap = float(s @ z)
+        mu = gap / m_mean
         obj = prob.objective(x)
 
         rp_norm = float(np.abs(r_p).max(initial=0.0)) / b_scale
         re_norm = float(np.abs(r_e).max(initial=0.0)) / h_scale
         rd_norm = float(np.abs(r_d).max()) / (c_scale + float(np.abs(hdiag * x).max()))
-        gap_rel = mu / (1.0 + abs(obj))
+        gap_rel = gap / (1.0 + abs(obj))
 
         if rp_norm <= _TOL and re_norm <= _TOL and rd_norm <= _TOL and gap_rel <= _TOL:
             status = SolveStatus.OPTIMAL
@@ -1128,8 +1130,7 @@ def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
     Bounds stay hard (they are consistent by construction); every inequality
     and equality row receives a nonnegative elastic variable. A strictly
     positive optimum is a Farkas-style certificate of primal infeasibility;
-    its value is returned as the certificate residual. The elastic problem's
-    analysis is not held.
+    its value is returned as the certificate residual.
     """
     n = prob.n_var
     m = prob.b_ub.size
@@ -1147,28 +1148,25 @@ def _certify_infeasible(prob: QpProblem) -> tuple[bool, float]:
     ub = np.concatenate([prob.ub, np.full(n_el, np.inf)])
     elastic = QpProblem(q=q, c=c, a_ub=a_ub, b_ub=prob.b_ub, a_eq=a_eq, b_eq=prob.b_eq,
                         lb=lb, ub=ub)
-    x = _ipm(elastic, hold=False)[0]
+    x = _ipm(elastic)[0]
     mass = float(np.sum(x[n:]))
     scale = 1.0 + float(np.max(np.abs(np.concatenate([prob.b_ub, prob.b_eq]))))
     return mass > 1e-7 * scale, mass
 
 
-def solve_qp(problem: QpProblem, *, hold: bool = True) -> QpSolution:
+def solve_qp(problem: QpProblem) -> QpSolution:
     """Solve the continuous relaxation (complementarity pairs are ignored).
 
     Infeasible problems are reported through the solution status, with an
     elastic certificate. Raises :class:`SolverError` when the interior point
     does not converge on a problem that is not certified infeasible; the QPs
     this package builds are bounded, and an unbounded one ends here too.
-    ``hold=False`` keeps a new analysis of the problem's pattern out of the
-    held ones (see :func:`_analyze`); :func:`solve_miqp` passes it for its
-    nodes.
     """
     if np.any(problem.lb > problem.ub + 1e-12):
         return QpSolution(np.zeros(problem.n_var), np.inf, SolveStatus.INFEASIBLE,
                           KktResiduals(np.inf, np.inf, np.inf),
                           message="inconsistent bounds")
-    x, status, res, it, refactors = _ipm(problem, hold=hold)
+    x, status, res, it, refactors = _ipm(problem)
     if status is SolveStatus.OPTIMAL:
         return QpSolution(x, problem.objective(x), status, res, iterations=it,
                           refactors=refactors)
@@ -1323,7 +1321,7 @@ def solve_miqp(
             break
         ub = problem.ub.copy()
         ub[list(fixes)] = 0.0
-        sol = solve_qp(replace(problem, ub=ub), hold=False) if fixes else root
+        sol = solve_qp(replace(problem, ub=ub)) if fixes else root
         nodes += 1
         if sol.status is not SolveStatus.OPTIMAL:
             continue

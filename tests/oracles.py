@@ -3,7 +3,8 @@
 These deliberately avoid the production solve path: projected descent with
 Dykstra projections for convex QPs, multi-resolution dense grids for very
 small problems, exhaustive binary enumeration for complementarity
-problems (each fixed pattern is a plain convex QP), a one-window-at-a-time
+problems (each fixed pattern is a plain convex QP), a HiGHS bracket of a
+QP's optimum from a Kelley outer approximation, a one-window-at-a-time
 PVUSA fit with an active-set enumeration of plain least-squares solves, a
 Gaussian copula that ranks, correlates and inverts one lead time at a time,
 and an engagement check that scans one period at a time.
@@ -11,9 +12,12 @@ and an engagement check that scans one period at a time.
 
 from dataclasses import replace
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy import special
+from scipy.optimize import linprog
 
 from capfirm import pvusa, scenarios
 from capfirm.domain import EngagementCheck, EngagementViolation
@@ -108,6 +112,51 @@ def enumerate_miqp(problem: QpProblem):
         if sol.status is SolveStatus.OPTIMAL and sol.objective < best_obj - 1e-12:
             best_obj, best_x = sol.objective, sol.x
     return best_obj, best_x
+
+
+class Bracket(NamedTuple):
+    lower: float        # the last LP's objective: no feasible point lies below it
+    upper: float        # the QP objective at x, a feasible point
+    x: np.ndarray       # HiGHS's point of the last LP
+
+
+def highs_bracket(problem: QpProblem, rounds: int) -> Bracket:
+    """Bracket the optimum of ``problem``'s relaxation with HiGHS (Kelley 1960).
+
+    Each term ``q_i x_i^2`` with ``q_i > 0`` is replaced by a variable
+    ``t_i`` above its tangents, ``t_i >= q_i (2 a x_i - a^2)``: at the start
+    point of the IPM (``x_i`` clipped to its bounds at 0), then, in each of
+    ``rounds`` rounds, at the point of the LP before, which
+    ``scipy.optimize.linprog`` solves with HiGHS. The tangents lie below
+    the convex term, so every LP's optimum is a lower bound; each LP point
+    is feasible, so its QP objective is an upper bound. The complementarity
+    pairs are ignored.
+    """
+    n = problem.n_var
+    quad = np.flatnonzero(problem.q > 0)
+    q = problem.q[quad]
+    at = np.clip(0.0, problem.lb[quad], problem.ub[quad])
+    cuts = []
+    objective = np.concatenate([problem.c, np.ones(quad.size)])
+    bounds = np.column_stack([np.concatenate([problem.lb, np.full(quad.size, -np.inf)]),
+                              np.concatenate([problem.ub, np.full(quad.size, np.inf)])])
+    a_eq = sp.hstack([problem.a_eq, sp.csr_matrix((problem.b_eq.size, quad.size))])
+    for _ in range(rounds + 1):
+        # q (2 a x - a^2) <= t, one row per term
+        cuts.append((sp.csr_matrix((2.0 * q * at, (np.arange(quad.size), quad)),
+                                   shape=(quad.size, n)), q * at * at))
+        a_ub = sp.vstack([sp.hstack([problem.a_ub, sp.csr_matrix((problem.b_ub.size,
+                                                                   quad.size))])]
+                         + [sp.hstack([cut, -sp.eye(quad.size)]) for cut, _ in cuts],
+                         format="csr")
+        b_ub = np.concatenate([problem.b_ub] + [rhs for _, rhs in cuts])
+        lp = linprog(objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=problem.b_eq,
+                     bounds=bounds, method="highs")
+        if lp.status != 0:
+            raise RuntimeError(f"HiGHS: {lp.message}")
+        at = lp.x[quad]
+    x = lp.x[:n]
+    return Bracket(lower=float(lp.fun), upper=problem.objective(x), x=x)
 
 
 def random_box_qp(rng, n):

@@ -860,16 +860,15 @@ class TestSharedAnalysis:
         assert optim._analyze(moved) is not optim._analyze(prob)
         assert optim._analyze(moved).a[0][k] == 2 and optim._analyze(prob).a[0][k] == 0
 
-    def test_nodes_and_certificates_are_not_held(self, monkeypatch):
-        # a branched MIQP's nodes build analyses of patterns that never
-        # repeat (a fixed side moves to the equality rows), and so does an
-        # infeasible problem's elastic certificate. Neither joins the held
-        # analyses, so the root's stays held and solving the root again
-        # builds none; each node still passes through the module's
-        # solve_qp, where a tracer wraps it.
+    def test_nodes_and_certificates_join_the_two_latest_patterns(self, monkeypatch):
+        # every solve follows one rule: its analysis joins the two most
+        # recently solved patterns. That holds for a branched MIQP's nodes,
+        # whose patterns never repeat (a fixed side moves to the equality
+        # rows), and for an infeasible problem's elastic certificate. Each
+        # node passes through the module's solve_qp, where a tracer wraps it.
         rng = np.random.default_rng(0)
         prob = [random_storage_miqp(rng, int(rng.integers(2, 7))) for _ in range(4)][-1]
-        built, nodes = [], []
+        built, solved = [], []
 
         class Recorded(optim._Analysis):
             def __init__(self, *args):
@@ -878,26 +877,31 @@ class TestSharedAnalysis:
 
         solve = optim.solve_qp
 
-        def recorded_solve_qp(p, **kwargs):
-            nodes.append(p)
-            return solve(p, **kwargs)
+        def recorded_solve_qp(p):
+            solved.append(p)
+            return solve(p)
+
+        def analysis_of(p, analysis):
+            return all(map(np.array_equal, optim._pattern_key(p), analysis.key))
 
         monkeypatch.setattr(optim, "_RECENT", [])
         monkeypatch.setattr(optim, "_Analysis", Recorded)
         monkeypatch.setattr(optim, "solve_qp", recorded_solve_qp)
         sol = solve_miqp(prob)
         assert sol.status is SolveStatus.OPTIMAL and sol.bnb.nodes >= 3
-        assert len(nodes) == sol.bnb.nodes and len(built) == sol.bnb.nodes
-        assert len(optim._RECENT) == 1 and optim._RECENT[0] is built[0]
-        again = solve(prob)
-        assert len(built) == sol.bnb.nodes
-        assert again.status is SolveStatus.OPTIMAL
+        assert len(solved) == len(built) == sol.bnb.nodes
+        assert len(optim._RECENT) == 2
+        assert optim._RECENT[0] is built[-2] and optim._RECENT[1] is built[-1]
+        assert analysis_of(solved[-2], built[-2]) and analysis_of(solved[-1], built[-1])
 
         infeasible = _unreachable_floor_node()
         assert solve(infeasible).status is SolveStatus.INFEASIBLE
         assert len(built) == sol.bnb.nodes + 2         # the problem, its certificate
         assert len(optim._RECENT) == 2
-        assert optim._RECENT[0] is built[0] and optim._RECENT[1] is built[-2]
+        assert optim._RECENT[0] is built[-2] and optim._RECENT[1] is built[-1]
+        assert analysis_of(infeasible, built[-2])
+        # the certificate's elastic problem adds a variable per row
+        assert built[-1].key[0][1] > infeasible.n_var
 
     def test_new_day_takes_the_held_ordering(self, monkeypatch):
         # two S=20 plans whose scenarios lack PV in different periods: their
@@ -1190,7 +1194,7 @@ class TestSolveMiqp:
                          lb=[0.0, 0.0], ub=[1.0, 1.0], comp_pairs=[(0, 1)])
         root = solve_qp(prob)
         assert root.status is SolveStatus.OPTIMAL
-        assert np.allclose(root.x, 0.75) and root.iterations == 6
+        assert np.allclose(root.x, 0.75) and root.iterations == 7
         sol = solve_miqp(prob)
         assert sol.status is SolveStatus.INFEASIBLE
         assert sol.message == "all branches infeasible"

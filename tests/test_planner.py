@@ -1,6 +1,7 @@
 """Day-ahead planning: problem build, optimality, plan invariants."""
 
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from capfirm.planner import (
 from capfirm.scenarios import ScenarioSet
 from capfirm.optim import SolveStatus
 
-from oracles import enumerate_miqp
+from oracles import enumerate_miqp, highs_bracket
 from toys import no_bess_system, toy_grid, toy_policy, toy_system
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -384,14 +385,20 @@ class TestSizingCaseDay:
         assert res.status is ctl.status is SolveStatus.OPTIMAL
         assert res.solution.refactors == ctl.solution.refactors == 0
 
-    def test_centering_floor_keeps_the_total_gap_within_tolerance(self):
-        # on day 143 the floor binds: the last iterations hold the total gap
-        # s.z near a tenth of the tolerance, and it must end below it. (Day
-        # 126 stops on the mean gap with a total of 6e-9 in plan and 1.5e-8
-        # in control, with or without the floor.)
-        res, ctl = _perfect_foresight_day(7, 143, 2.0, 400.0)
-        assert res.solution.residuals.comp_gap <= optim._TOL
-        assert ctl.solution.residuals.comp_gap <= optim._TOL
+    @pytest.mark.parametrize("season, day, ratio, prices", [
+        pytest.param(7, 143, 2.0, (400.0,), id="season7_day143"),
+        pytest.param(1, 126, 1.25, tuple(np.arange(50.0, 401.0, 50.0)),
+                     id="season1_day126")])
+    def test_centering_floor_keeps_the_total_gap_within_tolerance(
+            self, season, day, ratio, prices):
+        # the IPM stops on the total gap s.z / (1 + |obj|) that it reports
+        # as comp_gap, so at OPTIMAL it is within the tolerance. On day 143
+        # the floor binds: the last iterations hold the total gap near a
+        # tenth of the tolerance. Day 126 runs at every price of the sweep.
+        for price in prices:
+            res, ctl = _perfect_foresight_day(season, day, ratio, price)
+            assert res.solution.residuals.comp_gap <= optim._TOL
+            assert ctl.solution.residuals.comp_gap <= optim._TOL
 
     def test_formerly_stalled_control_solves_without_pivoting(self):
         # D plan and oracle control of day 77 of synthetic season 5, ratio
@@ -421,9 +428,11 @@ class TestSizingCaseDay:
         # the three tests above, with every KKT matrix factored without
         # pivoting as a wide pattern (S >= 3) is: elimination rounds, then
         # SuperLU's symmetric LU of what they leave
-        for args in ((7, 143, 2.0, 400.0), (1, 126, 1.25, 350.0)):
-            self.test_perfect_foresight_plan_and_control_solve_without_pivoting(*args)
-        self.test_centering_floor_keeps_the_total_gap_within_tolerance()
+        for season, day, ratio, price in ((7, 143, 2.0, 400.0), (1, 126, 1.25, 350.0)):
+            self.test_perfect_foresight_plan_and_control_solve_without_pivoting(
+                season, day, ratio, price)
+            self.test_centering_floor_keeps_the_total_gap_within_tolerance(
+                season, day, ratio, (price,))
         self.test_formerly_stalled_control_solves_without_pivoting()
         assert optim._RECENT and all(an.band is None for an in optim._RECENT)
 
@@ -747,6 +756,56 @@ class TestPaperScaleDay:
         res, solves = solved_day
         assert len(solves) == res.solution.bnb.nodes
         assert [sol.refactors for sol in solves] == [0] * len(solves)
+
+
+@lru_cache(maxsize=None)
+def _bracketed_plan(name, key, mode, ratio, price, rounds):
+    """``plan()`` of a stored day, its problem, and the HiGHS bracket of that
+    problem's optimum after ``rounds`` rounds of tangents."""
+    with np.load(DATA / f"{name}.npz") as data:
+        if mode == "S":
+            scen = ScenarioSet(data["values_kw"], data["weights"])
+        else:
+            scen = ScenarioSet.single(np.clip(data[key], 0.0, 466.4))
+    grid = TimeGrid.daily()
+    instance = PlanningInstance(grid, toy_policy(grid, price, 2.0 * price, 466.4),
+                                toy_system(466.4, ratio * 466.4), scen, mode)
+    problem = build_planning_qp(instance)[0]
+    return plan(instance), problem, highs_bracket(problem, rounds)
+
+
+# The day_s20 case (ratio 0.5, 100 EUR/MWh) of two S=20 days, and each stored
+# D/D* day at a case its tests above run. Both S=20 brackets close to
+# round-off after one round of tangents; a D/D* one narrows to about 1e-9
+# relative in 16.
+_BRACKETED = {
+    "s20_season3_day121": ("s20_season3_day121", None, "S", 0.5, 100.0, 1),
+    "s20_season4_day132": ("s20_season4_day132", None, "S", 0.5, 100.0, 1),
+    "d_season1_day149": ("d_season1_day149", "forecast_kw", "D", 1.75, 200.0, 16),
+    "d_season5_day77": ("d_season5_day77", "forecast_kw", "D", 1.25, 400.0, 16),
+    "dstar_season1_day126": ("dstar_season1_day126", "power_kw", "Dstar", 1.25, 350.0, 16),
+    "dstar_season7_day143": ("dstar_season7_day143", "power_kw", "Dstar", 2.0, 400.0, 16),
+}
+
+
+class TestHighsBracket:
+    @pytest.mark.parametrize("case", list(_BRACKETED))
+    def test_plan_lies_in_the_highs_bracket(self, case):
+        # an optimum that HiGHS brackets from an outer approximation
+        # (tests/oracles.py), independent of the IPM and branch-and-bound;
+        # the widening covers HiGHS's own feasibility tolerance
+        res, _, bracket = _bracketed_plan(*_BRACKETED[case])
+        tol = 1e-8 * (1.0 + abs(res.objective))
+        assert bracket.lower - tol <= res.objective <= bracket.upper + tol
+
+    def test_relaxation_optimum_meets_every_pair_and_closes_at_the_root(self):
+        # season 3, day 121: HiGHS's point meets every charge/discharge pair,
+        # so the MIQP optimum is the relaxation's, and the plan closes at the
+        # root. Stopped on the mean gap s.z/m, its root kept a total gap of
+        # 7e-6, branched to 8 nodes and ended 1.2e-6 above the optimum.
+        res, problem, bracket = _bracketed_plan(*_BRACKETED["s20_season3_day121"])
+        assert np.all(optim.comp_violations(problem, bracket.x) <= optim._pair_tols(problem))
+        assert res.solution.bnb.nodes == 1
 
 
 class TestScreenedBenchmarkOps:
