@@ -316,6 +316,40 @@ class TestSolveQpBasics:
         assert sol.objective == pytest.approx(fast.objective, rel=1e-9)
 
 
+class TestDualStart:
+    @pytest.mark.parametrize("n_scen, centred", [(1, True), (2, True), (4, False)])
+    def test_band_patterns_start_centred_and_wide_ones_flat(self, n_scen, centred):
+        # the duals of the first KKT matrix, z = w s at its row weights w:
+        # max|c| sqrt(floor/s) on a band pattern, max|c| on a wide one. The
+        # iteration counts of the stored S=20 plans are the same either way,
+        # so this is what shows that the wide path keeps the flat start.
+        prob = _noisy_planning_qp(n_periods=8, n_scen=n_scen)
+        analysis = optim._analyze(prob)
+        assert (analysis.band is not None) == centred
+        weights = []
+
+        class Recorded(optim._KktAssembler):
+            def __call__(self, w):
+                weights.append(w)
+                return super().__call__(w)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optim, "_KktAssembler", Recorded)
+            assert solve_qp(prob).status is SolveStatus.OPTIMAL
+        # the starting slacks of _ipm: bound midpoints, else 0, frozen at ub
+        a_all, b_all = analysis.standard_form(prob)[:2]
+        x = np.clip(0.0, prob.lb, prob.ub)
+        both = np.isfinite(prob.lb) & np.isfinite(prob.ub)
+        x[both] = 0.5 * (prob.lb[both] + prob.ub[both])
+        x[analysis.frozen] = prob.ub[analysis.frozen]
+        floor = max(1.0, 1e-2 * float(np.max(np.abs(b_all))))
+        s = np.maximum(b_all - a_all @ x, floor)
+        assert np.ptp(s) > 0.0
+        scale = float(np.max(np.abs(prob.c)))
+        expected = scale * np.sqrt(floor / s) if centred else np.full(s.size, scale)
+        assert weights[0] * s == pytest.approx(expected, rel=1e-12)
+
+
 def _unreachable_floor_node():
     grid = toy_grid(5, peak=(3, 4))
     policy = toy_policy(grid, price_peak=300.0, prod_min_frac_peak=0.05)

@@ -403,16 +403,16 @@ class TestSizingCaseDay:
     def test_formerly_stalled_control_solves_without_pivoting(self):
         # D plan and oracle control of day 77 of synthetic season 5, ratio
         # 1.25, 400/800 EUR/MWh. When the duals were first started on the
-        # cost scale, the control's unpivoted direction blew up late in the
-        # solve although no pivot was zero, both step lengths collapsed below
-        # 1e-12, and without a pivoted retry of that iteration control raised
-        # SolverError. Both QPs now solve without a refactorization (control
-        # in 16 iterations on SuperLU); the retry itself is covered by the
-        # monkeypatched test_optim.py tests
-        # test_stalled_step_is_redone_with_pivoting and
+        # cost scale, flat at max|c|, the control's unpivoted direction blew
+        # up late in the solve although no pivot was zero, both step lengths
+        # collapsed below 1e-12, and without a pivoted retry of that
+        # iteration control raised SolverError. Both QPs now solve without a
+        # refactorization; the retry itself is covered by the monkeypatched
+        # test_optim.py tests test_stalled_step_is_redone_with_pivoting and
         # test_stalled_band_step_is_redone_with_pivoting. Both QPs now factor
-        # as band matrices; on SuperLU see
-        # test_stored_days_solve_without_pivoting_on_superlu.
+        # as band matrices and start their duals centred (control in 12
+        # iterations); on SuperLU, with the flat start of the wide path
+        # (control in 16), see test_stored_days_solve_without_pivoting_on_superlu.
         with np.load(DATA / "d_season5_day77.npz") as data:
             forecast, realized = data["forecast_kw"], data["power_kw"]
         grid = TimeGrid.daily()
@@ -450,9 +450,10 @@ class TestPriceHomogeneity:
         # the plan at price p is p times one fixed problem. Each stored day
         # is planned at the battery ratio the benchmark's sizing sweep gives
         # it, at the sweep's 8 prices. Started with duals on the cost scale,
-        # the IPM takes nearly the same iterates up to that factor: the
-        # static regularization and the "1 +" terms of the stopping tests
-        # and of the centering floor still depend on the price.
+        # max|c| sqrt(floor/s) on these band patterns, whose slacks do not
+        # depend on the price, the IPM takes nearly the same iterates up to
+        # that factor: the static regularization and the "1 +" terms of the
+        # stopping tests and of the centering floor still depend on the price.
         with np.load(DATA / f"{name}.npz") as data:
             profile = data[key]
         grid = TimeGrid.daily()
@@ -806,6 +807,35 @@ class TestHighsBracket:
         res, problem, bracket = _bracketed_plan(*_BRACKETED["s20_season3_day121"])
         assert np.all(optim.comp_violations(problem, bracket.x) <= optim._pair_tols(problem))
         assert res.solution.bnb.nodes == 1
+
+
+class TestDualStart:
+    @pytest.mark.parametrize("case, plan_iterations, control_iterations", [
+        ("s20_season3_day121", 18, None), ("s20_season4_day132", 16, None),
+        ("d_season1_day149", 14, None), ("d_season5_day77", 11, 12),
+        ("dstar_season1_day126", 11, 12), ("dstar_season7_day143", 14, 15)])
+    def test_iterations_of_the_stored_cases(self, case, plan_iterations,
+                                            control_iterations):
+        # the plan of each bracketed case, closed at its root, and the oracle
+        # control of its day's realized PV where that is stored. The D/D*
+        # plans and the controls factor as a band and start their duals
+        # centred, max|c| sqrt(floor/s): started flat at max|c|, the plans
+        # took 17, 14, 14 and 17 iterations and the controls 20, 15 and 19.
+        # The S=20 plans start flat, as they did then.
+        name, _, mode, ratio, price, _ = _BRACKETED[case]
+        res, problem, _ = _bracketed_plan(*_BRACKETED[case])
+        assert (optim._analyze(problem).band is None) == (mode == "S")
+        assert res.solution.bnb.nodes == 1
+        assert res.solution.iterations == plan_iterations
+        if control_iterations is not None:
+            with np.load(DATA / f"{name}.npz") as data:
+                realized = data["power_kw"]
+            grid = TimeGrid.daily()
+            ctl = oracle_control(res.engagement, realized,
+                                 toy_policy(grid, price, 2.0 * price, 466.4),
+                                 toy_system(466.4, ratio * 466.4), grid)
+            assert ctl.solution.bnb.nodes == 1
+            assert ctl.solution.iterations == control_iterations
 
 
 class TestScreenedBenchmarkOps:
