@@ -134,9 +134,9 @@ def pvusa_eval(params: PvusaParams, irradiance_wm2, temperature_c,
     params : PvusaParams
         Model coefficients.
     irradiance_wm2 : scalar or array
-        Plane irradiance, must be >= 0.
+        Plane irradiance, must be finite and >= 0.
     temperature_c : scalar or array
-        Air temperature.
+        Air temperature, must be finite.
     capacity_kw : float, optional
         When given, the result is clipped to [0, capacity_kw] (inverter
         limits and the impossibility of negative generation); it must be
@@ -145,9 +145,11 @@ def pvusa_eval(params: PvusaParams, irradiance_wm2, temperature_c,
     if capacity_kw is not None and not (np.isfinite(capacity_kw) and capacity_kw > 0):
         raise ValueError("capacity_kw must be finite and > 0")
     irr = np.asarray(irradiance_wm2, dtype=float)
+    tmp = np.asarray(temperature_c, dtype=float)
+    if not (np.isfinite(irr).all() and np.isfinite(tmp).all()):
+        raise ValueError("irradiance and temperature must be finite")
     if np.any(irr < 0):
         raise ValueError("irradiance must be >= 0")
-    tmp = np.asarray(temperature_c, dtype=float)
     power = params.a * irr + params.b * irr ** 2 + params.c * irr * tmp
     if capacity_kw is not None:
         power = np.clip(power, 0.0, capacity_kw)

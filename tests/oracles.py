@@ -337,13 +337,14 @@ def inverse_marginals_reference(sorted_errors_kw, degenerate, u):
 def scenario_values_reference(model, forecast_kw, n_scenarios, seed, pv_capacity_kw):
     """Scenario values drawn one scenario and one lead time at a time.
 
-    Scenario w takes the w-th child of ``SeedSequence(seed)``, one Cholesky
-    product and one normal CDF, then each active lead time's ``np.interp``.
+    Scenario w takes the next T normals of one ``default_rng(seed)``, one
+    Cholesky product and one normal CDF, then each active lead time's
+    ``np.interp``.
     """
     t_n = model.correlation.shape[0]
+    rng = np.random.default_rng(seed)
     u = np.empty((n_scenarios, t_n))
-    for w, child in enumerate(np.random.SeedSequence(seed).spawn(n_scenarios)):
-        rng = np.random.Generator(np.random.PCG64(child))
+    for w in range(n_scenarios):
         u[w] = special.ndtr(model.cholesky_factor @ rng.standard_normal(t_n))
     errors = inverse_marginals_reference(model.sorted_errors_kw, model.degenerate, u)
     return np.clip(np.asarray(forecast_kw, dtype=float) + errors, 0.0, pv_capacity_kw)

@@ -320,9 +320,11 @@ class TestDualStart:
     @pytest.mark.parametrize("n_scen, centred", [(1, True), (2, True), (4, False)])
     def test_band_patterns_start_centred_and_wide_ones_flat(self, n_scen, centred):
         # the duals of the first KKT matrix, z = w s at its row weights w:
-        # max|c| sqrt(floor/s) on a band pattern, max|c| on a wide one. The
-        # iteration counts of the stored S=20 plans are the same either way,
-        # so this is what shows that the wide path keeps the flat start.
+        # max|c| sqrt(floor/s) on a band pattern, max|c| on a wide one.
+        # Started centred, the stored S=20 plans of season 2, day 99 and
+        # season 4, day 132 take 19 and 16 iterations against 19 and 15 flat,
+        # so only one iteration pin would show a wide path started centred;
+        # this test shows it on every wide pattern.
         prob = _noisy_planning_qp(n_periods=8, n_scen=n_scen)
         analysis = optim._analyze(prob)
         assert (analysis.band is not None) == centred
@@ -772,9 +774,10 @@ class TestKktAssembly:
         # ordering of the same day without PV in one more period (another
         # standard form, the same KKT pattern): bitwise alike, and as
         # accurate as SuperLU's solve of the whole matrix. In the first 8
-        # iterations the two solutions agree to 1e-10; in the last ones,
-        # where the componentwise backward errors of both reach 1e-10, they
-        # differ by up to 4e-8, as the conditioning of those matrices allows.
+        # iterations the two solutions agree to 1e-10 of their largest entry;
+        # in the last ones, where the componentwise backward errors of both
+        # reach 1e-10, they differ by up to 3e-5 of it, as the conditioning of
+        # those matrices allows.
         with np.load(DATA / "s20_season4_day132.npz") as data:
             values, weights = data["values_kw"], data["weights"]
         grid = TimeGrid.daily()

@@ -709,10 +709,10 @@ class TestPaperScaleDay:
         assert np.array_equal(sol.x[frozen], problem.ub[frozen])
 
     def test_s20_standard_form_has_a_unit_row_per_terminal_soc(self):
-        # the S=20 plan of season 4, day 132 has 1,296 fixed variables: 1,276
+        # the S=20 plan of season 4, day 132 has 1,311 fixed variables: 1,291
         # pv_used without PV, frozen, and the 20 terminal SoCs. G holds the
         # 2TS power balance and SoC rows and the terminal SoCs' unit rows:
-        # 3,860 rows, against 5,136 with a unit row per fixed variable.
+        # 3,860 rows, against 5,151 with a unit row per fixed variable.
         with np.load(DATA / "s20_season4_day132.npz") as data:
             scen = ScenarioSet(data["values_kw"], data["weights"])
         grid = TimeGrid.daily()
@@ -722,7 +722,7 @@ class TestPaperScaleDay:
         idx = dispatch_index(t_n, s_n, t_n)
         analysis = optim._analyze(problem)
         assert analysis.band is None        # reverse Cuthill-McKee leaves a band of 80
-        assert analysis.frozen.size == 1276 and np.isin(analysis.frozen, idx.pv_used).all()
+        assert analysis.frozen.size == 1291 and np.isin(analysis.frozen, idx.pv_used).all()
         assert np.array_equal(analysis.unit, idx.soc[:, -1])
         assert analysis.g[2] == (2 * t_n * s_n + s_n, problem.n_var) == (3860, problem.n_var)
 
@@ -776,11 +776,11 @@ def _bracketed_plan(name, key, mode, ratio, price, rounds):
 
 
 # The day_s20 case (ratio 0.5, 100 EUR/MWh) of two S=20 days, and each stored
-# D/D* day at a case its tests above run. Both S=20 brackets close to
-# round-off after one round of tangents; a D/D* one narrows to about 1e-9
-# relative in 16.
+# D/D* day at a case its tests above run. Season 4 day 132's bracket closes to
+# round-off after one round of tangents, and season 2 day 99's narrows to
+# about 4e-8 relative in 10; a D/D* one narrows to about 1e-9 relative in 16.
 _BRACKETED = {
-    "s20_season3_day121": ("s20_season3_day121", None, "S", 0.5, 100.0, 1),
+    "s20_season2_day99": ("s20_season2_day99", None, "S", 0.5, 100.0, 10),
     "s20_season4_day132": ("s20_season4_day132", None, "S", 0.5, 100.0, 1),
     "d_season1_day149": ("d_season1_day149", "forecast_kw", "D", 1.75, 200.0, 16),
     "d_season5_day77": ("d_season5_day77", "forecast_kw", "D", 1.25, 400.0, 16),
@@ -800,18 +800,18 @@ class TestHighsBracket:
         assert bracket.lower - tol <= res.objective <= bracket.upper + tol
 
     def test_relaxation_optimum_meets_every_pair_and_closes_at_the_root(self):
-        # season 3, day 121: HiGHS's point meets every charge/discharge pair,
+        # season 2, day 99: HiGHS's point meets every charge/discharge pair,
         # so the MIQP optimum is the relaxation's, and the plan closes at the
         # root. Stopped on the mean gap s.z/m, its root kept a total gap of
-        # 7e-6, branched to 8 nodes and ended 1.2e-6 above the optimum.
-        res, problem, bracket = _bracketed_plan(*_BRACKETED["s20_season3_day121"])
+        # 8.7e-6 and branched to 9 nodes to reach that optimum.
+        res, problem, bracket = _bracketed_plan(*_BRACKETED["s20_season2_day99"])
         assert np.all(optim.comp_violations(problem, bracket.x) <= optim._pair_tols(problem))
         assert res.solution.bnb.nodes == 1
 
 
 class TestDualStart:
     @pytest.mark.parametrize("case, plan_iterations, control_iterations", [
-        ("s20_season3_day121", 18, None), ("s20_season4_day132", 16, None),
+        ("s20_season2_day99", 19, None), ("s20_season4_day132", 15, None),
         ("d_season1_day149", 14, None), ("d_season5_day77", 11, 12),
         ("dstar_season1_day126", 11, 12), ("dstar_season7_day143", 14, 15)])
     def test_iterations_of_the_stored_cases(self, case, plan_iterations,

@@ -104,6 +104,15 @@ class TestEval:
         with pytest.raises(ValueError):
             pvusa_eval(REFERENCE_PARAMS, -1.0, 20.0)
 
+    @pytest.mark.parametrize("irradiance, temperature", [
+        (np.nan, 20.0), (np.inf, 20.0), (500.0, np.nan), (500.0, -np.inf),
+        ([500.0, np.nan], [20.0, 25.0]), ([500.0, 800.0], [20.0, np.inf]),
+    ])
+    def test_non_finite_weather_rejected(self, irradiance, temperature):
+        # NaN passes the irradiance >= 0 check and the clip to a capacity alike
+        with pytest.raises(ValueError, match="finite"):
+            pvusa_eval(REFERENCE_PARAMS, irradiance, temperature, capacity_kw=400.0)
+
     @pytest.mark.parametrize("capacity", [-1.0, 0.0, np.nan, np.inf])
     def test_invalid_capacity_rejected(self, capacity):
         # a clip to [0, -1] reads -1 kW at every point, and one to NaN reads NaN
