@@ -387,6 +387,17 @@ _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11, 1060, 4107, 7150]
 
 
 class TestSubstreams:
+    @pytest.mark.parametrize("n", [1, 20, 100, 257, 1000])
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_one_fill_equals_row_by_row_draws(self, seed, n):
+        # the (n x T) normals filled in one call are the stream's next T
+        # normals per scenario, for every seed width and set size
+        model = fit_copula(_night_history(False), PC)
+        forecast = np.full(96, 200.0)
+        out = sample_scenarios(model, forecast, n, seed, PC)
+        expected = scenario_values_reference(model, forecast, n, seed, PC)
+        assert out.values_kw.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_scenario_sets_are_nested(self, seed):
         model = fit_copula(_night_history(False), PC)
